@@ -10,7 +10,6 @@ tiny fraction of the exact row's time.
 import time
 
 from qrv import (
-    VerifyOptions,
     generate_qubit_case_study,
     under_robust_accuracy,
     verify_dataset,
@@ -27,7 +26,7 @@ for eps in epsilons:
     t0 = time.perf_counter()
     ura = under_robust_accuracy(classifier, train, eps)
     t_ura = time.perf_counter() - t0
-    report = verify_dataset(classifier, train, eps, options=VerifyOptions(workers=1))
+    report = verify_dataset(classifier, train, eps)
     rows.append((eps, ura, t_ura, report))
 
 header = "".join(f"  eps={eps:<8}" for eps in epsilons)

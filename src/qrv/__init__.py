@@ -3,9 +3,9 @@
 The library answers, for a classifier given as a Kraus channel plus a
 measurement family: is a correctly classified state still classified the
 same way everywhere within fidelity distance epsilon?  It computes a
-cheap margin certificate, the exact optimal robust bound by semidefinite
-programming, pure-state bounds by multi-start quadratic programming, and
-extracts concrete adversarial states when robustness fails.
+cheap margin certificate and the exact optimal robust bound by
+semidefinite programming, and extracts concrete adversarial states (pure
+ones for pure inputs on request) when robustness fails.
 """
 
 from .config import DEFAULT_POLICY, NumericPolicy, dimension_cap
@@ -61,7 +61,6 @@ from .sdp import (
     fixed_state_constraints,
     project_embedded,
     solve,
-    solve_feasibility,
     sqrt_fidelity_sdp,
     sqrt_fidelity_sdp_fixed,
 )

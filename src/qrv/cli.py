@@ -36,7 +36,6 @@ class RunConfig:
 
     epsilons: tuple[float, ...]
     mode: str = "mixed"
-    workers: int = 1
     seed: int = 0
     oracle_check: bool = False
     strict: bool = False
@@ -49,8 +48,6 @@ class RunConfig:
         for eps in self.epsilons:
             if not 0.0 < eps < 1.0:
                 raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
 
 def _sig4(x: float) -> str:
@@ -160,7 +157,6 @@ def _cmd_verify(args) -> int:
     config = RunConfig(
         epsilons=_parse_epsilons(args.epsilon),
         mode=args.mode,
-        workers=args.workers,
         seed=args.seed,
         oracle_check=args.oracle,
         strict=args.strict,
@@ -175,8 +171,7 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--oracle requires a dimension-2 classifier", args.classifier)
 
     options = VerifyOptions(
-        mode=config.mode, workers=config.workers, seed=config.seed,
-        policy=config.policy,
+        mode=config.mode, seed=config.seed, policy=config.policy,
     )
     columns = []
     any_non_robust = False
@@ -188,7 +183,7 @@ def _cmd_verify(args) -> int:
         report = verify_dataset(classifier, dataset, eps, options=options)
         exact_attempted = sum(
             1 for v in report.verdicts
-            if v.status in ("ok", "solver_failure", "inconclusive")
+            if v.status in ("ok", "solver_failure")
             and not v.margin_certified and v.correct
         )
         exact_failed = report.solver_stats.get("failures", 0)
@@ -257,7 +252,7 @@ def _cmd_verify(args) -> int:
         )
 
     exact_jobs_exist = any(
-        v.status in ("ok", "solver_failure", "inconclusive")
+        v.status in ("ok", "solver_failure")
         and not v.margin_certified and v.correct
         for col in columns for v in col[3].verdicts
     )
@@ -347,8 +342,7 @@ def _cmd_oracle_check(args) -> int:
     if len(eps) != 1:
         raise ValidationError("oracle-check takes a single epsilon")
     eps = eps[0]
-    options = VerifyOptions(workers=args.workers, seed=args.seed)
-    report = verify_dataset(classifier, dataset, eps, options=options)
+    report = verify_dataset(classifier, dataset, eps)
     check = _oracle_cross_check(
         classifier, dataset, report, eps, args.resolution, DEFAULT_POLICY
     )
@@ -397,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True,
                    help="threshold(s) in (0,1); comma-separated for a table")
     p.add_argument("--mode", choices=["mixed", "pure"], default="mixed")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check exact verdicts against the Bloch-ball grid")
     p.add_argument("--oracle-resolution", type=int, default=100)
@@ -442,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--resolution", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_oracle_check)
     return parser

@@ -41,10 +41,6 @@ __all__ = [
     "qubit_fidelity_closed_form",
 ]
 
-# Grids below 50 points per axis are too coarse to trust as ground truth.
-CERTIFICATION_GRADE_RESOLUTION = 50
-
-
 @dataclass(frozen=True)
 class SearchGrid:
     """Bloch-ball grid: ``resolution`` points per axis over [-1, 1]^3."""

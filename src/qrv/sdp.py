@@ -6,9 +6,8 @@ into a real symmetric one (each Hermitian ``H`` maps to ``[[Re H,
 -Im H], [Im H, Re H]]``), runs a primal-dual path-following interior
 point method with Nesterov-Todd scaling, and projects the solution back.
 
-Feasibility questions are answered by an elastic phase-one program:
-minimize the total constraint violation; a positive optimum certifies
-infeasibility.
+When the main solve fails, an elastic phase-one program minimizes the
+total constraint violation; a positive optimum certifies infeasibility.
 
 The module also builds the block program computing ``sqrt(F(rho,
 sigma))``: maximize ``tr(X + X^dag) / 2`` over ``[[rho, X], [X^dag,
@@ -18,7 +17,6 @@ ranging over caller-supplied affine constraints.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,7 +33,6 @@ __all__ = [
     "SdpSolution",
     "SolverOptions",
     "solve",
-    "solve_feasibility",
     "embed_hermitian",
     "embed_matrix",
     "project_embedded",
@@ -44,7 +41,6 @@ __all__ = [
     "FidelityBlockProblem",
     "fixed_state_constraints",
     "extract_fidelity_solution",
-    "dump_problem",
 ]
 
 EQ = "=="
@@ -96,26 +92,6 @@ class SdpProblem:
             return False
         return all(np.max(np.abs(c.matrix.imag)) == 0 for c in self.constraints)
 
-    def to_json_dict(self) -> dict:
-        """Documented debug form: objective, constraints, dims."""
-
-        def mat(m):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-        return {
-            "variable_dim": self.variable_dim,
-            "objective": mat(self.objective),
-            "constraints": [
-                {"matrix": mat(c.matrix), "relation": c.relation, "bound": c.bound}
-                for c in self.constraints
-            ],
-        }
-
-
-def dump_problem(problem: SdpProblem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem.to_json_dict(), fh, indent=2)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -123,7 +99,6 @@ class SolverOptions:
     feas_tol: float = 1e-7
     max_iterations: int = 200
     step_fraction: float = 0.98
-    big_m: float = 1e4  # scale bound for elastic phase-one variables
     regularization: float = 1e-12
     track_iterates: bool = False
 
@@ -405,7 +380,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
 
 
 # ---------------------------------------------------------------------------
-# Public solve / feasibility entry points
+# Public solve entry point
 
 
 def _prepare_real_arrays(problem: SdpProblem):
@@ -459,7 +434,7 @@ def solve(
 
     if status != "optimal":
         try:
-            feasible, _, phase_info = _phase_one(work, opts)
+            feasible, phase_info = _phase_one(work, opts)
             info["phase_one"] = phase_info
         except SolverFailure:
             feasible = True  # cannot certify infeasibility; report main status
@@ -548,10 +523,9 @@ def _phase_one(work: SdpProblem, opts: SolverOptions):
         feas_tol=1e-8,
         max_iterations=max(opts.max_iterations, 200),
         step_fraction=opts.step_fraction,
-        big_m=opts.big_m,
         regularization=opts.regularization,
     )
-    status, x, _u, _y, _z, info = _ipm_real(
+    status, _x, _u, _y, _z, info = _ipm_real(
         np.zeros((n, n)), a_stack, g_mat, c_lp, b, phase_opts
     )
     if status != "optimal":
@@ -561,26 +535,7 @@ def _phase_one(work: SdpProblem, opts: SolverOptions):
     total_violation = float(info["primal_objective"])
     feasible = total_violation <= max(opts.feas_tol, 1e-7)
     info = dict(info, total_violation=total_violation)
-    return feasible, x, info
-
-
-def solve_feasibility(
-    problem: SdpProblem, options: SolverOptions | None = None
-) -> tuple[bool, np.ndarray | None, dict]:
-    """Decide feasibility of the constraint system, ignoring the objective.
-
-    Returns ``(feasible, X, info)`` where ``X`` is a point satisfying the
-    constraints within tolerance when feasible, and ``info`` carries the
-    phase-one optimum (the certified minimum total violation).
-    """
-    opts = options or SolverOptions()
-    work = problem if problem.is_real() else embed_hermitian(problem)
-    embedded = work is not problem
-    feasible, x, info = _phase_one(work, opts)
-    if not feasible:
-        return False, None, info
-    x_out = project_embedded(x) if embedded else 0.5 * (x + x.T)
-    return True, x_out, info
+    return feasible, info
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +586,6 @@ class FidelityBlockProblem(SdpProblem):
         self.pinned_rank = pinned_rank
         self.range_isometry = range_isometry
         self.sigma_isometry = sigma_isometry
-
-    def with_fidelity_floor(self, sqrt_level: float) -> "FidelityBlockProblem":
-        """Copy with the extra constraint tr(X + X^dag)/2 >= sqrt_level.
-
-        Feasible solutions then correspond to sigma with
-        sqrt(F(rho, sigma)) >= sqrt_level.
-        """
-        floor = LinearConstraint(self.objective.copy(), LE, -float(sqrt_level))
-        return FidelityBlockProblem(
-            self.objective,
-            list(self.constraints) + [floor],
-            state_dim=self.state_dim,
-            pinned_rank=self.pinned_rank,
-            range_isometry=self.range_isometry,
-            sigma_isometry=self.sigma_isometry,
-        )
 
 
 def fixed_state_constraints(sigma: DensityMatrix) -> list[tuple[np.ndarray, str, float]]:

@@ -10,9 +10,10 @@ verification stack:
   ``1 - F(rho, sigma)`` over states satisfying the class-flip constraint
   ``tr[(M_l^dag M_l - M_k^dag M_k) channel(sigma)] <= 0`` (a semidefinite
   program); rho is epsilon-robust iff ``epsilon <= delta``;
-* a direct feasibility check at level epsilon for the same constraints;
-* a pure-state variant restricting adversaries to pure states (a
-  nonconvex quadratic program, attacked by multi-start local solves);
+* pure-state adversaries: for pure rho the pure-state bound equals
+  delta (the joint numerical range of two Hermitian forms is convex,
+  Toeplitz-Hausdorff), so the mixed witness is rotated into a pure one
+  at the same distance;
 * dataset drivers that filter with the margin bound and fall back to the
   exact bound only where the filter is inconclusive, collecting
   adversarial examples along the way.
@@ -26,12 +27,9 @@ full dataset size.
 from __future__ import annotations
 
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .classifiers import (
     Classification,
@@ -46,10 +44,8 @@ from .sdp import (
     EQ,
     LE,
     SolverOptions,
-    embed_matrix,
     extract_fidelity_solution,
     solve,
-    solve_feasibility,
     sqrt_fidelity_sdp,
 )
 from .states import (
@@ -93,9 +89,7 @@ class VerifyOptions:
 
     mode: str = MIXED  # "mixed": adversaries range over density matrices;
     #                    "pure": pure-state adversaries for pure entries
-    workers: int = 1
-    seed: int = 0
-    qcqp_starts: int = 32
+    seed: int = 0  # recorded in reports; no computation draws on it
     solver: SolverOptions | None = None
     policy: NumericPolicy = DEFAULT_POLICY
     collect_adversarial: bool = True
@@ -103,8 +97,6 @@ class VerifyOptions:
     def __post_init__(self):
         if self.mode not in (MIXED, PURE):
             raise ValidationError(f"mode must be 'mixed' or 'pure', got {self.mode!r}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
     def solver_options(self) -> SolverOptions:
         return self.solver or SolverOptions.from_policy(self.policy)
@@ -146,13 +138,10 @@ class RobustnessCheck:
 
 @dataclass(frozen=True)
 class PureBound:
-    """Best pure-state bound found by multi-start local optimization.
+    """Optimal robust bound against pure-state adversaries.
 
-    ``delta`` is an upper bound on the true pure-state optimum (local
-    solves cannot certify global optimality).  ``status`` is ``ok`` when
-    every reachable rival class produced converged starts, ``partial``
-    when some did not, and ``inconclusive`` when none did (never treat an
-    inconclusive result as a robustness certificate).
+    ``delta`` equals the mixed-state bound and ``phi_star`` is a pure
+    state at that distance; ``status`` is always ``ok``.
     """
 
     status: str
@@ -254,7 +243,8 @@ def compute_optimal_bound(
 
     A rival class whose flip constraint is infeasible (its gap operator is
     positive definite) contributes an unbounded radius; when every rival is
-    unreachable the state is robust at every eps < 1.
+    unreachable the state is robust at every eps < 1.  A rival already
+    tied at rho contributes delta 0 with rho itself as the witness.
     """
     opts = options or VerifyOptions()
     policy = opts.policy
@@ -274,17 +264,20 @@ def compute_optimal_bound(
         if float(np.linalg.eigvalsh(gap)[0]) > 0.0:
             per_class[k] = None  # class unreachable by any state
             continue
-        problem = sqrt_fidelity_sdp(
-            rho, [(identity, EQ, 1.0), (gap, LE, 0.0)], policy=policy
-        )
-        solution = _solve_with_retry(problem, sdp_opts)
-        solves += 1
-        iterations += solution.iterations
-        sqrt_f, sigma_raw = extract_fidelity_solution(problem, solution.X)
-        delta_k = min(max(1.0 - sqrt_f * sqrt_f, 0.0), 1.0)
+        if float(np.real(np.trace(gap @ rho.matrix))) <= 0.0:
+            # Tied at rho already: the SDP would only add solver noise.
+            delta_k, sigma_k = 0.0, rho.matrix
+        else:
+            problem = sqrt_fidelity_sdp(
+                rho, [(identity, EQ, 1.0), (gap, LE, 0.0)], policy=policy
+            )
+            solution = _solve_with_retry(problem, sdp_opts)
+            solves += 1
+            iterations += solution.iterations
+            sqrt_f, sigma_k = extract_fidelity_solution(problem, solution.X)
+            delta_k = min(max(1.0 - sqrt_f * sqrt_f, 0.0), 1.0)
         per_class[k] = delta_k
         if best is None or delta_k < best[0]:
-            sigma_k = project_to_density(sigma_raw, policy=policy)
             best = (delta_k, k, sigma_k, gap)
 
     if best is None:
@@ -292,7 +285,8 @@ def compute_optimal_bound(
             delta=None, unbounded=True, argmin_class=None, sigma_star=None,
             per_class=per_class, sdp_solves=solves, sdp_iterations=iterations,
         )
-    delta, k_star, sigma_star, gap = best
+    delta, k_star, sigma_raw, gap = best
+    sigma_star = project_to_density(sigma_raw, policy=policy)
     sigma_star = _polish_witness(gap, sigma_star, rho, budget=1e-6, policy=policy)
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
@@ -308,139 +302,73 @@ def check_epsilon_robust(
     *,
     options: VerifyOptions | None = None,
 ) -> RobustnessCheck:
-    """Direct eps-robustness decision via per-class feasibility programs.
+    """eps-robustness decision by thresholding the optimal bound.
 
-    For each rival class, ask whether some state satisfies the class-flip
-    constraint together with ``1 - F(rho, sigma) <= eps`` (imposed as a
-    floor on the block objective).  The state is robust iff every such
-    system is infeasible; otherwise the feasible witness of smallest
-    distance is returned.
+    The state is robust iff ``eps <= delta``; a rival class is feasible
+    when its own bound lies below eps.  A non-robust state carries the
+    optimal witness ``sigma_star`` at distance delta.
     """
     eps = _require_epsilon(eps)
-    opts = options or VerifyOptions()
-    policy = opts.policy
-    rho = pure_to_density(state, policy=policy) if isinstance(state, PureState) else state
-    _, label = _classification_for_label(classifier, rho, label, policy)
-
-    sdp_opts = opts.solver_options()
-    identity = np.eye(classifier.dim, dtype=complex)
-    sqrt_floor = float(np.sqrt(1.0 - eps))
-    per_class: dict = {}
-    witnesses = []
-    solves = 0
-    for k in range(classifier.n_classes):
-        if k == label:
-            continue
-        gap = classifier.class_gap_operator(label, k)
-        if float(np.linalg.eigvalsh(gap)[0]) > 0.0:
-            per_class[k] = False
-            continue
-        problem = sqrt_fidelity_sdp(
-            rho, [(identity, EQ, 1.0), (gap, LE, 0.0)], policy=policy
-        ).with_fidelity_floor(sqrt_floor)
-        feasible, x_opt, _info = solve_feasibility(problem, sdp_opts)
-        solves += 1
-        per_class[k] = feasible
-        if feasible:
-            _, sigma_raw = extract_fidelity_solution(problem, x_opt)
-            sigma = project_to_density(sigma_raw, policy=policy)
-            sigma = _polish_witness(gap, sigma, rho, budget=1e-6, policy=policy)
-            distance = 1.0 - fidelity(rho, sigma, policy=policy)
-            witnesses.append(AdversarialWitness(sigma, k, distance))
-
-    if not witnesses:
-        return RobustnessCheck(robust=True, witness=None,
-                               per_class_feasible=per_class, sdp_solves=solves)
-    witness = min(witnesses, key=lambda w: w.distance)
-    return RobustnessCheck(robust=False, witness=witness,
-                           per_class_feasible=per_class, sdp_solves=solves)
+    bound = compute_optimal_bound(classifier, state, label, options=options)
+    per_class = {
+        k: delta_k is not None and delta_k < eps
+        for k, delta_k in bound.per_class.items()
+    }
+    witness = None
+    if not bound.robust_at(eps):
+        witness = AdversarialWitness(bound.sigma_star, bound.argmin_class, bound.delta)
+    return RobustnessCheck(robust=witness is None, witness=witness,
+                           per_class_feasible=per_class,
+                           sdp_solves=bound.sdp_solves)
 
 
 # ---------------------------------------------------------------------------
-# Pure-state bound (nonconvex quadratic program, multi-start local solves)
+# Pure-state witnesses
 
 
-def _embedded_vector(phi: np.ndarray) -> np.ndarray:
-    return np.concatenate([phi.real, phi.imag])
+def _bloch_coefficients(h: np.ndarray) -> np.ndarray:
+    """(h_x, h_y, h_z) with 2x2 Hermitian h = h_0 I + h_x X + h_y Y + h_z Z."""
+    return np.array([h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0] - h[1, 1]).real])
 
 
-def _complex_vector(x: np.ndarray) -> np.ndarray:
-    n = x.size // 2
-    return x[:n] + 1j * x[n:]
+def _pure_witness(
+    classifier: Classifier, label: int, bound: OptimalBound, psi: PureState,
+    policy: NumericPolicy,
+) -> PureState:
+    """Pure phi with the same |<phi|psi>|^2 and <phi|gap|phi> as sigma_star.
 
-
-def _qcqp_starts(
-    psi: np.ndarray, gap: np.ndarray, n_starts: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    dim = psi.size
-    starts = [psi]
-    w, vecs = np.linalg.eigh(gap)
-    for idx in np.argsort(w):
-        v = vecs[:, idx]
-        phase = np.vdot(v, psi)
-        if abs(phase) > 1e-12:
-            v = v * (phase / abs(phase))
-        starts.append(v)
-        mix = psi + v
-        norm = np.linalg.norm(mix)
-        if norm > 1e-9:
-            starts.append(mix / norm)
-    while len(starts) < n_starts:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        starts.append(v / np.linalg.norm(v))
-    return starts[:n_starts]
-
-
-def _pure_bound_for_class(
-    psi: np.ndarray,
-    gap: np.ndarray,
-    n_starts: int,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray] | None:
-    """min 1 - |<phi|psi>|^2 over unit phi with <phi|gap|phi> <= 0.
-
-    Solved in real coordinates by sequential quadratic programming from
-    many starts, with a unit-sphere retraction on each candidate; returns
-    the best feasible local optimum or None when no start converged.
+    ``gap`` is the gap operator of the bound's rival class, so phi sits at
+    the bound's distance and on the same side of the decision boundary.
+    sigma_star's eigenvectors are merged two at a time.  Within span{phi, u_j}
+    the mixture of phi and u_j has a Bloch vector r inside the ball, and
+    both expectation values are affine in r with coefficient vectors
+    h_psi and h_gap.  Moving r to the sphere along a direction orthogonal
+    to both (h_psi x h_gap, or any such direction when they are parallel)
+    keeps the two values and makes the merged state pure.
     """
-    p_emb = embed_matrix(np.outer(psi, psi.conj()))
-    q_emb = embed_matrix(gap)
-
-    def objective(x):
-        return 1.0 - x @ (p_emb @ x)
-
-    def objective_jac(x):
-        return -2.0 * (p_emb @ x)
-
-    constraints = (
-        {"type": "eq", "fun": lambda x: x @ x - 1.0, "jac": lambda x: 2.0 * x},
-        {"type": "ineq", "fun": lambda x: -(x @ (q_emb @ x)),
-         "jac": lambda x: -2.0 * (q_emb @ x)},
-    )
-
-    best: tuple[float, np.ndarray] | None = None
-    for phi0 in _qcqp_starts(psi, gap, n_starts, rng):
-        x0 = _embedded_vector(phi0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = scipy.optimize.minimize(
-                objective, x0, jac=objective_jac, method="SLSQP",
-                constraints=constraints,
-                options={"maxiter": 300, "ftol": 1e-12},
-            )
-        x = result.x
-        norm = np.linalg.norm(x)
-        if not np.isfinite(norm) or norm < 1e-9:
-            continue
-        x = x / norm  # retraction back onto the sphere
-        if x @ (q_emb @ x) > 1e-8:
-            continue
-        value = float(np.clip(1.0 - x @ (p_emb @ x), 0.0, 1.0))
-        if best is None or value < best[0]:
-            best = (value, x)
-    if best is None:
-        return None
-    return best[0], _complex_vector(best[1])
+    gap = classifier.class_gap_operator(label, bound.argmin_class)
+    weights, vectors = np.linalg.eigh(bound.sigma_star.matrix)
+    order = np.argsort(weights)[::-1]
+    phi = vectors[:, order[0]]
+    mass = float(weights[order[0]])
+    for j in order[1:]:
+        weight = float(weights[j])
+        if weight <= 0.0:
+            break
+        u = vectors[:, j]
+        basis = np.column_stack([phi, u])
+        c = basis.conj().T @ psi.amplitudes
+        h_psi = _bloch_coefficients(np.outer(c, c.conj()))
+        h_gap = _bloch_coefficients(basis.conj().T @ gap @ basis)
+        direction = np.linalg.svd(np.vstack([h_psi, h_gap]))[2][-1]
+        z = (mass - weight) / (mass + weight)  # r = (0, 0, z) in this basis
+        along = z * direction[2]
+        step = -along + np.sqrt(along * along + 1.0 - z * z)
+        x, y, z = np.array([0.0, 0.0, z]) + step * direction
+        half = 0.5 * np.arccos(np.clip(z, -1.0, 1.0))
+        phi = np.cos(half) * phi + np.exp(1j * np.arctan2(y, x)) * np.sin(half) * u
+        mass += weight
+    return PureState(phi / np.linalg.norm(phi), policy=policy)
 
 
 def pure_state_optimal_bound(
@@ -452,53 +380,25 @@ def pure_state_optimal_bound(
 ) -> PureBound:
     """Optimal robust bound against pure-state adversaries.
 
-    Minimizes ``1 - |<phi|psi>|^2`` over unit vectors satisfying the
-    class-flip constraint for each rival class.  The feasible set of pure
-    states is nonconvex, so this returns the best local optimum across
-    ``options.qcqp_starts`` starts (the state itself, the flip operator's
-    eigenvectors and mixes, then random states): an upper bound on the
-    true pure-state radius, never below the mixed-state bound.
+    For pure psi the fidelity ``<psi|sigma|psi>`` is linear in sigma and
+    the joint numerical range of two Hermitian forms is convex
+    (Toeplitz-Hausdorff), so the pure-state bound equals the mixed bound
+    of :func:`compute_optimal_bound`.  Its witness is turned into a pure
+    state at the same distance and on the same side of the decision
+    boundary.
     """
     if not isinstance(psi, PureState):
         psi = PureState(psi)
     opts = options or VerifyOptions()
     policy = opts.policy
     _, label = _classification_for_label(classifier, psi, label, policy)
-    rng = np.random.default_rng(opts.seed)
-
-    per_class: dict = {}
-    best = None
-    reachable = 0
-    converged = 0
-    for k in range(classifier.n_classes):
-        if k == label:
-            continue
-        gap = classifier.class_gap_operator(label, k)
-        if float(np.linalg.eigvalsh(gap)[0]) > 0.0:
-            per_class[k] = None  # unreachable rival class
-            continue
-        reachable += 1
-        found = _pure_bound_for_class(psi.amplitudes, gap, opts.qcqp_starts, rng)
-        if found is None:
-            per_class[k] = "failed"
-            continue
-        converged += 1
-        delta_k, phi = found
-        per_class[k] = delta_k
-        if best is None or delta_k < best[0]:
-            best = (delta_k, k, phi)
-
-    if reachable == 0:
-        return PureBound(status="ok", delta=None, unbounded=True,
-                         argmin_class=None, phi_star=None, per_class=per_class)
-    if converged == 0:
-        return PureBound(status="inconclusive", delta=None, unbounded=False,
-                         argmin_class=None, phi_star=None, per_class=per_class)
-    status = "ok" if converged == reachable else "partial"
-    delta, k_star, phi = best
-    return PureBound(status=status, delta=delta, unbounded=False,
-                     argmin_class=k_star, phi_star=PureState(phi, policy=policy),
-                     per_class=per_class)
+    bound = compute_optimal_bound(classifier, psi, label, options=opts)
+    phi_star = None
+    if not bound.unbounded:
+        phi_star = _pure_witness(classifier, label, bound, psi, policy)
+    return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
+                     argmin_class=bound.argmin_class, phi_star=phi_star,
+                     per_class=bound.per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +416,7 @@ class StateVerdict:
     margin: float
     tie: bool
     margin_certified: bool
-    status: str  # ok | misclassified | solver_failure | inconclusive
+    status: str  # ok | misclassified | solver_failure
     delta: float | None = None
     delta_unbounded: bool = False
     robust: bool | None = None
@@ -568,44 +468,6 @@ def under_robust_accuracy(
         if classify(classifier, state, policy=policy).margin <= threshold
     )
     return 1.0 - flagged / len(dataset)
-
-
-def _verify_entry(classifier, state, label, eps, opts):
-    """Exact verdict for one margin-inconclusive, correctly classified entry."""
-    use_pure = opts.mode == PURE and isinstance(state, PureState)
-    if use_pure:
-        bound = pure_state_optimal_bound(classifier, state, label, options=opts)
-        if bound.status == "inconclusive":
-            return {"status": "inconclusive"}
-        robust = bound.unbounded or eps <= bound.delta
-        out = {
-            "status": "ok",
-            "delta": bound.delta,
-            "unbounded": bound.unbounded,
-            "robust": robust,
-            "solves": 0,
-            "iterations": 0,
-        }
-        if not robust and bound.phi_star is not None:
-            out["witness"] = AdversarialWitness(
-                bound.phi_star, bound.argmin_class, bound.delta
-            )
-        return out
-    bound = compute_optimal_bound(classifier, state, label, options=opts)
-    robust = bound.robust_at(eps)
-    out = {
-        "status": "ok",
-        "delta": bound.delta,
-        "unbounded": bound.unbounded,
-        "robust": robust,
-        "solves": bound.sdp_solves,
-        "iterations": bound.sdp_iterations,
-    }
-    if not robust and bound.sigma_star is not None:
-        out["witness"] = AdversarialWitness(
-            bound.sigma_star, bound.argmin_class, bound.delta
-        )
-    return out
 
 
 def verify_dataset(
@@ -678,46 +540,32 @@ def verify_dataset(
     t_sdp_start = time.perf_counter()
     solver_stats = {"sdp_solves": 0, "sdp_iterations": 0, "failures": 0}
     adversarial: list[AdversarialWitness] = []
-
-    def run_job(job):
-        i, state, label, base = job
+    for i, state, label, base in jobs:
         try:
-            return i, base, _verify_entry(classifier, state, label, eps, opts), None
+            bound = compute_optimal_bound(classifier, state, label, options=opts)
         except SolverFailure as exc:
-            return i, base, None, f"state {i}: {exc}"
-
-    if opts.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
-
-    for i, base, result, error in results:
-        if error is not None:
             solver_stats["failures"] += 1
-            warnings_list.append(error)
+            warnings_list.append(f"state {i}: {exc}")
             verdicts[i] = StateVerdict(status="solver_failure", **base)
             continue
-        if result["status"] == "inconclusive":
-            solver_stats["failures"] += 1
-            warnings_list.append(
-                f"state {i}: pure-state search inconclusive, excluded from R"
-            )
-            verdicts[i] = StateVerdict(status="inconclusive", **base)
-            continue
-        solver_stats["sdp_solves"] += result["solves"]
-        solver_stats["sdp_iterations"] += result["iterations"]
-        witness = result.get("witness")
-        if witness is not None and opts.collect_adversarial:
+        solver_stats["sdp_solves"] += bound.sdp_solves
+        solver_stats["sdp_iterations"] += bound.sdp_iterations
+        robust = bound.robust_at(eps)
+        witness = None
+        if not robust:
+            sigma = bound.sigma_star
+            if opts.mode == PURE and isinstance(state, PureState):
+                sigma = _pure_witness(classifier, label, bound, state, policy)
             witness = AdversarialWitness(
-                witness.sigma, witness.target_class, witness.distance, source_index=i
+                sigma, bound.argmin_class, bound.delta, source_index=i
             )
-            adversarial.append(witness)
+            if opts.collect_adversarial:
+                adversarial.append(witness)
         verdicts[i] = StateVerdict(
             status="ok",
-            delta=result["delta"],
-            delta_unbounded=result["unbounded"],
-            robust=result["robust"],
+            delta=bound.delta,
+            delta_unbounded=bound.unbounded,
+            robust=robust,
             adversarial_class=witness.target_class if witness else None,
             adversarial_distance=witness.distance if witness else None,
             **base,
@@ -726,7 +574,6 @@ def verify_dataset(
     non_robust = sum(1 for v in verdicts if v is not None and v.robust is False)
     t_sdp = time.perf_counter() - t_sdp_start
     total = time.perf_counter() - t_start
-    adversarial.sort(key=lambda w: w.source_index)
 
     return VerificationReport(
         epsilon=eps,

@@ -188,7 +188,7 @@ def test_criterion_07_case_study_table_structure():
         t0 = time.perf_counter()
         ura = under_robust_accuracy(classifier, train, eps)
         ura_times.append(time.perf_counter() - t0)
-        result = verify_dataset(classifier, train, eps, options=VerifyOptions(workers=1))
+        result = verify_dataset(classifier, train, eps, options=VerifyOptions())
         ra_row.append(result.robust_accuracy)
         ura_row.append(ura)
         exact_times.append(result.timings["total_seconds"])

@@ -16,7 +16,6 @@ from qrv.sdp import (
     extract_fidelity_solution,
     project_embedded,
     solve,
-    solve_feasibility,
     sqrt_fidelity_sdp,
 )
 from qrv.states import DensityMatrix, PureState, pure_to_density, sqrt_fidelity
@@ -47,12 +46,12 @@ class TestSolve:
                 LinearConstraint(np.diag([1.0, -1.0]), LE, -2.0),
             ],
         )
-        assert solve(problem).status == "infeasible"
-        feasible, _, info = solve_feasibility(problem)
-        assert not feasible
+        solution = solve(problem)
+        assert solution.status == "infeasible"
         # On unit-trace PSD matrices tr(diag(1,-1) X) >= -1, so the best
         # achievable violation of the <= -2 constraint is exactly 1.
-        assert info["total_violation"] == pytest.approx(1.0, abs=1e-6)
+        violation = solution.stats["phase_one"]["total_violation"]
+        assert violation == pytest.approx(1.0, abs=1e-6)
 
     def test_weak_duality_and_complementarity_at_optimum(self, rng):
         rho = random_density_matrix(3, rng)
@@ -196,10 +195,3 @@ class TestProblemValidation:
     def test_rejects_bad_relation(self):
         with pytest.raises(ValidationError):
             LinearConstraint(np.eye(2), ">=", 1.0)
-
-    def test_debug_dump_shape(self):
-        problem = SdpProblem(np.eye(2), [LinearConstraint(np.eye(2), EQ, 1.0)])
-        doc = problem.to_json_dict()
-        assert doc["variable_dim"] == 2
-        assert doc["constraints"][0]["relation"] == EQ
-        assert doc["objective"][0][0] == [1.0, 0.0]

@@ -200,6 +200,9 @@ class TestVerifyDataset:
         report = verify_dataset(z_classifier, boundary_dataset(), 0.01)
         assert report.robust_accuracy == 0.0
         assert report.adversarial_count == 2
+        # Both entries are tied at rho: delta is 0 without a solve.
+        assert [v.delta for v in report.verdicts] == [0.0, 0.0]
+        assert report.solver_stats["sdp_solves"] == 0
 
     def test_under_approximation_never_exceeds_exact(self, rng):
         for trial in range(5):
@@ -281,6 +284,31 @@ class TestVerifyDataset:
         assert report.adversarial_count == 2
         assert all(isinstance(w.sigma, PureState) for w in report.adversarial)
 
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_pure_witnesses_at_shared_bound(self, rng, dim, n_classes):
+        # Pure witnesses sit at the mixed bound delta and flip the class.
+        classifier, _, _ = classified_instance(
+            rng, dim=dim, n_classes=n_classes, kraus_rank=2
+        )
+        entries = []
+        for _ in range(4):
+            psi = random_pure_state(dim, rng)
+            entries.append((psi, classify(classifier, psi).label_index))
+        report = verify_dataset(
+            classifier, LabeledDataset(entries), 0.9,
+            options=VerifyOptions(mode="pure"),
+        )
+        assert report.adversarial_count > 0
+        for witness in report.adversarial:
+            psi, label = entries[witness.source_index]
+            assert isinstance(witness.sigma, PureState)
+            distance = 1.0 - abs(witness.sigma.overlap(psi)) ** 2
+            delta = report.verdicts[witness.source_index].delta
+            assert distance == pytest.approx(delta, abs=1e-5)
+            outcome = classify(classifier, witness.sigma)
+            assert outcome.label_index != label or outcome.tie
+
     def test_multiclass_higher_dimension(self, rng):
         # Three classes at dim 4: every rival class gets its own solve and
         # the under-approximation stays below the exact row.
@@ -295,22 +323,6 @@ class TestVerifyDataset:
         for witness in report.adversarial:
             source, label = report.verdicts[witness.source_index], entries[witness.source_index][1]
             assert witness.target_class != label
-
-    def test_worker_pool_matches_serial(self, rng):
-        classifier, _, _ = classified_instance(rng, dim=2)
-        entries = []
-        for _ in range(10):
-            state = random_density_matrix(2, rng)
-            entries.append((state, classify(classifier, state).label_index))
-        dataset = LabeledDataset(entries)
-        serial = verify_dataset(classifier, dataset, 0.05)
-        parallel = verify_dataset(
-            classifier, dataset, 0.05, options=VerifyOptions(workers=4)
-        )
-        assert [v.robust for v in serial.verdicts] == [
-            v.robust for v in parallel.verdicts
-        ]
-        assert serial.robust_accuracy == parallel.robust_accuracy
 
     def test_empty_dataset_rejected(self, z_classifier):
         with pytest.raises(ValidationError):
