@@ -4,8 +4,8 @@ Three levels of answer for "is this state robust at radius eps?":
 
 1. margin bound: sqrt(p1) - sqrt(p2) > sqrt(2 eps) certifies robustness
    from the outcome probabilities alone (sound, not complete);
-2. optimal robust bound delta via semidefinite programming: robust
-   exactly when eps <= delta, with a concrete nearest flipping state;
+2. optimal robust bound delta from the two-multiplier fidelity dual:
+   robust exactly when eps <= delta, with a concrete nearest flipping state;
 3. pure-state bound: the same question when adversaries must stay pure;
    for a pure state it equals delta (the joint numerical range of two
    Hermitian forms is convex), and the witness becomes a pure state.

@@ -1,7 +1,8 @@
 """Whole-dataset verification with the filter-then-solve strategy.
 
 The margin bound filters out everything it can certify in one pass of
-classification; only the leftovers pay for semidefinite programming.
+classification; only the leftovers pay for the exact bound (one dual
+solve per rival class).
 The under-approximated robust accuracy (margin row) never exceeds the
 exact one, both fall as the radius grows, and the filter row costs a
 tiny fraction of the exact row's time.
@@ -44,7 +45,7 @@ print(f"{'  exact verification':<32}"
 print("\nadversarial examples extracted per eps:")
 for eps, _, _, report in rows:
     print(f"  eps = {eps}: {report.adversarial_count} witnesses "
-          f"({report.solver_stats['sdp_solves']} SDP solves)")
+          f"({report.solver_stats['sdp_solves']} bound solves)")
 witness = rows[-1][3].adversarial[0]
 print("\nfirst witness at the largest eps: source index "
       f"{witness.source_index}, rival class {witness.target_class}, "

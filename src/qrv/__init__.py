@@ -3,9 +3,15 @@
 The library answers, for a classifier given as a Kraus channel plus a
 measurement family: is a correctly classified state still classified the
 same way everywhere within fidelity distance epsilon?  It computes a
-cheap margin certificate and the exact optimal robust bound by
-semidefinite programming, and extracts concrete adversarial states (pure
-ones for pure inputs on request) when robustness fails.
+cheap margin certificate and the exact optimal robust bound from the
+two-multiplier fidelity dual (one eigendecomposition per class gap
+operator plus a one-dimensional root search per state), and extracts
+concrete adversarial states (pure ones for pure inputs on request) when
+robustness fails.
+
+The interior-point SDP solver in :mod:`qrv.sdp` is an independent oracle
+for the bound; it is not imported here, so ``import qrv`` does not load
+scipy.
 """
 
 from .config import DEFAULT_POLICY, NumericPolicy, dimension_cap
@@ -40,6 +46,7 @@ from .channels import (
     unitary_channel,
 )
 from .classifiers import (
+    BatchClassification,
     Classification,
     Classifier,
     LabeledDataset,
@@ -47,22 +54,8 @@ from .classifiers import (
     accuracy,
     class_probabilities,
     classify,
+    classify_batch,
     computational_measurement,
-)
-from .sdp import (
-    FidelityBlockProblem,
-    LinearConstraint,
-    SdpProblem,
-    SdpSolution,
-    SolverOptions,
-    embed_hermitian,
-    embed_matrix,
-    extract_fidelity_solution,
-    fixed_state_constraints,
-    project_embedded,
-    solve,
-    sqrt_fidelity_sdp,
-    sqrt_fidelity_sdp_fixed,
 )
 from .verifier import (
     AdversarialWitness,

@@ -3,7 +3,9 @@
 A classifier is a channel followed by a measurement family {M_k}, one
 operator per class.  Class probabilities are ``p_k = tr(M_k^dag M_k
 channel(rho))`` and the predicted label is the argmax, with ties broken
-toward the lowest index and flagged.
+toward the lowest index and flagged.  Classification works on a stack of
+states at once (one contraction against the stacked Heisenberg-picture
+effects); a single state is a stack of one.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ __all__ = [
     "Measurement",
     "Classifier",
     "Classification",
+    "BatchClassification",
     "LabeledDataset",
     "class_probabilities",
     "classify",
+    "classify_batch",
     "accuracy",
     "WELL_TRAINED_THRESHOLD",
 ]
@@ -86,7 +90,8 @@ def computational_measurement(dim: int = 2) -> Measurement:
 class Classifier:
     """A channel plus a measurement, with one string label per class."""
 
-    __slots__ = ("channel", "measurement", "labels", "_dual_effects")
+    __slots__ = ("channel", "measurement", "labels", "_dual_effects",
+                 "_effect_stack", "_gap_spectra")
 
     def __init__(
         self,
@@ -115,6 +120,8 @@ class Classifier:
         self.measurement = measurement
         self.labels = tuple(labels)
         self._dual_effects = None
+        self._effect_stack = None
+        self._gap_spectra = {}
 
     @property
     def dim(self) -> int:
@@ -138,9 +145,27 @@ class Classifier:
             )
         return self._dual_effects
 
+    @property
+    def effect_stack(self) -> np.ndarray:
+        """The dual effects stacked into one (n_classes, dim, dim) array (cached)."""
+        if self._effect_stack is None:
+            self._effect_stack = np.stack(self.dual_effects)
+        return self._effect_stack
+
     def class_gap_operator(self, winner: int, rival: int) -> np.ndarray:
         """N_winner - N_rival; states with tr(G sigma) <= 0 lose the argmax."""
         return self.dual_effects[winner] - self.dual_effects[rival]
+
+    def gap_spectrum(self, winner: int, rival: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of the class gap operator.
+
+        Computed once per (winner, rival) pair and cached, so every state
+        verified against this classifier reuses the same decomposition.
+        """
+        key = (winner, rival)
+        if key not in self._gap_spectra:
+            self._gap_spectra[key] = np.linalg.eigh(self.class_gap_operator(winner, rival))
+        return self._gap_spectra[key]
 
     def __repr__(self) -> str:
         return f"Classifier(dim={self.dim}, labels={list(self.labels)})"
@@ -156,44 +181,90 @@ class Classification:
     tie: bool
 
 
+@dataclass(frozen=True)
+class BatchClassification:
+    """Argmax outcomes for a stack of states, one entry per state."""
+
+    labels: np.ndarray  # (n,) predicted class indices
+    probabilities: np.ndarray  # (n, n_classes)
+    margins: np.ndarray  # (n,) sqrt(p_1) - sqrt(p_2)
+    ties: np.ndarray  # (n,) bool
+
+
+def _probability_rows(classifier: Classifier, states) -> np.ndarray:
+    """p[n, k] = tr(N_k rho_n) for a sequence of states, clamped to [0, 1].
+
+    Pure states are contracted as amplitude vectors and everything else as
+    density matrices, each group in one contraction with the stacked
+    effects.
+    """
+    effects = classifier.effect_stack
+    vector_rows, vectors, matrix_rows, matrices = [], [], [], []
+    for i, state in enumerate(states):
+        if isinstance(state, PureState):
+            dim = state.dim
+            vector_rows.append(i)
+            vectors.append(state.amplitudes)
+        else:
+            m = state_matrix(state)
+            dim = m.shape[0]
+            matrix_rows.append(i)
+            matrices.append(m)
+        if dim != classifier.dim:
+            raise DimensionMismatch(
+                f"state dim {dim} does not match classifier dim {classifier.dim}"
+            )
+    probs = np.empty((len(vectors) + len(matrices), len(effects)))
+    if vectors:
+        v = np.array(vectors)
+        probs[vector_rows] = ((v.conj() @ effects) * v).sum(axis=-1).real.T
+    if matrices:
+        flat = np.array(matrices).reshape(len(matrices), -1)
+        # tr(N rho) = sum_ij conj(N_ij) rho_ij for Hermitian N
+        probs[matrix_rows] = (flat @ effects.reshape(len(effects), -1).conj().T).real
+    return np.clip(probs, 0.0, 1.0)
+
+
 def class_probabilities(
     classifier: Classifier, state, *, policy: NumericPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """Outcome distribution p_k = tr(M_k^dag M_k channel(rho)), clamped to [0,1]."""
-    effects = classifier.dual_effects
-    if isinstance(state, PureState):
-        if state.dim != classifier.dim:
-            raise DimensionMismatch(
-                f"state dim {state.dim} does not match classifier dim {classifier.dim}"
-            )
-        v = state.amplitudes
-        probs = np.array([float(np.real(np.vdot(v, n @ v))) for n in effects])
-    else:
-        m = state_matrix(state)
-        if m.shape[0] != classifier.dim:
-            raise DimensionMismatch(
-                f"state dim {m.shape[0]} does not match classifier dim {classifier.dim}"
-            )
-        probs = np.array([float(np.real(np.trace(n @ m))) for n in effects])
-    return np.clip(probs, 0.0, 1.0)
+    return _probability_rows(classifier, [state])[0]
 
 
-def classify(
-    classifier: Classifier, state, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> Classification:
-    """Argmax classification with margin and tie flag.
+def classify_batch(
+    classifier: Classifier, states, *, policy: NumericPolicy = DEFAULT_POLICY
+) -> BatchClassification:
+    """Argmax classification of every state in ``states`` at once.
 
     The margin is sqrt(p_1) - sqrt(p_2) where p_1 >= p_2 are the two
     largest outcome probabilities; a tie (within ``policy.tie_tol``) is
     broken toward the lowest index and flagged.
     """
-    probs = class_probabilities(classifier, state, policy=policy)
-    order = np.argsort(-probs, kind="stable")
-    top, second = int(order[0]), int(order[1])
-    margin = float(np.sqrt(probs[top]) - np.sqrt(probs[second]))
-    tie = bool(probs[top] - probs[second] <= policy.tie_tol)
+    probs = _probability_rows(classifier, states)
+    order = np.argsort(-probs, axis=1, kind="stable")
+    rows = np.arange(len(probs))
+    p1 = probs[rows, order[:, 0]]
+    p2 = probs[rows, order[:, 1]]
+    return BatchClassification(
+        labels=order[:, 0],
+        probabilities=probs,
+        margins=np.sqrt(p1) - np.sqrt(p2),
+        ties=p1 - p2 <= policy.tie_tol,
+    )
+
+
+def classify(
+    classifier: Classifier, state, *, policy: NumericPolicy = DEFAULT_POLICY
+) -> Classification:
+    """Argmax classification of one state, with margin and tie flag
+    (see :func:`classify_batch`)."""
+    batch = classify_batch(classifier, [state], policy=policy)
     return Classification(
-        label_index=top, probabilities=probs, margin=margin, tie=tie
+        label_index=int(batch.labels[0]),
+        probabilities=batch.probabilities[0],
+        margin=float(batch.margins[0]),
+        tie=bool(batch.ties[0]),
     )
 
 
@@ -246,9 +317,6 @@ def accuracy(
     if len(dataset) == 0:
         raise ValidationError("cannot compute accuracy of an empty dataset")
     dataset.check_compatible(classifier)
-    hits = sum(
-        1
-        for state, label in dataset
-        if classify(classifier, state, policy=policy).label_index == label
-    )
-    return hits / len(dataset)
+    states, labels = zip(*dataset)
+    predicted = classify_batch(classifier, states, policy=policy).labels
+    return int(np.count_nonzero(predicted == labels)) / len(dataset)

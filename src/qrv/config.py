@@ -1,10 +1,12 @@
 """Numeric tolerances and global limits.
 
-Every tolerance used by validation, solvers and verdicts lives in one
+Every tolerance used by validation, bounds and verdicts lives in one
 :class:`NumericPolicy` record so that a single override propagates
-consistently.  The default policy is deliberately strict; loosen it per
-call site only when you know the provenance of your matrices (e.g. an
-interior-point solution is positive semidefinite only up to ``psd_tol``).
+consistently (the SDP oracle takes its own targets in
+``qrv.sdp.SolverOptions``).  The default policy is deliberately strict;
+loosen it per call site only when you know the provenance of your
+matrices (e.g. an interior-point solution is positive semidefinite only
+up to ``psd_tol``).
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ class NumericPolicy:
         completeness_tol: max-norm tolerance for sum_k M_k^dag M_k = I.
         unitary_tol: max-norm tolerance for U^dag U = I.
         tie_tol: two class probabilities within tie_tol count as tied.
-        gap_tol: relative duality-gap target for the SDP solver.
-        feas_tol: constraint-violation target for the SDP solver; also the
-            threshold separating "feasible" from "infeasible" in phase one.
-        max_iterations: interior-point iteration cap.
     """
 
     herm_tol: float = 1e-9
@@ -47,9 +45,6 @@ class NumericPolicy:
     completeness_tol: float = 1e-7
     unitary_tol: float = 1e-7
     tie_tol: float = 1e-7
-    gap_tol: float = 1e-7
-    feas_tol: float = 1e-7
-    max_iterations: int = 200
 
     def replace(self, **overrides) -> "NumericPolicy":
         """Return a copy with the given tolerances replaced."""
@@ -63,9 +58,10 @@ def dimension_cap() -> int:
     """Largest admissible Hilbert-space dimension.
 
     Defaults to 256 (8 qubits); override with the QRV_MAX_DIM environment
-    variable.  The cap exists because the optimal-bound computation solves
-    semidefinite programs whose interior-point cost grows steeply with the
-    dimension.
+    variable.  The optimal bound costs a few dense eigendecompositions per
+    state, cubic in the dimension (about 0.28 s for one mixed-state bound
+    at dim 256 on a 2-vCPU Xeon), and every dense matrix takes 16 dim^2
+    bytes, so the cap bounds run time and memory.
     """
     raw = os.environ.get(MAX_DIM_ENV_VAR)
     if raw is None:

@@ -102,16 +102,6 @@ class SolverOptions:
     regularization: float = 1e-12
     track_iterates: bool = False
 
-    @classmethod
-    def from_policy(cls, policy: NumericPolicy, **overrides) -> "SolverOptions":
-        base = dict(
-            gap_tol=policy.gap_tol,
-            feas_tol=policy.feas_tol,
-            max_iterations=policy.max_iterations,
-        )
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass
 class SdpSolution:

@@ -10,6 +10,7 @@ from qrv.classifiers import (
     accuracy,
     class_probabilities,
     classify,
+    classify_batch,
     computational_measurement,
 )
 from qrv.errors import DimensionMismatch, ValidationError
@@ -81,6 +82,27 @@ class TestClassify:
             direct = class_probabilities(c, psi)
             via_density = class_probabilities(c, pure_to_density(psi))
             np.testing.assert_allclose(direct, via_density, atol=1e-8)
+
+    def test_batch_matches_per_state_loop(self, rng):
+        # Reference: one inner product per state and class, as a loop.  The
+        # batch sums in another order, so probabilities agree to float64
+        # rounding; labels, ties and margins follow from them.
+        c = random_classifier(4, rng, n_classes=3, kraus_rank=2)
+        states = [random_pure_state(4, rng) for _ in range(6)]
+        states += [random_density_matrix(4, rng) for _ in range(6)]
+        states += [DensityMatrix(np.eye(4) / 4)]
+        rng.shuffle(states)
+        batch = classify_batch(c, states)
+        for i, state in enumerate(states):
+            m = pure_to_density(state).matrix if isinstance(state, PureState) else state.matrix
+            expected = np.array([np.trace(n @ m).real for n in c.dual_effects])
+            np.testing.assert_allclose(batch.probabilities[i], expected, rtol=0, atol=1e-14)
+            order = np.argsort(-expected, kind="stable")
+            assert batch.labels[i] == order[0]
+            assert batch.margins[i] == pytest.approx(
+                np.sqrt(expected[order[0]]) - np.sqrt(expected[order[1]]), abs=1e-12
+            )
+            assert classify(c, state).label_index == batch.labels[i]
 
 
 class TestAccuracy:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,17 @@ class TestEncodeImage:
         img = rng.uniform(size=(28, 28))
         small = downscale_area(img, 16, 16)
         assert small.mean() == pytest.approx(img.mean(), abs=1e-12)
+
+
+def test_cli_import_does_not_load_scipy():
+    # The verify path needs only numpy; scipy belongs to the SDP oracle
+    # (qrv.sdp), which the CLI does not import.
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, qrv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
