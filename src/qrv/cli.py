@@ -5,8 +5,8 @@ Subcommands: ``classify``, ``verify``, ``bound`` (margin filter only),
 
 Exit codes: 0 success; 1 verification found non-robust states and
 ``--strict`` was given (without it this is informational and exits 0);
-2 input/schema error, printed with the failing document path; 3 solver
-failure (every exact verdict failed).
+2 input/schema error, printed with the failing document path; 3 any
+other qrv error (the exact bound has no solver that can fail).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .verifier import VerifyOptions, under_robust_accuracy, verify_dataset
 EXIT_OK = 0
 EXIT_NON_ROBUST = 1
 EXIT_INPUT_ERROR = 2
-EXIT_SOLVER_FAILURE = 3
+EXIT_INTERNAL_ERROR = 3
 
 
 @dataclass(frozen=True)
@@ -175,19 +175,10 @@ def _cmd_verify(args) -> int:
     )
     columns = []
     any_non_robust = False
-    all_failed = True
     for eps in config.epsilons:
         report = verify_dataset(classifier, dataset, eps, options=options)
         ura = report.under_approx_robust_accuracy
         ura_seconds = report.timings["margin_seconds"]
-        exact_attempted = sum(
-            1 for v in report.verdicts
-            if v.status in ("ok", "solver_failure")
-            and not v.margin_certified and v.correct
-        )
-        exact_failed = report.solver_stats.get("failures", 0)
-        if exact_attempted == 0 or exact_failed < exact_attempted:
-            all_failed = False
         any_non_robust = any_non_robust or report.adversarial_count > 0
         doc = formats.emit_report(report, include_timings=not config.omit_timings)
         doc["under_approx_seconds"] = None if config.omit_timings else ura_seconds
@@ -225,8 +216,7 @@ def _cmd_verify(args) -> int:
             extra = f", oracle consistency {oc['consistent']}/{oc['checked']}"
         print(
             f"eps={_sig4(eps)}: {report.adversarial_count} adversarial example(s), "
-            f"{report.n_states - report.n_correct} misclassified, "
-            f"{report.solver_stats.get('failures', 0)} solver failure(s){extra}"
+            f"{report.n_states - report.n_correct} misclassified{extra}"
         )
 
     if config.report_path:
@@ -250,13 +240,6 @@ def _cmd_verify(args) -> int:
             formats.emit_adversarial_sidecar(sidecar_entries, dataset),
         )
 
-    exact_jobs_exist = any(
-        v.status in ("ok", "solver_failure")
-        and not v.margin_certified and v.correct
-        for col in columns for v in col[3].verdicts
-    )
-    if exact_jobs_exist and all_failed:
-        return EXIT_SOLVER_FAILURE
     if any_non_robust and config.strict:
         return EXIT_NON_ROBUST
     return EXIT_OK
@@ -451,8 +434,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except QrvError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -16,12 +16,14 @@ verification stack:
   ``sqrt(F*) = min_{lambda >= 0, mu} mu + 1/4 sum_i r_i / (mu + lambda a_i)``.
   One cached ``eigh`` per gap operator plus a one-dimensional root
   search per state gives delta as a dual value (a sound lower bound by
-  weak duality) and the witness ``sigma* = 1/4 B^-1 rho B^-1`` with
-  ``B = mu I + lambda A``, whose measured distance closes the interval;
+  weak duality).  The witness comes in closed form from the same dual
+  curve ``sigma(u) = C rho C / tr(C rho C)``, ``C = (u I + A)^-1``: at
+  the optimum it is ``1/4 B^-1 rho B^-1`` with ``B = mu I + lambda A``,
+  and a second root, just past the optimum, puts it strictly inside
+  the rival class; its measured distance closes the interval;
 * pure-state adversaries: for pure rho the pure-state bound equals
   delta (the joint numerical range of two Hermitian forms is convex,
-  Toeplitz-Hausdorff), so the mixed witness is rotated into a pure one
-  at the same distance;
+  Toeplitz-Hausdorff), and the witness is the pure state ``C psi``;
 * dataset drivers that classify the whole dataset in one contraction,
   filter with the margin bound and fall back to the exact bound only
   where the filter is inconclusive, collecting adversarial examples
@@ -48,14 +50,12 @@ from .classifiers import (
     classify_batch,
 )
 from .config import DEFAULT_POLICY, NumericPolicy
-from .errors import MisclassifiedInput, SolverFailure, ValidationError
+from .errors import MisclassifiedInput, ValidationError
 from .states import (
     DensityMatrix,
     PureState,
     fidelity,
     matrix_sqrt_psd,
-    project_to_density,
-    pure_to_density,
 )
 
 __all__ = [
@@ -116,7 +116,8 @@ class OptimalBound:
 
     ``delta`` is the dual value, a lower bound on the true radius;
     ``witness_distance`` is the measured ``1 - F(rho, sigma_star)``, an
-    upper bound, so the true radius lies in between.
+    upper bound, so the true radius lies in between.  For pure input psi,
+    ``phi_star`` is the pure witness ``C psi`` at the same distance.
     """
 
     delta: float | None  # None encodes an unbounded radius
@@ -126,6 +127,7 @@ class OptimalBound:
     per_class: dict
     label: int  # the class whose robustness is bounded
     witness_distance: float | None = None
+    phi_star: PureState | None = None  # set for pure inputs only
     solves: int = 0  # dual bound solves, one per rival class that needs one
 
     def robust_at(self, eps: float) -> bool:
@@ -188,46 +190,8 @@ def _label_for(
     return int(label)
 
 
-def _expectation(h: np.ndarray, m: np.ndarray) -> float:
-    """tr(h m) for Hermitian h, in O(dim^2)."""
-    return float(np.vdot(h, m).real)
-
-
-def _polish_witness(
-    gap_operator: np.ndarray,
-    spectrum: tuple[np.ndarray, np.ndarray],
-    sigma: DensityMatrix,
-    rho: DensityMatrix,
-    budget: float,
-    policy: NumericPolicy,
-) -> tuple[DensityMatrix, float]:
-    """Nudge a boundary witness into the rival class when nearly tied.
-
-    The optimal sigma sits on the decision boundary; mixing in a sliver
-    of the gap operator's most negative eigenvector (from its cached
-    ``spectrum``) makes the class change strict when that costs less
-    than ``budget`` extra distance.  Returns the witness and its measured
-    distance ``1 - F(rho, witness)``.
-    """
-    distance = 1.0 - fidelity(rho, sigma, policy=policy)
-    w, v = spectrum
-    if _expectation(gap_operator, sigma.matrix) < -policy.tie_tol or w[0] >= 0.0:
-        return sigma, distance
-    direction = np.outer(v[:, 0], v[:, 0].conj())
-    for t in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
-        mixed = project_to_density(
-            (1.0 - t) * sigma.matrix + t * direction, policy=policy
-        )
-        if _expectation(gap_operator, mixed.matrix) >= -policy.tie_tol:
-            continue
-        mixed_distance = 1.0 - fidelity(rho, mixed, policy=policy)
-        if mixed_distance <= distance + budget:
-            return mixed, mixed_distance
-    return sigma, distance
-
-
-def _dual_ratio(a: np.ndarray, r: np.ndarray) -> float:
-    """Optimal ``w = mu / lambda + a_min`` of the two-multiplier dual.
+def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
+    """Ratio ``w = mu / lambda + a_min`` on the dual curve where ``psi = target``.
 
     For a fixed ratio ``u = mu / lambda`` the best lambda is
     ``sqrt(S / u) / 2`` with ``S(u) = sum_i r_i / (u + a_i)``, which
@@ -235,12 +199,12 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray) -> float:
     ``u > -a_min``.  Its stationarity condition is
     ``psi(u) = sum r a c^2 / sum r c^2 = 0`` with ``c = 1 / (u + a)``:
     psi is ``tr(A sigma)`` of the normalized candidate witness, and it
-    increases with u towards ``tr(A rho) > 0``.  The root is found by
-    Newton steps in ``log w`` with ``w = u + a_min``, safeguarded by
-    bisection on a bracket.  When psi is already >= 0 at the smallest
-    admissible w (rho has no weight on A's lowest eigenspace, so ``B``
-    is singular at the optimum), that w is returned.  Any w > 0 yields a
-    sound dual value; the root only makes it tight.
+    increases with u towards ``tr(A rho) > 0``.  The root of
+    ``psi = target`` is found by Newton steps in ``log w``, safeguarded by
+    bisection on a bracket.  When psi is already >= target at the smallest
+    admissible w (for target 0: rho has no weight on A's lowest
+    eigenspace, so ``B`` is singular at the optimum), that w is returned.
+    Any w > 0 yields a sound dual value; the root only makes it tight.
     """
     d = a - a[0]  # u + a_i = w + d_i, free of cancellation
     w_min = 1e-12 * float(d[-1])
@@ -250,7 +214,8 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray) -> float:
         rc2 = r * c * c
         den = float(rc2.sum())
         psi = float(a @ rc2) / den
-        return psi, -2.0 * w * float((rc2 * c) @ (a - psi)) / den  # d psi / d log w
+        slope = -2.0 * w * float((rc2 * c) @ (a - psi)) / den  # d psi / d log w
+        return psi - target, slope
 
     if psi_and_slope(w_min)[0] >= 0.0:
         return w_min
@@ -278,31 +243,50 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray) -> float:
 
 
 def _dual_bound(
-    a: np.ndarray, r: np.ndarray, factor: np.ndarray
+    a: np.ndarray, r: np.ndarray, factor: np.ndarray, tied: bool, flip: float,
+    budget: float = 1e-6,
 ) -> tuple[float, np.ndarray]:
-    """Dual bound for one rival class with gap eigenvalues ``a``.
+    """Dual bound for one rival class with gap eigenvalues ``a``, and its witness.
 
     ``factor`` is a square root of rho in the gap operator's eigenbasis,
     ``V^dag rho V = factor factor^dag``, and ``r`` its squared row norms
-    (the diagonal ``r_i = <v_i|rho|v_i>``).  Returns delta ``= 1 - u S(u)``
-    (one minus the squared dual value) and the witness
-    ``sigma* = (u / S) C rho C`` in the same basis, ``C = (u I + A)^-1``
-    -- that is ``1/4 B^-1 rho B^-1`` at the optimal multipliers.  Any
-    trace it lacks (the singular case) goes onto the lowest eigenvector,
-    which rho does not weigh, so the fidelity is unchanged and
-    ``tr(A sigma*) = 0`` holds.  Taking ``r_i`` and sigma from the factor
-    keeps both consistent and positive: rounding noise in ``r_i`` on the
-    lowest eigenspace is then quadratic and cannot be blown up by ``C``.
+    (``r_i = <v_i|rho|v_i>``).  Returns delta ``= 1 - u S(u)`` at the root
+    of psi (0 when rho is already ``tied``) and a factor ``W`` of the
+    witness in the same basis, ``sigma* = W W^dag``.
+
+    The witness lies on the dual curve ``C rho C / Q``, ``C = (u I + A)^-1``,
+    ``Q = tr(C rho C)`` (tending to rho as u grows, the curve of a tied rho):
+    ``W = C factor / sqrt(Q)`` has fidelity ``S^2 / Q`` and, as
+    ``u Q = S - psi Q``, distance ``1 - u S - psi S <= delta - psi S``.  It
+    is taken where ``psi = -flip``, strictly inside the rival class, when
+    ``a_min < -flip`` and that costs at most ``budget`` beyond delta; else
+    where ``psi = 0``.  When psi cannot reach the target (the ratio is
+    clamped: rho does not weigh the lowest eigenvector ``v_0``), a column
+    ``sqrt(m) v_0``, ``m = (psi - target) / (psi - a_min)``, brings
+    ``tr(A sigma)`` onto it and scales F by ``1 - m``.  Its phase is a
+    quarter turn from the first column's v_0 entry, so for pure rho the
+    sum of the columns is a pure witness with the same ``|<v_i|phi>|^2``
+    and the same overlap with rho.  Taking ``r`` and W from the factor
+    keeps rounding noise on the lowest eigenspace quadratic, so ``C``
+    cannot blow it up.
     """
-    w = _dual_ratio(a, r)
-    c = 1.0 / (w + (a - a[0]))
-    u = w - float(a[0])
-    s = float(r @ c)
-    delta = min(max(1.0 - u * s, 0.0), 1.0)
-    x = c[:, None] * factor
-    sigma = (u / s) * (x @ x.conj().T)
-    sigma[0, 0] += max(1.0 - float(np.trace(sigma).real), 0.0)
-    return delta, sigma
+    d = a - a[0]
+    delta = 0.0
+    if not tied:
+        w = _dual_ratio(a, r)
+        delta = min(max(1.0 - (w - float(a[0])) * float(r @ (1.0 / (w + d))), 0.0), 1.0)
+    for target in (-flip, 0.0) if a[0] < -flip else (0.0,):
+        c = np.ones_like(d) if tied else 1.0 / (_dual_ratio(a, r, target) + d)
+        rc2 = r * c * c
+        q = float(rc2.sum())
+        psi = float(a @ rc2) / q
+        m = (psi - target) / (psi - float(a[0])) if psi > target else 0.0
+        if 1.0 - (1.0 - m) * float(r @ c) ** 2 / q <= delta + budget:
+            break
+    x = c[:, None] * factor * np.sqrt((1.0 - m) / q)
+    kernel = np.zeros((len(a), 1), dtype=complex)
+    kernel[0, 0] = 1j * np.sqrt(m) * np.exp(1j * np.angle(x[0, 0]))
+    return delta, np.hstack([x, kernel])
 
 
 def compute_optimal_bound(
@@ -318,19 +302,18 @@ def compute_optimal_bound(
     A rival class whose flip constraint is infeasible (its gap operator is
     positive definite) contributes an unbounded radius; when every rival is
     unreachable the state is robust at every eps < 1.  A rival already
-    tied at rho contributes delta 0 with rho itself as the witness, with
-    no solve.
+    tied at rho contributes delta 0 with no solve.  The witness distance is
+    measured on the built sigma*: ``1 - <psi|sigma*|psi>`` for pure psi,
+    ``1 - F(rho, sigma*)`` otherwise.
     """
     opts = options or VerifyOptions()
     policy = opts.policy
-    if isinstance(state, PureState):
-        rho, root = pure_to_density(state, policy=policy), state.amplitudes[:, None]
-    else:
-        rho, root = state, matrix_sqrt_psd(state.matrix, policy=policy)
-    label = _label_for(classifier, rho, label, policy)
+    pure = isinstance(state, PureState)
+    root = state.amplitudes[:, None] if pure else matrix_sqrt_psd(state.matrix, policy=policy)
+    label = _label_for(classifier, state, label, policy)
 
     per_class: dict = {}
-    best = None  # (delta_k, k, sigma_k in the gap eigenbasis)
+    best = None  # (delta_k, k, witness factor W_k in the gap eigenbasis)
     solves = 0
     for k in range(classifier.n_classes):
         if k == label:
@@ -341,30 +324,31 @@ def compute_optimal_bound(
             continue
         factor = vectors.conj().T @ root  # V^dag rho V = factor factor^dag
         r = (np.abs(factor) ** 2).sum(axis=1)
-        if float(a @ r) <= 0.0:
-            delta_k, sigma_k = 0.0, factor @ factor.conj().T  # tied at rho already
-        else:
-            delta_k, sigma_k = _dual_bound(a, r, factor)
-            solves += 1
+        tied = float(a @ r) <= 0.0
+        solves += not tied
+        delta_k, w_k = _dual_bound(a, r, factor, tied, 2.0 * policy.tie_tol)
         per_class[k] = delta_k
         if best is None or delta_k < best[0]:
-            best = (delta_k, k, sigma_k)
+            best = (delta_k, k, w_k)
 
     if best is None:
         return OptimalBound(
             delta=None, unbounded=True, argmin_class=None, sigma_star=None,
             per_class=per_class, label=label, solves=solves,
         )
-    delta, k_star, sigma_k = best
-    spectrum = classifier.gap_spectrum(label, k_star)
-    vectors = spectrum[1]
-    sigma_star = project_to_density(vectors @ sigma_k @ vectors.conj().T, policy=policy)
-    sigma_star, distance = _polish_witness(classifier.class_gap_operator(label, k_star),
-                                           spectrum, sigma_star, rho, budget=1e-6,
-                                           policy=policy)
+    delta, k_star, w_k = best
+    witness = classifier.gap_spectrum(label, k_star)[1] @ w_k
+    sigma_star = DensityMatrix(witness @ witness.conj().T, policy=policy)
+    phi_star = None
+    if pure:
+        phi_star = PureState(witness.sum(axis=1), policy=policy)  # unit norm already
+        distance = 1.0 - float(np.linalg.norm(witness.conj().T @ state.amplitudes)) ** 2
+    else:
+        distance = 1.0 - fidelity(state, sigma_star, policy=policy)
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
-        per_class=per_class, label=label, witness_distance=distance, solves=solves,
+        per_class=per_class, label=label, witness_distance=distance,
+        phi_star=phi_star, solves=solves,
     )
 
 
@@ -400,50 +384,6 @@ def check_epsilon_robust(
 # Pure-state witnesses
 
 
-def _bloch_coefficients(h: np.ndarray) -> np.ndarray:
-    """(h_x, h_y, h_z) with 2x2 Hermitian h = h_0 I + h_x X + h_y Y + h_z Z."""
-    return np.array([h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0] - h[1, 1]).real])
-
-
-def _pure_witness(
-    classifier: Classifier, bound: OptimalBound, psi: PureState, policy: NumericPolicy,
-) -> PureState:
-    """Pure phi with the same |<phi|psi>|^2 and <phi|gap|phi> as sigma_star.
-
-    ``gap`` is the gap operator of the bound's rival class, so phi sits at
-    the bound's distance and on the same side of the decision boundary.
-    sigma_star's eigenvectors are merged two at a time.  Within span{phi, u_j}
-    the mixture of phi and u_j has a Bloch vector r inside the ball, and
-    both expectation values are affine in r with coefficient vectors
-    h_psi and h_gap.  Moving r to the sphere along a direction orthogonal
-    to both (h_psi x h_gap, or any such direction when they are parallel)
-    keeps the two values and makes the merged state pure.
-    """
-    gap = classifier.class_gap_operator(bound.label, bound.argmin_class)
-    weights, vectors = np.linalg.eigh(bound.sigma_star.matrix)
-    order = np.argsort(weights)[::-1]
-    phi = vectors[:, order[0]]
-    mass = float(weights[order[0]])
-    for j in order[1:]:
-        weight = float(weights[j])
-        if weight <= 0.0:
-            break
-        u = vectors[:, j]
-        basis = np.column_stack([phi, u])
-        c = basis.conj().T @ psi.amplitudes
-        h_psi = _bloch_coefficients(np.outer(c, c.conj()))
-        h_gap = _bloch_coefficients(basis.conj().T @ gap @ basis)
-        direction = np.linalg.svd(np.vstack([h_psi, h_gap]))[2][-1]
-        z = (mass - weight) / (mass + weight)  # r = (0, 0, z) in this basis
-        along = z * direction[2]
-        step = -along + np.sqrt(along * along + 1.0 - z * z)
-        x, y, z = np.array([0.0, 0.0, z]) + step * direction
-        half = 0.5 * np.arccos(np.clip(z, -1.0, 1.0))
-        phi = np.cos(half) * phi + np.exp(1j * np.arctan2(y, x)) * np.sin(half) * u
-        mass += weight
-    return PureState(phi / np.linalg.norm(phi), policy=policy)
-
-
 def pure_state_optimal_bound(
     classifier: Classifier,
     psi: PureState,
@@ -456,19 +396,15 @@ def pure_state_optimal_bound(
     For pure psi the fidelity ``<psi|sigma|psi>`` is linear in sigma and
     the joint numerical range of two Hermitian forms is convex
     (Toeplitz-Hausdorff), so the pure-state bound equals the mixed bound
-    of :func:`compute_optimal_bound`.  Its witness is turned into a pure
-    state at the same distance and on the same side of the decision
+    of :func:`compute_optimal_bound`, and its pure witness ``phi_star``
+    sits at the same distance and on the same side of the decision
     boundary.
     """
     if not isinstance(psi, PureState):
         psi = PureState(psi)
-    opts = options or VerifyOptions()
-    bound = compute_optimal_bound(classifier, psi, label, options=opts)
-    phi_star = None
-    if not bound.unbounded:
-        phi_star = _pure_witness(classifier, bound, psi, opts.policy)
+    bound = compute_optimal_bound(classifier, psi, label, options=options)
     return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
-                     argmin_class=bound.argmin_class, phi_star=phi_star,
+                     argmin_class=bound.argmin_class, phi_star=bound.phi_star,
                      per_class=bound.per_class)
 
 
@@ -487,7 +423,7 @@ class StateVerdict:
     margin: float
     tie: bool
     margin_certified: bool
-    status: str  # ok | misclassified | solver_failure
+    status: str  # ok | misclassified
     delta: float | None = None
     delta_unbounded: bool = False
     robust: bool | None = None
@@ -552,9 +488,6 @@ def verify_dataset(
     certificate are robust with no further work; the rest get the exact
     bound, and each non-robust entry contributes its witness to the
     adversarial set R.  Robust accuracy is ``1 - |R| / |T|``.
-
-    Per-entry solver failures never abort the batch: the entry is flagged
-    and a warning recorded, leaving the rest of the report actionable.
     """
     eps = _require_epsilon(eps)
     opts = options or VerifyOptions()
@@ -607,23 +540,17 @@ def verify_dataset(
     t_exact_start = time.perf_counter()
     # "sdp_solves" counts dual bound solves; the key name is kept for readers
     # of saved reports.
-    solver_stats = {"sdp_solves": 0, "failures": 0}
+    solver_stats = {"sdp_solves": 0}
     adversarial: list[AdversarialWitness] = []
     for i, state, label, base in jobs:
-        try:
-            bound = compute_optimal_bound(classifier, state, label, options=opts)
-        except SolverFailure as exc:
-            solver_stats["failures"] += 1
-            warnings_list.append(f"state {i}: {exc}")
-            verdicts[i] = StateVerdict(status="solver_failure", **base)
-            continue
+        bound = compute_optimal_bound(classifier, state, label, options=opts)
         solver_stats["sdp_solves"] += bound.solves
         robust = bound.robust_at(eps)
         witness = None
         if not robust:
             sigma, distance = bound.sigma_star, bound.witness_distance
-            if opts.mode == PURE and isinstance(state, PureState):
-                sigma = _pure_witness(classifier, bound, state, policy)
+            if opts.mode == PURE and bound.phi_star is not None:
+                sigma = bound.phi_star
                 distance = 1.0 - abs(sigma.overlap(state)) ** 2
             witness = AdversarialWitness(
                 sigma, bound.argmin_class, distance, source_index=i

@@ -72,8 +72,9 @@ def draw_state(kind, dim, rng, support=None):
     return DensityMatrix(g / np.real(np.trace(g)))
 
 
-def check_witness(classifier, rho, label, bound):
+def check_witness(classifier, state, label, bound):
     assert type(bound.delta) is float
+    rho = pure_to_density(state) if isinstance(state, PureState) else state
     # The dual value is a lower bound and the measured witness distance an
     # upper bound; 1e-9 absorbs rounding in the eigendecomposition fidelity.
     assert bound.delta - 1e-9 <= bound.witness_distance <= bound.delta + 1e-5
@@ -81,6 +82,15 @@ def check_witness(classifier, rho, label, bound):
         1.0 - fidelity(rho, bound.sigma_star), abs=1e-12
     )
     outcome = classify(classifier, bound.sigma_star)
+    assert outcome.label_index != label or outcome.tie
+    if not isinstance(state, PureState):
+        assert bound.phi_star is None
+        return
+    # A pure input also gets a pure witness in the same interval.
+    assert isinstance(bound.phi_star, PureState)
+    distance = 1.0 - abs(bound.phi_star.overlap(state)) ** 2
+    assert bound.delta - 1e-9 <= distance <= bound.delta + 1e-5
+    outcome = classify(classifier, bound.phi_star)
     assert outcome.label_index != label or outcome.tie
 
 
@@ -101,7 +111,7 @@ def check_against_oracle(classifier, state):
     assert bound.delta == pytest.approx(
         min(v for v in oracle.values() if v is not None), abs=1e-6
     )
-    check_witness(classifier, rho, label, bound)
+    check_witness(classifier, state, label, bound)
     return bound
 
 
@@ -161,6 +171,7 @@ def test_singular_basis_state_needs_kernel_component():
     bound = check_against_oracle(classifier, PureState([1, 0]))
     assert bound.delta == pytest.approx(0.5, abs=1e-9)
     np.testing.assert_allclose(bound.sigma_star.matrix, np.eye(2) / 2, atol=1e-5)
+    assert abs(bound.phi_star.overlap(PureState([1, 0]))) ** 2 == pytest.approx(0.5, abs=1e-6)
 
 
 def test_zero_minimum_eigenvalue_gap():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import classified_instance, max_tied_overlap
+from qrv.casestudy import generate_qubit_case_study
 from qrv.channels import identity_channel
 from qrv.classifiers import (
     Classifier,
@@ -9,11 +10,10 @@ from qrv.classifiers import (
     classify,
     computational_measurement,
 )
-from qrv.errors import MisclassifiedInput, SolverFailure, ValidationError
+from qrv.errors import MisclassifiedInput, ValidationError
 from qrv.oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
 from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
-import qrv.verifier as verifier
 from qrv.verifier import (
     VerifyOptions,
     check_epsilon_robust,
@@ -258,24 +258,6 @@ class TestVerifyDataset:
             if hi.robust:
                 assert lo.robust
 
-    def test_solver_failures_flagged_not_fatal(self, z_classifier, monkeypatch):
-        calls = {"n": 0}
-        original = verifier.compute_optimal_bound
-
-        def flaky(classifier, state, label=None, *, options=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise SolverFailure("synthetic breakdown")
-            return original(classifier, state, label, options=options)
-
-        monkeypatch.setattr(verifier, "compute_optimal_bound", flaky)
-        report = verify_dataset(z_classifier, boundary_dataset(), 0.01)
-        assert report.solver_stats["failures"] == 1
-        assert [v.status for v in report.verdicts].count("solver_failure") == 1
-        assert any("synthetic breakdown" in w for w in report.warnings)
-        # The failed entry is excluded from R; the other one still lands.
-        assert report.adversarial_count == 1
-
     def test_pure_mode_uses_pure_witnesses(self, z_classifier):
         report = verify_dataset(
             z_classifier, boundary_dataset(), 0.01,
@@ -309,6 +291,19 @@ class TestVerifyDataset:
             outcome = classify(classifier, witness.sigma)
             assert outcome.label_index != label or outcome.tie
 
+    def test_case_study_witnesses_change_class_strictly(self):
+        # Mixed-mode witnesses on the qubit case study lie strictly inside
+        # the rival class, within the 1e-6 budget beyond the verdict's delta.
+        classifier, train, _ = generate_qubit_case_study(seed=0)
+        report = verify_dataset(classifier, train, 0.004)
+        assert report.adversarial_count > 0
+        for witness in report.adversarial:
+            label = train.entries[witness.source_index][1]
+            outcome = classify(classifier, witness.sigma)
+            assert outcome.label_index != label and not outcome.tie
+            delta = report.verdicts[witness.source_index].delta
+            assert delta - 1e-9 <= witness.distance <= delta + 1e-6
+
     def test_multiclass_higher_dimension(self, rng):
         # Three classes at dim 4: every rival class gets its own solve and
         # the under-approximation stays below the exact row.
@@ -318,7 +313,6 @@ class TestVerifyDataset:
             state = random_density_matrix(4, rng)
             entries.append((state, classify(classifier, state).label_index))
         report = verify_dataset(classifier, LabeledDataset(entries), 0.01)
-        assert report.solver_stats["failures"] == 0
         assert report.under_approx_robust_accuracy <= report.robust_accuracy + 1e-12
         for witness in report.adversarial:
             source, label = report.verdicts[witness.source_index], entries[witness.source_index][1]
