@@ -14,7 +14,7 @@ for the bound; it is not imported here, so ``import qrv`` does not load
 scipy.
 """
 
-from .config import DEFAULT_POLICY, NumericPolicy, dimension_cap
+from .config import dimension_cap
 from .errors import (
     DimensionMismatch,
     MisclassifiedInput,

@@ -13,7 +13,6 @@ import numpy as np
 
 from .channels import unitary_channel
 from .classifiers import Classifier, LabeledDataset, computational_measurement
-from .config import DEFAULT_POLICY, NumericPolicy
 from .errors import ValidationError
 from .states import PureState
 
@@ -124,9 +123,7 @@ def generate_qubit_case_study(
 # Amplitude encoding of grayscale images
 
 
-def amplitude_encode(
-    values, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> PureState:
+def amplitude_encode(values) -> PureState:
     """Pure state with amplitudes proportional to the given real values.
 
     The all-zero input is rejected (its normalization is undefined);
@@ -140,7 +137,7 @@ def amplitude_encode(
     norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise ValidationError("cannot amplitude-encode an all-zero image")
-    return PureState(arr / norm, policy=policy)
+    return PureState(arr / norm)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -207,7 +204,7 @@ def downscale_area(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return weights(in_h, out_h) @ img @ weights(in_w, out_w).T
 
 
-def encode_image(path, *, policy: NumericPolicy = DEFAULT_POLICY) -> PureState:
+def encode_image(path) -> PureState:
     """PGM file -> 8-qubit pure state via amplitude encoding.
 
     16 x 16 images are encoded directly; anything larger (e.g. 28 x 28
@@ -221,4 +218,4 @@ def encode_image(path, *, policy: NumericPolicy = DEFAULT_POLICY) -> PureState:
                 f"{IMAGE_SIDE}x{IMAGE_SIDE}"
             )
         img = downscale_area(img, IMAGE_SIDE, IMAGE_SIDE)
-    return amplitude_encode(img, policy=policy)
+    return amplitude_encode(img)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_POLICY, NumericPolicy, check_dimension
+from .config import ISOMETRY_TOL, check_dimension
 from .errors import DimensionMismatch, ValidationError
 from .states import (
     DensityMatrix,
@@ -34,13 +34,20 @@ __all__ = [
     "depolarizing",
     "measure_and_control",
     "compose",
+    "isometry_defect",
 ]
 
 
-def _trace_preserving_defect(kraus: Sequence[np.ndarray], dim_in: int) -> float:
+def isometry_defect(ops: Sequence[np.ndarray]) -> float:
+    """Max-norm of ``sum_k A_k^dag A_k - I``.
+
+    Zero for a trace-preserving Kraus set, a complete measurement, or a
+    single unitary; checked against ``ISOMETRY_TOL``.
+    """
+    dim_in = ops[0].shape[1]
     acc = np.zeros((dim_in, dim_in), dtype=complex)
-    for e in kraus:
-        acc += e.conj().T @ e
+    for a in ops:
+        acc += a.conj().T @ a
     return float(np.max(np.abs(acc - np.eye(dim_in))))
 
 
@@ -48,12 +55,12 @@ class KrausChannel:
     """A CPTP map stored as a list of Kraus matrices.
 
     Each matrix has shape (dim_out, dim_in).  Construction validates trace
-    preservation against ``policy.trace_preserving_tol``.
+    preservation against ``ISOMETRY_TOL``.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out")
 
-    def __init__(self, kraus, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, kraus):
         mats = [as_complex_matrix(e) for e in kraus]
         if not mats:
             raise ValidationError("channel needs at least one Kraus matrix")
@@ -64,8 +71,8 @@ class KrausChannel:
                     f"inconsistent Kraus shapes: {e.shape} vs {(dim_out, dim_in)}"
                 )
         check_dimension(max(dim_in, dim_out))
-        defect = _trace_preserving_defect(mats, dim_in)
-        if defect > policy.trace_preserving_tol:
+        defect = isometry_defect(mats)
+        if defect > ISOMETRY_TOL:
             raise ValidationError(
                 f"channel is not trace-preserving: "
                 f"max |sum E^dag E - I| = {defect:.3e}"
@@ -74,7 +81,7 @@ class KrausChannel:
         self.dim_in = dim_in
         self.dim_out = dim_out
 
-    def apply(self, rho, *, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
+    def apply(self, rho) -> DensityMatrix:
         """Channel action sum_k E_k rho E_k^dag on a state."""
         m = state_matrix(rho)
         if m.shape[0] != self.dim_in:
@@ -84,14 +91,14 @@ class KrausChannel:
         out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
         for e in self.kraus:
             out += e @ m @ e.conj().T
-        return DensityMatrix(0.5 * (out + out.conj().T), policy=policy)
+        return DensityMatrix(0.5 * (out + out.conj().T))
 
-    def dual_apply(self, obs, *, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+    def dual_apply(self, obs) -> np.ndarray:
         """Adjoint action sum_k E_k^dag A E_k on a Hermitian observable.
 
         Satisfies tr(A * channel(rho)) = tr(dual(A) * rho).
         """
-        a = require_hermitian(obs, policy.herm_tol, "observable")
+        a = require_hermitian(obs, "observable")
         if a.shape[0] != self.dim_out:
             raise DimensionMismatch(
                 f"observable dim {a.shape[0]} does not match channel output "
@@ -125,33 +132,33 @@ class ChannelDiagnostics:
     note: str = "complete positivity holds structurally for any Kraus set"
 
 
-def diagnose(kraus, *, policy: NumericPolicy = DEFAULT_POLICY) -> ChannelDiagnostics:
+def diagnose(kraus) -> ChannelDiagnostics:
     """Diagnostics for an arbitrary Kraus set, valid or not."""
     mats = [as_complex_matrix(e) for e in kraus]
     if not mats:
         raise ValidationError("need at least one Kraus matrix")
-    defect = _trace_preserving_defect(mats, mats[0].shape[1])
+    defect = isometry_defect(mats)
     return ChannelDiagnostics(
         trace_preserving_defect=defect,
-        trace_preserving=defect <= policy.trace_preserving_tol,
+        trace_preserving=defect <= ISOMETRY_TOL,
         kraus_count=len(mats),
     )
 
 
-def unitary_channel(u, *, policy: NumericPolicy = DEFAULT_POLICY) -> KrausChannel:
+def unitary_channel(u) -> KrausChannel:
     """Channel rho -> U rho U^dag for a unitary U."""
     u = as_complex_matrix(u, square=True)
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > policy.unitary_tol:
+    defect = isometry_defect([u])
+    if defect > ISOMETRY_TOL:
         raise ValidationError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
-    return KrausChannel([u], policy=policy)
+    return KrausChannel([u])
 
 
-def identity_channel(dim: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> KrausChannel:
-    return KrausChannel([np.eye(dim, dtype=complex)], policy=policy)
+def identity_channel(dim: int) -> KrausChannel:
+    return KrausChannel([np.eye(dim, dtype=complex)])
 
 
-def depolarizing(p: float, *, policy: NumericPolicy = DEFAULT_POLICY) -> KrausChannel:
+def depolarizing(p: float) -> KrausChannel:
     """Single-qubit depolarizing channel with strength p in [0, 1].
 
     Kraus set {sqrt(1 - 3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z};
@@ -163,14 +170,12 @@ def depolarizing(p: float, *, policy: NumericPolicy = DEFAULT_POLICY) -> KrausCh
     if p > 0.0:
         coeff = np.sqrt(p / 4.0)
         kraus.extend([coeff * PAULI_X, coeff * PAULI_Y, coeff * PAULI_Z])
-    return KrausChannel(kraus, policy=policy)
+    return KrausChannel(kraus)
 
 
 def measure_and_control(
     measurement_operators: Sequence[np.ndarray],
     controlled_unitaries: Sequence[np.ndarray],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> KrausChannel:
     """Measurement-controlled unitary: apply V_k when outcome k occurs.
 
@@ -187,18 +192,16 @@ def measure_and_control(
     for m_k, v_k in zip(measurement_operators, controlled_unitaries):
         m_k = as_complex_matrix(m_k, square=True)
         v_k = as_complex_matrix(v_k, square=True)
-        defect = float(np.max(np.abs(v_k.conj().T @ v_k - np.eye(v_k.shape[0]))))
-        if defect > policy.unitary_tol:
+        defect = isometry_defect([v_k])
+        if defect > ISOMETRY_TOL:
             raise ValidationError(
                 f"controlled operation is not unitary: defect {defect:.3e}"
             )
         kraus.append(v_k @ m_k)
-    return KrausChannel(kraus, policy=policy)
+    return KrausChannel(kraus)
 
 
-def compose(
-    outer: KrausChannel, inner: KrausChannel, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> KrausChannel:
+def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """Sequential composition: (outer . inner)(rho) = outer(inner(rho)).
 
     The Kraus set is all products F_j E_k.
@@ -209,4 +212,4 @@ def compose(
             f"{outer.dim_in}"
         )
     kraus = [f @ e for f in outer.kraus for e in inner.kraus]
-    return KrausChannel(kraus, policy=policy)
+    return KrausChannel(kraus)

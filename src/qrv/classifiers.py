@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel
-from .config import DEFAULT_POLICY, NumericPolicy
+from .channels import KrausChannel, isometry_defect
+from .config import ISOMETRY_TOL, TIE_TOL
 from .errors import DimensionMismatch, ValidationError
 from .states import DensityMatrix, PureState, as_complex_matrix, state_matrix
 
@@ -43,7 +43,7 @@ class Measurement:
 
     __slots__ = ("operators", "dim", "_effects")
 
-    def __init__(self, operators, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, operators):
         mats = [as_complex_matrix(m, square=True) for m in operators]
         if len(mats) < 2:
             raise ValidationError("a measurement needs at least two operators")
@@ -51,11 +51,8 @@ class Measurement:
         for m in mats:
             if m.shape[0] != dim:
                 raise ValidationError("measurement operators have mixed dims")
-        acc = np.zeros((dim, dim), dtype=complex)
-        for m in mats:
-            acc += m.conj().T @ m
-        defect = float(np.max(np.abs(acc - np.eye(dim))))
-        if defect > policy.completeness_tol:
+        defect = isometry_defect(mats)
+        if defect > ISOMETRY_TOL:
             raise ValidationError(
                 f"measurement is not complete: max |sum M^dag M - I| = {defect:.3e}"
             )
@@ -225,20 +222,16 @@ def _probability_rows(classifier: Classifier, states) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def class_probabilities(
-    classifier: Classifier, state, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> np.ndarray:
+def class_probabilities(classifier: Classifier, state) -> np.ndarray:
     """Outcome distribution p_k = tr(M_k^dag M_k channel(rho)), clamped to [0,1]."""
     return _probability_rows(classifier, [state])[0]
 
 
-def classify_batch(
-    classifier: Classifier, states, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> BatchClassification:
+def classify_batch(classifier: Classifier, states) -> BatchClassification:
     """Argmax classification of every state in ``states`` at once.
 
     The margin is sqrt(p_1) - sqrt(p_2) where p_1 >= p_2 are the two
-    largest outcome probabilities; a tie (within ``policy.tie_tol``) is
+    largest outcome probabilities; a tie (within ``TIE_TOL``) is
     broken toward the lowest index and flagged.
     """
     probs = _probability_rows(classifier, states)
@@ -250,16 +243,14 @@ def classify_batch(
         labels=order[:, 0],
         probabilities=probs,
         margins=np.sqrt(p1) - np.sqrt(p2),
-        ties=p1 - p2 <= policy.tie_tol,
+        ties=p1 - p2 <= TIE_TOL,
     )
 
 
-def classify(
-    classifier: Classifier, state, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> Classification:
+def classify(classifier: Classifier, state) -> Classification:
     """Argmax classification of one state, with margin and tie flag
     (see :func:`classify_batch`)."""
-    batch = classify_batch(classifier, [state], policy=policy)
+    batch = classify_batch(classifier, [state])
     return Classification(
         label_index=int(batch.labels[0]),
         probabilities=batch.probabilities[0],
@@ -307,16 +298,11 @@ class LabeledDataset:
                 )
 
 
-def accuracy(
-    classifier: Classifier,
-    dataset: LabeledDataset,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+def accuracy(classifier: Classifier, dataset: LabeledDataset) -> float:
     """Fraction of dataset entries the classifier labels correctly."""
     if len(dataset) == 0:
         raise ValidationError("cannot compute accuracy of an empty dataset")
     dataset.check_compatible(classifier)
     states, labels = zip(*dataset)
-    predicted = classify_batch(classifier, states, policy=policy).labels
+    predicted = classify_batch(classifier, states).labels
     return int(np.count_nonzero(predicted == labels)) / len(dataset)

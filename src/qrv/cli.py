@@ -14,12 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classifiers import accuracy, classify
-from .config import DEFAULT_POLICY, NumericPolicy
 from .errors import QrvError, SchemaError, ValidationError
 from . import casestudy, formats, oracle
 from .verifier import VerifyOptions, under_robust_accuracy, verify_dataset
@@ -28,26 +26,6 @@ EXIT_OK = 0
 EXIT_NON_ROBUST = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved verification run settings."""
-
-    epsilons: tuple[float, ...]
-    mode: str = "mixed"
-    seed: int = 0
-    oracle_check: bool = False
-    strict: bool = False
-    omit_timings: bool = False
-    report_path: str | None = None
-    adversarial_path: str | None = None
-    policy: NumericPolicy = field(default=DEFAULT_POLICY)
-
-    def __post_init__(self):
-        for eps in self.epsilons:
-            if not 0.0 < eps < 1.0:
-                raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
 
 
 def _sig4(x: float) -> str:
@@ -66,6 +44,9 @@ def _parse_epsilons(raw: str) -> tuple[float, ...]:
         raise ValidationError(f"bad --epsilon value {raw!r}") from exc
     if not values:
         raise ValidationError("--epsilon needs at least one value")
+    for eps in values:
+        if not 0.0 < eps < 1.0:
+            raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
     return values
 
 
@@ -116,7 +97,7 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _oracle_cross_check(classifier, dataset, report, eps, resolution, policy):
+def _oracle_cross_check(classifier, dataset, report, eps, resolution):
     """Grid-oracle consistency check for the entries that needed exact
     solves.
 
@@ -135,9 +116,7 @@ def _oracle_cross_check(classifier, dataset, report, eps, resolution, policy):
             continue
         state, label = dataset.entries[verdict.index]
         rho = state.density() if hasattr(state, "density") else state
-        delta_hat, _ = oracle.bloch_grid_min_distance(
-            classifier, rho, label, grid, policy=policy
-        )
+        delta_hat, _ = oracle.bloch_grid_min_distance(classifier, rho, label, grid)
         checked += 1
         delta = np.inf if verdict.delta_unbounded else verdict.delta
         undershoot = delta_hat < delta - 1e-4
@@ -154,37 +133,26 @@ def _oracle_cross_check(classifier, dataset, report, eps, resolution, policy):
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        epsilons=_parse_epsilons(args.epsilon),
-        mode=args.mode,
-        seed=args.seed,
-        oracle_check=args.oracle,
-        strict=args.strict,
-        omit_timings=args.omit_timings,
-        report_path=args.report,
-        adversarial_path=args.adversarial,
-    )
+    epsilons = _parse_epsilons(args.epsilon)
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
-    if config.oracle_check and classifier.dim != 2:
+    if args.oracle and classifier.dim != 2:
         raise SchemaError("--oracle requires a dimension-2 classifier", args.classifier)
 
-    options = VerifyOptions(
-        mode=config.mode, seed=config.seed, policy=config.policy,
-    )
+    options = VerifyOptions(mode=args.mode, seed=args.seed)
     columns = []
     any_non_robust = False
-    for eps in config.epsilons:
+    for eps in epsilons:
         report = verify_dataset(classifier, dataset, eps, options=options)
         ura = report.under_approx_robust_accuracy
         ura_seconds = report.timings["margin_seconds"]
         any_non_robust = any_non_robust or report.adversarial_count > 0
-        doc = formats.emit_report(report, include_timings=not config.omit_timings)
-        doc["under_approx_seconds"] = None if config.omit_timings else ura_seconds
-        if config.oracle_check:
+        doc = formats.emit_report(report, include_timings=not args.omit_timings)
+        doc["under_approx_seconds"] = None if args.omit_timings else ura_seconds
+        if args.oracle:
             doc["oracle_check"] = _oracle_cross_check(
-                classifier, dataset, report, eps, args.oracle_resolution, config.policy
+                classifier, dataset, report, eps, args.oracle_resolution
             )
         columns.append((eps, ura, ura_seconds, report, doc))
         for warning in report.warnings:
@@ -211,7 +179,7 @@ def _cmd_verify(args) -> int:
     )
     for eps, _, _, report, doc in columns:
         extra = ""
-        if config.oracle_check:
+        if args.oracle:
             oc = doc["oracle_check"]
             extra = f", oracle consistency {oc['consistent']}/{oc['checked']}"
         print(
@@ -219,37 +187,37 @@ def _cmd_verify(args) -> int:
             f"{report.n_states - report.n_correct} misclassified{extra}"
         )
 
-    if config.report_path:
+    if args.report:
         if len(columns) == 1:
-            formats.write_json(config.report_path, columns[0][4])
+            formats.write_json(args.report, columns[0][4])
         else:
             formats.write_json(
-                config.report_path,
+                args.report,
                 {
                     "format": formats.FORMAT_TAG,
                     "kind": "verification_report_set",
                     "runs": [doc for *_, doc in columns],
                 },
             )
-    if config.adversarial_path:
+    if args.adversarial:
         sidecar_entries = []
         for *_, report, _doc in columns:
             sidecar_entries.extend(report.adversarial)
         formats.write_json(
-            config.adversarial_path,
+            args.adversarial,
             formats.emit_adversarial_sidecar(sidecar_entries, dataset),
         )
 
-    if any_non_robust and config.strict:
+    if any_non_robust and args.strict:
         return EXIT_NON_ROBUST
     return EXIT_OK
 
 
 def _cmd_bound(args) -> int:
+    epsilons = _parse_epsilons(args.epsilon)
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
-    epsilons = _parse_epsilons(args.epsilon)
     rows = []
     for eps in epsilons:
         t0 = time.perf_counter()
@@ -314,20 +282,18 @@ def _cmd_encode_image(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    eps = _parse_epsilons(args.epsilon)
+    if len(eps) != 1:
+        raise ValidationError("oracle-check takes a single epsilon")
+    eps = eps[0]
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
     if classifier.dim != 2:
         raise SchemaError("oracle-check requires a dimension-2 classifier",
                           args.classifier)
-    eps = _parse_epsilons(args.epsilon)
-    if len(eps) != 1:
-        raise ValidationError("oracle-check takes a single epsilon")
-    eps = eps[0]
     report = verify_dataset(classifier, dataset, eps)
-    check = _oracle_cross_check(
-        classifier, dataset, report, eps, args.resolution, DEFAULT_POLICY
-    )
+    check = _oracle_cross_check(classifier, dataset, report, eps, args.resolution)
     print(
         f"oracle cross-check at resolution {args.resolution}^3: "
         f"{check['consistent']}/{check['checked']} exact verdicts consistent "

@@ -1,57 +1,35 @@
 """Numeric tolerances and global limits.
 
-Every tolerance used by validation, bounds and verdicts lives in one
-:class:`NumericPolicy` record so that a single override propagates
-consistently (the SDP oracle takes its own targets in
-``qrv.sdp.SolverOptions``).  The default policy is deliberately strict;
-loosen it per call site only when you know the provenance of your
-matrices (e.g. an interior-point solution is positive semidefinite only
-up to ``psd_tol``).
+Every tolerance used by validation, bounds and verdicts is one module
+constant here, so validation and verdicts agree on what counts as a
+state, a channel and a tie (the SDP oracle takes its own targets in
+``qrv.sdp.SolverOptions``).  The values are deliberately strict.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 DEFAULT_MAX_DIM = 256
 MAX_DIM_ENV_VAR = "QRV_MAX_DIM"
 
-
-@dataclasses.dataclass(frozen=True)
-class NumericPolicy:
-    """Tolerances shared across the library.
-
-    Attributes:
-        herm_tol: max-norm tolerance for Hermiticity checks.
-        psd_tol: eigenvalues >= -psd_tol count as nonnegative.
-        psd_reject: eigenvalues below -psd_reject are rejected outright;
-            anything in [-psd_reject, 0) is clamped to zero before roots.
-        trace_tol: |tr(rho) - 1| tolerance for density matrices.
-        norm_reject: pure-state norm deviation rejected above this; smaller
-            deviations are renormalized away.
-        trace_preserving_tol: max-norm tolerance for sum_k E_k^dag E_k = I.
-        completeness_tol: max-norm tolerance for sum_k M_k^dag M_k = I.
-        unitary_tol: max-norm tolerance for U^dag U = I.
-        tie_tol: two class probabilities within tie_tol count as tied.
-    """
-
-    herm_tol: float = 1e-9
-    psd_tol: float = 1e-8
-    psd_reject: float = 1e-6
-    trace_tol: float = 1e-9
-    norm_reject: float = 1e-6
-    trace_preserving_tol: float = 1e-7
-    completeness_tol: float = 1e-7
-    unitary_tol: float = 1e-7
-    tie_tol: float = 1e-7
-
-    def replace(self, **overrides) -> "NumericPolicy":
-        """Return a copy with the given tolerances replaced."""
-        return dataclasses.replace(self, **overrides)
-
-
-DEFAULT_POLICY = NumericPolicy()
+# Max-norm tolerance for Hermiticity checks, max |M - M^dag|.
+HERM_TOL = 1e-9
+# Eigenvalues >= -PSD_TOL count as nonnegative in a density matrix.
+PSD_TOL = 1e-8
+# Eigenvalues below -PSD_REJECT are rejected outright; anything in
+# [-PSD_REJECT, 0) is clamped to zero before a square root is taken.
+PSD_REJECT = 1e-6
+# |tr(rho) - 1| tolerance for density matrices.
+TRACE_TOL = 1e-9
+# Pure-state norm deviations above this are rejected; smaller ones are
+# renormalized away.
+NORM_REJECT = 1e-6
+# Max-norm tolerance for sum_k A_k^dag A_k = I: trace preservation of a
+# Kraus set, completeness of a measurement, unitarity.
+ISOMETRY_TOL = 1e-7
+# Two class probabilities within TIE_TOL count as tied.
+TIE_TOL = 1e-7
 
 
 def dimension_cap() -> int:

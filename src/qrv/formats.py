@@ -16,7 +16,6 @@ import numpy as np
 
 from .channels import KrausChannel
 from .classifiers import Classifier, LabeledDataset, Measurement
-from .config import DEFAULT_POLICY, NumericPolicy
 from .errors import SchemaError
 from .states import DensityMatrix, PureState
 from .verifier import AdversarialWitness, VerificationReport
@@ -123,19 +122,19 @@ def _state_entry(state) -> dict:
     return {"kind": "density", "data": matrix_to_json(state.matrix)}
 
 
-def _parse_state_entry(obj: Any, path: str, policy: NumericPolicy):
+def _parse_state_entry(obj: Any, path: str):
     kind = _require_key(obj, "kind", path)
     data = _require_key(obj, "data", path)
     if kind == "pure":
         try:
-            return PureState(parse_vector(data, f"{path}.data"), policy=policy)
+            return PureState(parse_vector(data, f"{path}.data"))
         except SchemaError:
             raise
         except ValueError as exc:
             raise SchemaError(str(exc), f"{path}.data") from exc
     if kind == "density":
         try:
-            return DensityMatrix(parse_matrix(data, f"{path}.data"), policy=policy)
+            return DensityMatrix(parse_matrix(data, f"{path}.data"))
         except SchemaError:
             raise
         except ValueError as exc:
@@ -147,9 +146,9 @@ def emit_state(state) -> dict:
     return {"format": FORMAT_TAG, "kind": "state", "state": _state_entry(state)}
 
 
-def parse_state(doc: dict, *, policy: NumericPolicy = DEFAULT_POLICY):
+def parse_state(doc: dict):
     _check_format(doc, "state", "$")
-    return _parse_state_entry(_require_key(doc, "state", "$"), "state", policy)
+    return _parse_state_entry(_require_key(doc, "state", "$"), "state")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +164,7 @@ def emit_channel(channel: KrausChannel) -> dict:
     }
 
 
-def _parse_channel_body(doc: dict, path: str, policy: NumericPolicy) -> KrausChannel:
+def _parse_channel_body(doc: dict, path: str) -> KrausChannel:
     dim = _require_key(doc, "dim", path)
     kraus_doc = _require_key(doc, "kraus", path)
     if not isinstance(kraus_doc, list) or not kraus_doc:
@@ -174,7 +173,7 @@ def _parse_channel_body(doc: dict, path: str, policy: NumericPolicy) -> KrausCha
         parse_matrix(m, f"{path}.kraus[{i}]") for i, m in enumerate(kraus_doc)
     ]
     try:
-        channel = KrausChannel(kraus, policy=policy)
+        channel = KrausChannel(kraus)
     except ValueError as exc:
         raise SchemaError(str(exc), f"{path}.kraus") from exc
     if channel.dim_in != dim:
@@ -186,9 +185,9 @@ def _parse_channel_body(doc: dict, path: str, policy: NumericPolicy) -> KrausCha
     return channel
 
 
-def parse_channel(doc: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> KrausChannel:
+def parse_channel(doc: dict) -> KrausChannel:
     _check_format(doc, "channel", "$")
-    return _parse_channel_body(doc, "$", policy)
+    return _parse_channel_body(doc, "$")
 
 
 def emit_classifier(classifier: Classifier) -> dict:
@@ -206,14 +205,12 @@ def emit_classifier(classifier: Classifier) -> dict:
     }
 
 
-def parse_classifier(
-    doc: dict, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> Classifier:
+def parse_classifier(doc: dict) -> Classifier:
     _check_format(doc, "classifier", "$")
     labels = _require_key(doc, "labels", "$")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("labels must be an array of strings", "labels")
-    channel = _parse_channel_body(_require_key(doc, "channel", "$"), "channel", policy)
+    channel = _parse_channel_body(_require_key(doc, "channel", "$"), "channel")
     meas_doc = _require_key(doc, "measurement", "$")
     ops_doc = _require_key(meas_doc, "operators", "measurement")
     if not isinstance(ops_doc, list) or len(ops_doc) < 2:
@@ -225,7 +222,7 @@ def parse_classifier(
         parse_matrix(m, f"measurement.operators[{i}]") for i, m in enumerate(ops_doc)
     ]
     try:
-        measurement = Measurement(operators, policy=policy)
+        measurement = Measurement(operators)
         return Classifier(channel, measurement, labels)
     except ValueError as exc:
         raise SchemaError(str(exc), "measurement") from exc
@@ -244,9 +241,7 @@ def emit_dataset(dataset: LabeledDataset) -> dict:
     return {"format": FORMAT_TAG, "kind": "dataset", "states": states}
 
 
-def parse_dataset(
-    doc: dict, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> LabeledDataset:
+def parse_dataset(doc: dict) -> LabeledDataset:
     _check_format(doc, "dataset", "$")
     states_doc = _require_key(doc, "states", "$")
     if not isinstance(states_doc, list) or not states_doc:
@@ -254,7 +249,7 @@ def parse_dataset(
     entries = []
     for i, entry in enumerate(states_doc):
         path = f"states[{i}]"
-        state = _parse_state_entry(entry, path, policy)
+        state = _parse_state_entry(entry, path)
         label = _require_key(entry, "label", path)
         if not isinstance(label, int) or isinstance(label, bool) or label < 0:
             raise SchemaError("label must be a nonnegative integer", f"{path}.label")
@@ -341,16 +336,16 @@ def read_json(path) -> dict:
             raise SchemaError(f"invalid JSON: {exc}", "$") from exc
 
 
-def load_classifier(path, *, policy: NumericPolicy = DEFAULT_POLICY) -> Classifier:
-    return parse_classifier(read_json(path), policy=policy)
+def load_classifier(path) -> Classifier:
+    return parse_classifier(read_json(path))
 
 
-def load_dataset(path, *, policy: NumericPolicy = DEFAULT_POLICY) -> LabeledDataset:
-    return parse_dataset(read_json(path), policy=policy)
+def load_dataset(path) -> LabeledDataset:
+    return parse_dataset(read_json(path))
 
 
-def load_state(path, *, policy: NumericPolicy = DEFAULT_POLICY):
-    return parse_state(read_json(path), policy=policy)
+def load_state(path):
+    return parse_state(read_json(path))
 
 
 def save_classifier(path, classifier: Classifier) -> None:

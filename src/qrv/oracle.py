@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import Classifier, classify
-from .config import DEFAULT_POLICY, NumericPolicy
+from .config import TIE_TOL
 from .errors import DimensionMismatch, ValidationError
 from .sampling import random_density_matrix
 from .states import (
@@ -46,7 +46,6 @@ class SearchGrid:
     """Bloch-ball grid: ``resolution`` points per axis over [-1, 1]^3."""
 
     resolution: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -90,7 +89,6 @@ def _class_change_mask(
     r_x: np.ndarray,
     r_y: np.ndarray,
     r_z: np.ndarray,
-    policy: NumericPolicy,
 ) -> np.ndarray:
     """True where the winner is not ``label``, or ties it within tolerance."""
     c0, cvec = _qubit_probability_coefficients(classifier)
@@ -102,7 +100,7 @@ def _class_change_mask(
     )
     own = probs[label]
     rival = np.max(np.delete(probs, label, axis=0), axis=0)
-    return rival >= own - policy.tie_tol
+    return rival >= own - TIE_TOL
 
 
 def bloch_grid_min_distance(
@@ -110,8 +108,6 @@ def bloch_grid_min_distance(
     rho: DensityMatrix,
     label: int,
     grid: SearchGrid = SearchGrid(),
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[float, DensityMatrix | None]:
     """Exhaustive qubit search for the nearest class-changing state.
 
@@ -129,7 +125,7 @@ def bloch_grid_min_distance(
     inside = r_x**2 + r_y**2 + r_z**2 <= 1.0 + 1e-12
     r_x, r_y, r_z = r_x[inside], r_y[inside], r_z[inside]
 
-    changed = _class_change_mask(classifier, label, r_x, r_y, r_z, policy)
+    changed = _class_change_mask(classifier, label, r_x, r_y, r_z)
     if not np.any(changed):
         return float("inf"), None
     a = bloch_vector(rho)
@@ -139,19 +135,19 @@ def bloch_grid_min_distance(
     best = int(np.argmin(distance))
     delta_hat = float(max(distance[best], 0.0))
     sigma_hat = density_from_bloch(
-        (r_x[changed][best], r_y[changed][best], r_z[changed][best]), policy=policy
+        (r_x[changed][best], r_y[changed][best], r_z[changed][best])
     )
     return delta_hat, sigma_hat
 
 
-def _sphere_sweep(classifier, label, a, theta, phi, policy):
+def _sphere_sweep(classifier, label, a, theta, phi):
     """Best class-changing point over a theta x phi angle grid."""
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     tt, pp = tt.ravel(), pp.ravel()
     r_x = np.sin(tt) * np.cos(pp)
     r_y = np.sin(tt) * np.sin(pp)
     r_z = np.cos(tt)
-    changed = _class_change_mask(classifier, label, r_x, r_y, r_z, policy)
+    changed = _class_change_mask(classifier, label, r_x, r_y, r_z)
     if not np.any(changed):
         return None
     # Pure states: F = |<phi|psi>|^2 = (1 + a . r) / 2.
@@ -168,8 +164,6 @@ def pure_sphere_min_distance(
     psi: PureState,
     label: int,
     angle_step: float = 1e-3,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[float, PureState | None]:
     """Sweep of the qubit pure-state sphere at the given angular resolution.
 
@@ -187,7 +181,7 @@ def pure_sphere_min_distance(
     theta = np.linspace(0.0, np.pi, int(np.ceil(np.pi / coarse_step)) + 1)
     phi = np.linspace(0.0, 2.0 * np.pi, int(np.ceil(2.0 * np.pi / coarse_step)) + 1,
                       endpoint=False)
-    hit = _sphere_sweep(classifier, label, a, theta, phi, policy)
+    hit = _sphere_sweep(classifier, label, a, theta, phi)
     if hit is None:
         return float("inf"), None
     best_d, best_t, best_p = hit
@@ -197,14 +191,14 @@ def pure_sphere_min_distance(
         count = max(int(np.ceil(2.0 * window / angle_step)) + 1, 3)
         theta_f = np.clip(np.linspace(best_t - window, best_t + window, count), 0.0, np.pi)
         phi_f = np.linspace(best_p - window, best_p + window, count)
-        refined = _sphere_sweep(classifier, label, a, theta_f, phi_f, policy)
+        refined = _sphere_sweep(classifier, label, a, theta_f, phi_f)
         if refined is not None and refined[0] < best_d:
             best_d, best_t, best_p = refined
 
     amplitudes = np.array(
         [np.cos(best_t / 2.0), np.exp(1j * best_p) * np.sin(best_t / 2.0)]
     )
-    return best_d, PureState(amplitudes, policy=policy)
+    return best_d, PureState(amplitudes)
 
 
 def random_neighborhood_probe(
@@ -214,8 +208,6 @@ def random_neighborhood_probe(
     eps: float,
     samples: int = 10000,
     seed: int = 0,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DensityMatrix | None:
     """Probabilistic falsifier for any dimension.
 
@@ -230,16 +222,14 @@ def random_neighborhood_probe(
     for _ in range(samples):
         tau = random_density_matrix(rho.dim, rng)
         t = rng.uniform()
-        candidate = DensityMatrix(
-            (1.0 - t) * rho.matrix + t * tau.matrix, policy=policy
-        )
-        if 1.0 - fidelity(rho, candidate, policy=policy) > eps:
+        candidate = DensityMatrix((1.0 - t) * rho.matrix + t * tau.matrix)
+        if 1.0 - fidelity(rho, candidate) > eps:
             continue
-        outcome = classify(classifier, candidate, policy=policy)
+        outcome = classify(classifier, candidate)
         if outcome.label_index != label or outcome.tie:
             # Re-check the full adversarial-example definition before
             # returning: rho correctly classified is the caller's
             # precondition; distance and class change are re-verified.
-            if 1.0 - fidelity(rho, candidate, policy=policy) <= eps + 1e-12:
+            if 1.0 - fidelity(rho, candidate) <= eps + 1e-12:
                 return candidate
     return None

@@ -11,7 +11,6 @@ import numpy as np
 
 from .channels import KrausChannel, unitary_channel
 from .classifiers import Classifier, Measurement
-from .config import DEFAULT_POLICY
 from .states import DensityMatrix, PureState, matrix_sqrt_psd
 
 __all__ = [
@@ -28,12 +27,17 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase correction."""
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
+def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed isometry (rows >= cols) via QR with phase correction."""
+    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary."""
+    return _haar_isometry(rng, dim, dim)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -56,10 +60,7 @@ def random_kraus_channel(
     """Random CPTP map from a Haar isometry split into Kraus blocks."""
     if kraus_rank == 1:
         return unitary_channel(random_unitary(dim, rng))
-    q, r = np.linalg.qr(_ginibre(rng, dim * kraus_rank, dim))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    isometry = q * phases
+    isometry = _haar_isometry(rng, dim * kraus_rank, dim)
     kraus = [isometry[i * dim : (i + 1) * dim, :] for i in range(kraus_rank)]
     return KrausChannel(kraus)
 
@@ -87,10 +88,6 @@ def random_classifier(
     kraus_rank: int = 1,
 ) -> Classifier:
     """Random classifier: a channel plus a random complete measurement."""
-    channel = (
-        unitary_channel(random_unitary(dim, rng))
-        if kraus_rank == 1
-        else random_kraus_channel(dim, rng, kraus_rank)
-    )
+    channel = random_kraus_channel(dim, rng, kraus_rank)
     measurement = random_measurement(dim, n_classes, rng)
     return Classifier(channel, measurement)

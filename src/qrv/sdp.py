@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_POLICY, NumericPolicy
 from .errors import SolverFailure, ValidationError
 from .states import DensityMatrix, as_complex_matrix, require_hermitian
 
@@ -67,14 +66,12 @@ class SdpProblem:
         self,
         objective,
         constraints: Sequence[LinearConstraint],
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
     ):
-        c = require_hermitian(objective, policy.herm_tol, "objective")
+        c = require_hermitian(objective, "objective")
         n = c.shape[0]
         checked = []
         for j, con in enumerate(constraints):
-            a = require_hermitian(con.matrix, policy.herm_tol, f"constraint {j}")
+            a = require_hermitian(con.matrix, f"constraint {j}")
             if a.shape[0] != n:
                 raise ValidationError(
                     f"constraint {j} has dim {a.shape[0]}, objective has {n}"
@@ -570,8 +567,8 @@ class FidelityBlockProblem(SdpProblem):
     """
 
     def __init__(self, objective, constraints, *, state_dim, pinned_rank,
-                 range_isometry, sigma_isometry, policy=DEFAULT_POLICY):
-        super().__init__(objective, constraints, policy=policy)
+                 range_isometry, sigma_isometry):
+        super().__init__(objective, constraints)
         self.state_dim = state_dim
         self.pinned_rank = pinned_rank
         self.range_isometry = range_isometry
@@ -602,8 +599,6 @@ def fixed_state_constraints(sigma: DensityMatrix) -> list[tuple[np.ndarray, str,
 def sqrt_fidelity_sdp(
     rho: DensityMatrix,
     sigma_constraints: Sequence[tuple[np.ndarray, str, float]],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> FidelityBlockProblem:
     """Block program whose optimum is sqrt(F(rho, sigma*)).
 
@@ -637,7 +632,7 @@ def sqrt_fidelity_sdp(
             raise ValidationError(
                 "sigma constraints must be (matrix, relation, bound) triples"
             ) from exc
-        h = require_hermitian(matrix, policy.herm_tol, "sigma constraint")
+        h = require_hermitian(matrix, "sigma constraint")
         if h.shape[0] != n:
             raise ValidationError(
                 f"sigma constraint dim {h.shape[0]} does not match state dim {n}"
@@ -652,15 +647,11 @@ def sqrt_fidelity_sdp(
         pinned_rank=rank,
         range_isometry=isometry,
         sigma_isometry=np.eye(n, dtype=complex),
-        policy=policy,
     )
 
 
 def sqrt_fidelity_sdp_fixed(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    rho: DensityMatrix, sigma: DensityMatrix
 ) -> FidelityBlockProblem:
     """Block program for sqrt(F) between two *fixed* states.
 
@@ -695,7 +686,6 @@ def sqrt_fidelity_sdp_fixed(
         pinned_rank=r,
         range_isometry=rho_iso,
         sigma_isometry=sig_iso,
-        policy=policy,
     )
 
 

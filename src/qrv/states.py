@@ -13,7 +13,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import DEFAULT_POLICY, NumericPolicy, check_dimension
+from .config import (
+    HERM_TOL,
+    NORM_REJECT,
+    PSD_REJECT,
+    PSD_TOL,
+    TRACE_TOL,
+    check_dimension,
+)
 from .errors import DimensionMismatch, ValidationError
 
 __all__ = [
@@ -60,17 +67,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(
-    m: np.ndarray, tol: float | None = None, what: str = "matrix"
-) -> np.ndarray:
-    """Validate Hermiticity and return the exactly symmetrized matrix."""
-    if tol is None:
-        tol = DEFAULT_POLICY.herm_tol
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity to ``HERM_TOL`` and return the exactly
+    symmetrized matrix."""
     m = as_complex_matrix(m, square=True)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERM_TOL:
         raise ValidationError(
-            f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.1e}"
+            f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e} "
+            f"> {HERM_TOL:.1e}"
         )
     return 0.5 * (m + m.conj().T)
 
@@ -78,21 +83,21 @@ def require_hermitian(
 class PureState:
     """A unit-norm complex amplitude vector.
 
-    Inputs whose norm deviates from 1 by more than ``policy.norm_reject``
+    Inputs whose norm deviates from 1 by more than ``NORM_REJECT``
     are rejected; smaller deviations are silently renormalized so the
     stored amplitudes are always unit norm to machine precision.
     """
 
     __slots__ = ("amplitudes", "dim")
 
-    def __init__(self, amplitudes, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, amplitudes):
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         if arr.size < 1:
             raise ValidationError("pure state needs at least one amplitude")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValidationError("amplitudes contain NaN or Inf")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > policy.norm_reject:
+        if abs(norm - 1.0) > NORM_REJECT:
             raise ValidationError(
                 f"state vector is not normalized: ||psi|| = {norm:.9f}"
             )
@@ -118,20 +123,21 @@ class PureState:
 class DensityMatrix:
     """A mixed quantum state: Hermitian, PSD, unit-trace matrix.
 
-    Construction validates all three invariants against the policy
-    tolerances.  Use :func:`project_to_density` to repair nearly-valid
+    Construction validates all three invariants: Hermitian to
+    ``HERM_TOL``, trace 1 to ``TRACE_TOL``, no eigenvalue below
+    ``-PSD_TOL``.  Use :func:`project_to_density` to repair nearly-valid
     matrices such as interior-point solver output.
     """
 
     __slots__ = ("matrix", "dim")
 
-    def __init__(self, matrix, *, policy: NumericPolicy = DEFAULT_POLICY):
-        m = require_hermitian(matrix, policy.herm_tol, "density matrix")
+    def __init__(self, matrix):
+        m = require_hermitian(matrix, "density matrix")
         trace = float(np.real(np.trace(m)))
-        if abs(trace - 1.0) > policy.trace_tol:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix has trace {trace:.12f}, not 1")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -policy.psd_tol:
+        if lo < -PSD_TOL:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {lo:.3e}"
             )
@@ -159,25 +165,21 @@ def state_matrix(state) -> np.ndarray:
     return as_complex_matrix(state, square=True)
 
 
-def pure_to_density(
-    psi: PureState, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> DensityMatrix:
+def pure_to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a pure state."""
     if not isinstance(psi, PureState):
-        psi = PureState(psi, policy=policy)
+        psi = PureState(psi)
     v = psi.amplitudes
-    return DensityMatrix(np.outer(v, v.conj()), policy=policy)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
-def hermitian_eigensystem(
-    m, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian m.
 
     Satisfies ``m = V diag(w) V^dag`` and ``V^dag V = I`` to working
     precision; non-Hermitian input is rejected.
     """
-    m = require_hermitian(m, policy.herm_tol)
+    m = require_hermitian(m)
     w, v = np.linalg.eigh(m)
     return w, v
 
@@ -195,15 +197,15 @@ def _suppress_spectral_junk(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def matrix_sqrt_psd(m, *, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def matrix_sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues in ``[-psd_reject, 0)`` are clamped to zero so that
+    Eigenvalues in ``[-PSD_REJECT, 0)`` are clamped to zero so that
     solver-induced PSD drift cannot leak NaNs into fidelities; anything
-    below ``-psd_reject`` is rejected as not PSD.
+    below ``-PSD_REJECT`` is rejected as not PSD.
     """
-    w, v = hermitian_eigensystem(m, policy=policy)
-    if w[0] < -policy.psd_reject:
+    w, v = hermitian_eigensystem(m)
+    if w[0] < -PSD_REJECT:
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
         )
@@ -212,18 +214,16 @@ def matrix_sqrt_psd(m, *, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def project_to_density(
-    m, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> DensityMatrix:
+def project_to_density(m) -> DensityMatrix:
     """Nearest-density-matrix repair for nearly-valid input.
 
     Symmetrizes, clamps negative eigenvalues in the accepted drift range,
     and renormalizes the trace.  Input that is far from a density matrix
-    (eigenvalue below ``-psd_reject``) is rejected.
+    (eigenvalue below ``-PSD_REJECT``) is rejected.
     """
     h = 0.5 * (as_complex_matrix(m, square=True) + as_complex_matrix(m).conj().T)
     w, v = np.linalg.eigh(h)
-    if w[0] < -policy.psd_reject:
+    if w[0] < -PSD_REJECT:
         raise ValidationError(
             f"matrix too indefinite to repair: min eigenvalue {w[0]:.3e}"
         )
@@ -232,7 +232,7 @@ def project_to_density(
     if total <= 0.0:
         raise ValidationError("matrix has zero trace after clamping")
     w /= total
-    return DensityMatrix((v * w) @ v.conj().T, policy=policy)
+    return DensityMatrix((v * w) @ v.conj().T)
 
 
 def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -240,32 +240,26 @@ def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
 
 
-def sqrt_fidelity(
-    rho: DensityMatrix, sigma: DensityMatrix, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def sqrt_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
     _check_same_dims(rho, sigma)
-    root = matrix_sqrt_psd(rho.matrix, policy=policy)
+    root = matrix_sqrt_psd(rho.matrix)
     inner = root @ sigma.matrix @ root
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     value = float(np.sum(np.sqrt(_suppress_spectral_junk(w))))
     return min(max(value, 0.0), 1.0)
 
 
-def fidelity(
-    rho: DensityMatrix, sigma: DensityMatrix, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1].
 
     Computed by eigendecomposition; symmetric in its arguments up to
     numerical noise.  For pure states it reduces to |<psi|phi>|^2.
     """
-    return sqrt_fidelity(rho, sigma, policy=policy) ** 2
+    return sqrt_fidelity(rho, sigma) ** 2
 
 
-def trace_distance(
-    rho: DensityMatrix, sigma: DensityMatrix, *, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Trace distance 0.5 * ||rho - sigma||_tr in [0, 1]."""
     _check_same_dims(rho, sigma)
     diff = rho.matrix - sigma.matrix
@@ -295,15 +289,13 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     )
 
 
-def density_from_bloch(
-    r: Iterable[float], *, policy: NumericPolicy = DEFAULT_POLICY
-) -> DensityMatrix:
+def density_from_bloch(r: Iterable[float]) -> DensityMatrix:
     """Qubit state 0.5 * (I + x X + y Y + z Z) for ||r|| <= 1."""
     x, y, z = (float(c) for c in r)
     norm = np.sqrt(x * x + y * y + z * z)
-    if norm > 1.0 + policy.psd_tol:
+    if norm > 1.0 + PSD_TOL:
         raise ValidationError(f"Bloch vector has norm {norm:.9f} > 1")
     m = 0.5 * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
     if norm > 1.0:  # numerical drift just outside the ball
-        return project_to_density(m, policy=policy)
-    return DensityMatrix(m, policy=policy)
+        return project_to_density(m)
+    return DensityMatrix(m)

@@ -49,7 +49,7 @@ from .classifiers import (
     classify,
     classify_batch,
 )
-from .config import DEFAULT_POLICY, NumericPolicy
+from .config import TIE_TOL
 from .errors import MisclassifiedInput, ValidationError
 from .states import (
     DensityMatrix,
@@ -87,13 +87,11 @@ def _require_epsilon(eps: float) -> float:
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Knobs for the verification drivers."""
+    """Settings of the dataset driver :func:`verify_dataset`."""
 
     mode: str = MIXED  # "mixed": adversaries range over density matrices;
     #                    "pure": pure-state adversaries for pure entries
     seed: int = 0  # recorded in reports; no computation draws on it
-    policy: NumericPolicy = DEFAULT_POLICY
-    collect_adversarial: bool = True
 
     def __post_init__(self):
         if self.mode not in (MIXED, PURE):
@@ -158,28 +156,20 @@ class PureBound:
     per_class: dict
 
 
-def margin_robust_bound(
-    classifier: Classifier,
-    state,
-    eps: float,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> bool:
+def margin_robust_bound(classifier: Classifier, state, eps: float) -> bool:
     """Margin certificate: sqrt(p_1) - sqrt(p_2) > sqrt(2 eps).
 
     True certifies eps-robustness; False is inconclusive, not a
     counterexample.
     """
     eps = _require_epsilon(eps)
-    outcome = classify(classifier, state, policy=policy)
+    outcome = classify(classifier, state)
     return outcome.margin > np.sqrt(2.0 * eps)
 
 
-def _label_for(
-    classifier: Classifier, state, label: int | None, policy: NumericPolicy
-) -> int:
+def _label_for(classifier: Classifier, state, label: int | None) -> int:
     """The predicted label, checked against ``label`` when one is stated."""
-    predicted = classify(classifier, state, policy=policy).label_index
+    predicted = classify(classifier, state).label_index
     if label is None:
         return predicted
     if predicted != label:
@@ -242,9 +232,13 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
     return float(np.exp(x))
 
 
+# A witness pushed strictly inside the rival class may lie this far beyond
+# delta; a dearer one is replaced by the boundary witness.
+WITNESS_BUDGET = 1e-6
+
+
 def _dual_bound(
-    a: np.ndarray, r: np.ndarray, factor: np.ndarray, tied: bool, flip: float,
-    budget: float = 1e-6,
+    a: np.ndarray, r: np.ndarray, factor: np.ndarray, tied: bool
 ) -> tuple[float, np.ndarray]:
     """Dual bound for one rival class with gap eigenvalues ``a``, and its witness.
 
@@ -258,18 +252,19 @@ def _dual_bound(
     ``Q = tr(C rho C)`` (tending to rho as u grows, the curve of a tied rho):
     ``W = C factor / sqrt(Q)`` has fidelity ``S^2 / Q`` and, as
     ``u Q = S - psi Q``, distance ``1 - u S - psi S <= delta - psi S``.  It
-    is taken where ``psi = -flip``, strictly inside the rival class, when
-    ``a_min < -flip`` and that costs at most ``budget`` beyond delta; else
-    where ``psi = 0``.  When psi cannot reach the target (the ratio is
-    clamped: rho does not weigh the lowest eigenvector ``v_0``), a column
-    ``sqrt(m) v_0``, ``m = (psi - target) / (psi - a_min)``, brings
-    ``tr(A sigma)`` onto it and scales F by ``1 - m``.  Its phase is a
+    is taken where ``psi = -2 TIE_TOL``, strictly inside the rival class,
+    when ``a_min`` lies below that and it costs at most ``WITNESS_BUDGET``
+    beyond delta; else where ``psi = 0``.  When psi cannot reach the
+    target (the ratio is clamped: rho does not weigh the lowest eigenvector
+    ``v_0``), a column ``sqrt(m) v_0``, ``m = (psi - target) / (psi -
+    a_min)``, brings ``tr(A sigma)`` onto it and scales F by ``1 - m``.  Its phase is a
     quarter turn from the first column's v_0 entry, so for pure rho the
     sum of the columns is a pure witness with the same ``|<v_i|phi>|^2``
     and the same overlap with rho.  Taking ``r`` and W from the factor
     keeps rounding noise on the lowest eigenspace quadratic, so ``C``
     cannot blow it up.
     """
+    flip = 2.0 * TIE_TOL
     d = a - a[0]
     delta = 0.0
     if not tied:
@@ -281,7 +276,7 @@ def _dual_bound(
         q = float(rc2.sum())
         psi = float(a @ rc2) / q
         m = (psi - target) / (psi - float(a[0])) if psi > target else 0.0
-        if 1.0 - (1.0 - m) * float(r @ c) ** 2 / q <= delta + budget:
+        if 1.0 - (1.0 - m) * float(r @ c) ** 2 / q <= delta + WITNESS_BUDGET:
             break
     x = c[:, None] * factor * np.sqrt((1.0 - m) / q)
     kernel = np.zeros((len(a), 1), dtype=complex)
@@ -290,11 +285,7 @@ def _dual_bound(
 
 
 def compute_optimal_bound(
-    classifier: Classifier,
-    state,
-    label: int | None = None,
-    *,
-    options: VerifyOptions | None = None,
+    classifier: Classifier, state, label: int | None = None
 ) -> OptimalBound:
     """Optimal robust bound delta = min over rival classes of the class-flip
     distance, each from the two-multiplier fidelity dual.
@@ -306,11 +297,9 @@ def compute_optimal_bound(
     measured on the built sigma*: ``1 - <psi|sigma*|psi>`` for pure psi,
     ``1 - F(rho, sigma*)`` otherwise.
     """
-    opts = options or VerifyOptions()
-    policy = opts.policy
     pure = isinstance(state, PureState)
-    root = state.amplitudes[:, None] if pure else matrix_sqrt_psd(state.matrix, policy=policy)
-    label = _label_for(classifier, state, label, policy)
+    root = state.amplitudes[:, None] if pure else matrix_sqrt_psd(state.matrix)
+    label = _label_for(classifier, state, label)
 
     per_class: dict = {}
     best = None  # (delta_k, k, witness factor W_k in the gap eigenbasis)
@@ -326,7 +315,7 @@ def compute_optimal_bound(
         r = (np.abs(factor) ** 2).sum(axis=1)
         tied = float(a @ r) <= 0.0
         solves += not tied
-        delta_k, w_k = _dual_bound(a, r, factor, tied, 2.0 * policy.tie_tol)
+        delta_k, w_k = _dual_bound(a, r, factor, tied)
         per_class[k] = delta_k
         if best is None or delta_k < best[0]:
             best = (delta_k, k, w_k)
@@ -338,13 +327,13 @@ def compute_optimal_bound(
         )
     delta, k_star, w_k = best
     witness = classifier.gap_spectrum(label, k_star)[1] @ w_k
-    sigma_star = DensityMatrix(witness @ witness.conj().T, policy=policy)
+    sigma_star = DensityMatrix(witness @ witness.conj().T)
     phi_star = None
     if pure:
-        phi_star = PureState(witness.sum(axis=1), policy=policy)  # unit norm already
+        phi_star = PureState(witness.sum(axis=1))  # unit norm already
         distance = 1.0 - float(np.linalg.norm(witness.conj().T @ state.amplitudes)) ** 2
     else:
-        distance = 1.0 - fidelity(state, sigma_star, policy=policy)
+        distance = 1.0 - fidelity(state, sigma_star)
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
         per_class=per_class, label=label, witness_distance=distance,
@@ -353,12 +342,7 @@ def compute_optimal_bound(
 
 
 def check_epsilon_robust(
-    classifier: Classifier,
-    state,
-    label: int | None,
-    eps: float,
-    *,
-    options: VerifyOptions | None = None,
+    classifier: Classifier, state, label: int | None, eps: float
 ) -> RobustnessCheck:
     """eps-robustness decision by thresholding the optimal bound.
 
@@ -367,7 +351,7 @@ def check_epsilon_robust(
     optimal witness ``sigma_star`` at its measured distance.
     """
     eps = _require_epsilon(eps)
-    bound = compute_optimal_bound(classifier, state, label, options=options)
+    bound = compute_optimal_bound(classifier, state, label)
     per_class = {
         k: delta_k is not None and delta_k < eps
         for k, delta_k in bound.per_class.items()
@@ -398,11 +382,12 @@ def pure_state_optimal_bound(
     (Toeplitz-Hausdorff), so the pure-state bound equals the mixed bound
     of :func:`compute_optimal_bound`, and its pure witness ``phi_star``
     sits at the same distance and on the same side of the decision
-    boundary.
+    boundary.  ``options`` is accepted for call compatibility and unused:
+    the bound has no settings.
     """
     if not isinstance(psi, PureState):
         psi = PureState(psi)
-    bound = compute_optimal_bound(classifier, psi, label, options=options)
+    bound = compute_optimal_bound(classifier, psi, label)
     return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
                      argmin_class=bound.argmin_class, phi_star=bound.phi_star,
                      per_class=bound.per_class)
@@ -453,11 +438,7 @@ class VerificationReport:
 
 
 def under_robust_accuracy(
-    classifier: Classifier,
-    dataset: LabeledDataset,
-    eps: float,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    classifier: Classifier, dataset: LabeledDataset, eps: float
 ) -> float:
     """Margin-only under-approximation of the robust accuracy.
 
@@ -469,7 +450,7 @@ def under_robust_accuracy(
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
     states = [state for state, _label in dataset]
-    margins = classify_batch(classifier, states, policy=policy).margins
+    margins = classify_batch(classifier, states).margins
     flagged = int(np.count_nonzero(margins <= np.sqrt(2.0 * eps)))
     return 1.0 - flagged / len(dataset)
 
@@ -491,7 +472,6 @@ def verify_dataset(
     """
     eps = _require_epsilon(eps)
     opts = options or VerifyOptions()
-    policy = opts.policy
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
     dataset.check_compatible(classifier)
@@ -499,7 +479,7 @@ def verify_dataset(
     t_start = time.perf_counter()
     threshold = np.sqrt(2.0 * eps)
     states, labels = zip(*dataset)
-    batch = classify_batch(classifier, states, policy=policy)
+    batch = classify_batch(classifier, states)
     correct = batch.labels == labels
     certified = batch.margins > threshold
     n = len(dataset)
@@ -543,7 +523,7 @@ def verify_dataset(
     solver_stats = {"sdp_solves": 0}
     adversarial: list[AdversarialWitness] = []
     for i, state, label, base in jobs:
-        bound = compute_optimal_bound(classifier, state, label, options=opts)
+        bound = compute_optimal_bound(classifier, state, label)
         solver_stats["sdp_solves"] += bound.solves
         robust = bound.robust_at(eps)
         witness = None
@@ -555,8 +535,7 @@ def verify_dataset(
             witness = AdversarialWitness(
                 sigma, bound.argmin_class, distance, source_index=i
             )
-            if opts.collect_adversarial:
-                adversarial.append(witness)
+            adversarial.append(witness)
         verdicts[i] = StateVerdict(
             status="ok",
             delta=bound.delta,

@@ -159,6 +159,12 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             unitary_channel(np.diag([1.0, 0.5]))
 
+    def test_measure_and_control_rejects_non_unitary(self):
+        m0 = np.diag([1.0, 0.0]).astype(complex)
+        m1 = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(ValidationError, match="controlled operation is not"):
+            measure_and_control([m0, m1], [np.eye(2), np.diag([1.0, 0.5])])
+
     def test_rejects_bad_strength(self):
         with pytest.raises(ValidationError):
             depolarizing(1.5)

@@ -150,9 +150,13 @@ class TestVerifyCommand:
         doc = json.loads(report_path.read_text())
         assert doc["oracle_check"]["consistent"] == doc["oracle_check"]["checked"]
 
-    def test_bad_epsilon_exits_2(self, case_files):
-        classifier_path, dataset_path = case_files
-        assert main(["verify", classifier_path, dataset_path, "--epsilon", "2.0"]) == 2
+    @pytest.mark.parametrize("command", ["verify", "bound", "oracle-check"])
+    @pytest.mark.parametrize("eps", ["0", "1", "-0.1", "2.0"])
+    def test_bad_epsilon_exits_2(self, tmp_path, capsys, command, eps):
+        # The input files do not exist: epsilon is rejected before any is read.
+        missing = str(tmp_path / "missing.json")
+        assert main([command, missing, missing, "--epsilon", eps]) == 2
+        assert "epsilon must be in (0, 1)" in capsys.readouterr().err
 
     def test_pure_mode_end_to_end(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files

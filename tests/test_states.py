@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrv.config import DEFAULT_POLICY
 from qrv.errors import DimensionMismatch, ValidationError
 from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import (
