@@ -37,7 +37,7 @@ def dimension_cap() -> int:
 
     Defaults to 256 (8 qubits); override with the QRV_MAX_DIM environment
     variable.  The optimal bound costs a few dense eigendecompositions per
-    state, cubic in the dimension (about 0.09 s for one mixed-state bound
+    state, cubic in the dimension (about 0.06 s for one mixed-state bound
     at dim 256 on a 2-vCPU Xeon), and every dense matrix takes 16 dim^2
     bytes, so the cap bounds run time and memory.
     """

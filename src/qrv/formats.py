@@ -5,11 +5,20 @@ Complex numbers are serialized as two-element ``[re, im]`` arrays
 everywhere; matrices are dense row-major nested lists of those pairs.
 All documents carry ``"format": "qrv/1"``.  Floats use Python's
 shortest-round-trip representation, so parse(emit(x)) == x bit for bit.
+
+Arrays are converted whole: emitting views the complex array as float
+pairs, and parsing builds one float array and views it as complex once a
+C-level scan has found only int and float in the pairs and the shape is
+regular.  Anything else falls back to a per-element walk, which reports
+the first bad element with its path.  :func:`write_json` writes compact
+JSON (CPython's C encoder); the reader accepts any layout, including the
+indented one earlier versions wrote.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -49,16 +58,29 @@ FORMAT_TAG = "qrv/1"
 # Low-level encoding
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def vector_to_json(v: np.ndarray) -> list:
-    return [_pair(z) for z in np.asarray(v).ravel()]
+    a = np.ascontiguousarray(v, dtype=complex).ravel()
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m)]
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
+
+
+def _fast_complex(pairs, obj: list, ndim: int) -> np.ndarray | None:
+    """``obj`` as a complex array of ``ndim`` dims when ``pairs`` (its
+    flattened [re, im] pairs) hold only int and float and the shape is
+    regular; None otherwise, so the caller's walk reports what is wrong."""
+    try:
+        if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+            return None
+        a = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        return None
+    return a.view(complex).reshape(a.shape[:-1])
 
 
 def _parse_pair(obj: Any, path: str) -> complex:
@@ -74,12 +96,19 @@ def _parse_pair(obj: Any, path: str) -> complex:
 def parse_vector(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("expected a non-empty array of [re, im] pairs", path)
+    fast = _fast_complex(obj, obj, 1)
+    if fast is not None:
+        return fast
     return np.array([_parse_pair(x, f"{path}[{i}]") for i, x in enumerate(obj)])
 
 
 def parse_matrix(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("expected a non-empty array of rows", path)
+    if set(map(type, obj)) == {list}:
+        fast = _fast_complex(chain.from_iterable(obj), obj, 2)
+        if fast is not None:
+            return fast
     rows = []
     width = None
     for i, row in enumerate(obj):
@@ -324,8 +353,7 @@ def emit_report(report: VerificationReport, *, include_timings: bool = True) -> 
 
 def write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def read_json(path) -> dict:

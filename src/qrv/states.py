@@ -243,8 +243,12 @@ def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 def sqrt_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
     _check_same_dims(rho, sigma)
-    root = matrix_sqrt_psd(rho.matrix)
-    inner = root @ sigma.matrix @ root
+    return _sqrt_fidelity_from_root(matrix_sqrt_psd(rho.matrix), sigma.matrix)
+
+
+def _sqrt_fidelity_from_root(root: np.ndarray, sigma: np.ndarray) -> float:
+    """:func:`sqrt_fidelity` given ``root = matrix_sqrt_psd(rho)``."""
+    inner = root @ sigma @ root
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     value = float(np.sum(np.sqrt(_suppress_spectral_junk(w))))
     return min(max(value, 0.0), 1.0)

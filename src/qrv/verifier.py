@@ -54,7 +54,7 @@ from .errors import MisclassifiedInput, ValidationError
 from .states import (
     DensityMatrix,
     PureState,
-    fidelity,
+    _sqrt_fidelity_from_root,
     matrix_sqrt_psd,
 )
 
@@ -333,7 +333,7 @@ def compute_optimal_bound(
         phi_star = PureState(witness.sum(axis=1))  # unit norm already
         distance = 1.0 - float(np.linalg.norm(witness.conj().T @ state.amplitudes)) ** 2
     else:
-        distance = 1.0 - fidelity(state, sigma_star)
+        distance = 1.0 - _sqrt_fidelity_from_root(root, sigma_star.matrix) ** 2
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
         per_class=per_class, label=label, witness_distance=distance,

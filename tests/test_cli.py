@@ -264,15 +264,49 @@ class TestEncodeImage:
         assert small.mean() == pytest.approx(img.mean(), abs=1e-12)
 
 
-def test_cli_import_does_not_load_scipy():
-    # The verify path needs only numpy; scipy belongs to the SDP oracle
-    # (qrv.sdp), which the CLI does not import.
+def _python(code, **env_set):
+    """stdout of ``python -c code`` with src on the path, no inherited
+    OPENBLAS_NUM_THREADS, and ``env_set`` added to the environment."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, qrv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env.update(env_set)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # The verify path needs only numpy; scipy belongs to the SDP oracle
+    # (qrv.sdp), which the CLI does not import.  Nor does it load the
+    # grid oracle, the samplers or the case study, which only some
+    # subcommands use.
+    code = ("import sys, qrv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('qrv.oracle', 'qrv.sampling', 'qrv.casestudy')))")
+    assert _python(code) == "[]"
+
+
+def test_package_import_is_lazy():
+    code = ("import os, sys, qrv; "
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _python(code) == "False None"
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
+def test_cli_defaults_to_one_blas_thread(user_value, expected):
+    code = "import os, qrv.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env_set = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
+    assert _python(code, **env_set) == expected
+
+
+def test_lazy_exports_resolve():
+    import qrv
+
+    for name in qrv.__all__:
+        assert getattr(qrv, name) is not None
+    assert set(qrv.__all__) <= set(dir(qrv))
+    with pytest.raises(AttributeError):
+        getattr(qrv, "no_such_name")

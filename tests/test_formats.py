@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrv.casestudy import generate_qubit_case_study
 from qrv.errors import SchemaError
@@ -13,10 +14,16 @@ from qrv.formats import (
     emit_dataset,
     emit_report,
     emit_state,
+    load_dataset,
+    matrix_to_json,
     parse_channel,
     parse_classifier,
     parse_dataset,
+    parse_matrix,
     parse_state,
+    parse_vector,
+    vector_to_json,
+    write_json,
 )
 from qrv.classifiers import LabeledDataset, classify
 from qrv.sampling import (
@@ -168,3 +175,101 @@ class TestReportEmission:
             for entry, witness in zip(sidecar["states"], report.adversarial):
                 assert entry["source_index"] == witness.source_index
                 assert entry["label"] == train.entries[witness.source_index][1]
+
+
+# Finite doubles with -0.0, subnormals and extreme exponents all likely.
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+def _complex_array(shape):
+    n = int(np.prod(shape))
+    return st.lists(_floats, min_size=2 * n, max_size=2 * n).map(
+        lambda xs: np.array(xs, dtype=float).view(complex).reshape(shape)
+    )
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_vector_round_trip_bit_exact(self, data, n):
+        v = data.draw(_complex_array((n,)))
+        doc = round_trip(vector_to_json(v))
+        assert doc == [[z.real, z.imag] for z in v.tolist()]
+        assert _same_bits(parse_vector(doc, "$"), v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5))
+    def test_matrix_round_trip_bit_exact(self, data, rows, cols):
+        m = data.draw(_complex_array((rows, cols)))
+        back = parse_matrix(round_trip(matrix_to_json(m)), "$")
+        assert _same_bits(back, m)
+        # The per-element reference: complex(re, im) for every pair.
+        reference = np.array([[complex(*pair) for pair in row]
+                              for row in round_trip(matrix_to_json(m))])
+        assert _same_bits(back, reference)
+
+    def test_integer_entries_convert_like_complex(self):
+        big = [2**53 + 1, -(2**63) - 1, 3 * 2**900 + 1]
+        back = parse_vector([[x, -x] for x in big], "$")
+        assert _same_bits(back, np.array([complex(x, -x) for x in big]))
+
+    @pytest.mark.parametrize(
+        "parse, obj, message",
+        [
+            (parse_vector, [[1.0, 0.0], [True, 0.0]],
+             "$[1]: complex numbers must be [re, im] number pairs"),
+            (parse_vector, [[1.0, "0"]],
+             "$[0]: complex numbers must be [re, im] number pairs"),
+            (parse_vector, [[None, 0.0]],
+             "$[0]: complex numbers must be [re, im] number pairs"),
+            (parse_vector, [[1.0, 0.0], [1.0, 0.0, 0.0]],
+             "$[1]: complex numbers must be [re, im] number pairs"),
+            (parse_vector, [[1.0, [0.0]]],
+             "$[0]: complex numbers must be [re, im] number pairs"),
+            (parse_vector, [{"re": 1.0, "im": 0.0}],
+             "$[0]: complex numbers must be [re, im] number pairs"),
+            (parse_vector, {"re": 1.0, "im": 0.0},
+             "$: expected a non-empty array of [re, im] pairs"),
+            (parse_matrix, [[[1.0, 0.0]], [[0.0, False]]],
+             "$[1][0]: complex numbers must be [re, im] number pairs"),
+            (parse_matrix, [[[1.0, 0.0], [0.0, None]]],
+             "$[0][1]: complex numbers must be [re, im] number pairs"),
+            (parse_matrix, [[[1.0, 0.0, 0.0]]],
+             "$[0][0]: complex numbers must be [re, im] number pairs"),
+            (parse_matrix, [[[[1.0], 0.0]]],
+             "$[0][0]: complex numbers must be [re, im] number pairs"),
+            (parse_matrix, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+             "$[1]: row has 1 entries, expected 2"),
+            (parse_matrix, [[[1.0, 0.0]], []],
+             "$[1]: matrix rows must be non-empty arrays"),
+            (parse_matrix, [[[1.0, 0.0]], {"0": [1.0, 0.0]}],
+             "$[1]: matrix rows must be non-empty arrays"),
+            (parse_matrix, [[[1.0, 0.0]], [{"re": 1.0, "im": 0.0}]],
+             "$[1][0]: complex numbers must be [re, im] number pairs"),
+        ],
+    )
+    def test_rejections_keep_message_and_path(self, parse, obj, message):
+        with pytest.raises(SchemaError) as err:
+            parse(obj, "$")
+        assert str(err.value) == message
+
+    def test_indented_layout_still_loads(self, rng, tmp_path):
+        dataset = LabeledDataset(
+            [(random_pure_state(3, rng), 0), (random_density_matrix(3, rng), 1)]
+        )
+        doc = emit_dataset(dataset)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        write_json(new, doc)
+        assert "\n" not in new.read_text().rstrip("\n")
+        assert json.loads(new.read_text()) == doc
+        assert emit_dataset(load_dataset(old)) == doc
+        assert emit_dataset(load_dataset(new)) == doc

@@ -83,6 +83,16 @@ class TestOptimalBound:
             distance = 1.0 - fidelity(state, bound.sigma_star)
             assert distance == pytest.approx(bound.delta, abs=1e-5)
 
+    def test_mixed_witness_distance_is_the_public_fidelity(self, rng):
+        # The re-check reuses the bound's sqrt(rho); it must give exactly
+        # what fidelity() gives on the returned witness.
+        for dim in (2, 5, 16):
+            classifier, state, label = classified_instance(rng, dim=dim, n_classes=3)
+            bound = compute_optimal_bound(classifier, state, label)
+            if not bound.unbounded:
+                expected = 1.0 - fidelity(state, bound.sigma_star)
+                assert bound.witness_distance == expected
+
     def test_margin_consistency(self, rng):
         # The margin certificate is a lower bound on the exact radius:
         # delta >= margin^2 / 2.
