@@ -2,7 +2,9 @@
 
 The margin bound filters out everything it can certify in one pass of
 classification; only the leftovers pay for the exact bound (one dual
-solve per rival class).
+solve per rival class).  The bound does not depend on the radius, so one
+call verifies the whole table: each leftover entry is bounded once, and
+every radius thresholds that bound.
 The under-approximated robust accuracy (margin row) never exceeds the
 exact one, both fall as the radius grows, and the filter row costs a
 tiny fraction of the exact row's time.
@@ -13,7 +15,7 @@ import time
 from qrv import (
     generate_qubit_case_study,
     under_robust_accuracy,
-    verify_dataset,
+    verify_epsilons,
 )
 from qrv.classifiers import accuracy
 
@@ -23,12 +25,11 @@ print(f"regenerated qubit case study: {len(train)} training states, "
 
 epsilons = (0.001, 0.002, 0.003, 0.004)
 rows = []
-for eps in epsilons:
+reports = verify_epsilons(classifier, train, epsilons)
+for eps, report in zip(epsilons, reports):
     t0 = time.perf_counter()
     ura = under_robust_accuracy(classifier, train, eps)
-    t_ura = time.perf_counter() - t0
-    report = verify_dataset(classifier, train, eps)
-    rows.append((eps, ura, t_ura, report))
+    rows.append((eps, ura, time.perf_counter() - t0, report))
 
 header = "".join(f"  eps={eps:<8}" for eps in epsilons)
 print(f"\n{'Robust Accuracy (%)':<32}{header}")
@@ -36,6 +37,8 @@ print(f"{'  margin bound (under-approx)':<32}"
       + "".join(f"  {100 * ura:>10.2f}" for _, ura, _, _ in rows))
 print(f"{'  exact verification':<32}"
       + "".join(f"  {100 * r.robust_accuracy:>10.2f}" for *_, r in rows))
+# A column's exact time is the shared classification plus the bound time of
+# that radius's exact entries: what verifying at that radius alone costs.
 print("Verification time (s)")
 print(f"{'  margin bound (under-approx)':<32}"
       + "".join(f"  {t:>10.4f}" for _, _, t, _ in rows))

@@ -45,6 +45,7 @@ _EXPORTS = {
         "StateVerdict", "VerificationReport", "VerifyOptions",
         "check_epsilon_robust", "compute_optimal_bound", "margin_robust_bound",
         "pure_state_optimal_bound", "under_robust_accuracy", "verify_dataset",
+        "verify_epsilons",
     ),
     "oracle": (
         "SearchGrid", "bloch_grid_min_distance", "pure_sphere_min_distance",

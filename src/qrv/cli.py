@@ -32,7 +32,7 @@ import numpy as np
 from .classifiers import accuracy, classify_batch
 from .errors import QrvError, SchemaError, ValidationError
 from . import formats
-from .verifier import VerifyOptions, under_robust_accuracy, verify_dataset
+from .verifier import VerifyOptions, under_robust_accuracy, verify_epsilons
 
 EXIT_OK = 0
 EXIT_NON_ROBUST = 1
@@ -47,6 +47,11 @@ def _sig4(x: float) -> str:
     if x == 0:
         return "0.000"
     return f"{x:.4g}"
+
+
+def _row(title: str, cells) -> None:
+    """One table row: a 34-wide title, then 16-wide right-aligned cells."""
+    print(f"{title:<34}" + "".join(f"  {cell:>14}" for cell in cells))
 
 
 def _parse_epsilons(raw: str) -> tuple[float, ...]:
@@ -110,41 +115,49 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _oracle_cross_check(classifier, dataset, report, eps, resolution):
+def _oracle_cross_check(classifier, dataset, reports, resolution):
     """Grid-oracle consistency check for the entries that needed exact
-    solves.
+    solves, one check document per report.
 
     The grid minimum upper-bounds the exact bound, so two violations are
     possible: the grid found a class change closer than the certified
     optimum, or it exhibits a concrete adversarial example inside the
     ball for a state the verifier called robust.  A coarse grid finding
     nothing is not evidence of robustness and is never counted against
-    the verifier.
+    the verifier.  The grid search does not depend on epsilon, so each
+    entry is searched once for all reports.
     """
     from . import oracle
 
     grid = oracle.SearchGrid(resolution=resolution)
-    checked = consistent = 0
-    details = []
-    for verdict in report.verdicts:
-        if verdict.status != "ok" or verdict.margin_certified:
-            continue
-        state, label = dataset.entries[verdict.index]
-        rho = state.density() if hasattr(state, "density") else state
-        delta_hat, _ = oracle.bloch_grid_min_distance(classifier, rho, label, grid)
-        checked += 1
-        delta = np.inf if verdict.delta_unbounded else verdict.delta
-        undershoot = delta_hat < delta - 1e-4
-        missed_witness = bool(verdict.robust) and delta_hat <= eps - 1e-6
-        ok = not (undershoot or missed_witness)
-        consistent += ok
-        details.append(
-            {"index": verdict.index, "delta": verdict.delta,
-             "oracle_delta_upper": None if np.isinf(delta_hat) else delta_hat,
-             "consistent": ok}
-        )
-    return {"resolution": resolution, "checked": checked,
-            "consistent": consistent, "details": details}
+    grid_min = {}
+    checks = []
+    for report in reports:
+        checked = consistent = 0
+        details = []
+        for verdict in report.verdicts:
+            if verdict.status != "ok" or verdict.margin_certified:
+                continue
+            if verdict.index not in grid_min:
+                state, label = dataset.entries[verdict.index]
+                rho = state.density() if hasattr(state, "density") else state
+                grid_min[verdict.index] = oracle.bloch_grid_min_distance(
+                    classifier, rho, label, grid)[0]
+            delta_hat = grid_min[verdict.index]
+            checked += 1
+            delta = np.inf if verdict.delta_unbounded else verdict.delta
+            undershoot = delta_hat < delta - 1e-4
+            missed_witness = bool(verdict.robust) and delta_hat <= report.epsilon - 1e-6
+            ok = not (undershoot or missed_witness)
+            consistent += ok
+            details.append(
+                {"index": verdict.index, "delta": verdict.delta,
+                 "oracle_delta_upper": None if np.isinf(delta_hat) else delta_hat,
+                 "consistent": ok}
+            )
+        checks.append({"resolution": resolution, "checked": checked,
+                       "consistent": consistent, "details": details})
+    return checks
 
 
 def _cmd_verify(args) -> int:
@@ -156,74 +169,55 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--oracle requires a dimension-2 classifier", args.classifier)
 
     options = VerifyOptions(mode=args.mode, seed=args.seed)
-    columns = []
-    any_non_robust = False
-    for eps in epsilons:
-        report = verify_dataset(classifier, dataset, eps, options=options)
-        ura = report.under_approx_robust_accuracy
-        ura_seconds = report.timings["margin_seconds"]
-        any_non_robust = any_non_robust or report.adversarial_count > 0
+    reports = verify_epsilons(classifier, dataset, epsilons, options=options)
+    docs = []
+    for report in reports:
         doc = formats.emit_report(report, include_timings=not args.omit_timings)
-        doc["under_approx_seconds"] = None if args.omit_timings else ura_seconds
-        if args.oracle:
-            doc["oracle_check"] = _oracle_cross_check(
-                classifier, dataset, report, eps, args.oracle_resolution
-            )
-        columns.append((eps, ura, ura_seconds, report, doc))
+        doc["under_approx_seconds"] = (
+            None if args.omit_timings else report.timings["margin_seconds"])
+        docs.append(doc)
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
+    if args.oracle:
+        checks = _oracle_cross_check(classifier, dataset, reports, args.oracle_resolution)
+        for doc, check in zip(docs, checks):
+            doc["oracle_check"] = check
 
-    header = "".join(f"  eps={_sig4(eps):>10}" for eps, *_ in columns)
-    print(f"{'Robust Accuracy (%)':<34}{header}")
-    print(
-        f"{'  margin bound (under-approx)':<34}"
-        + "".join(f"  {100 * ura:>14.2f}" for _, ura, *_ in columns)
-    )
-    print(
-        f"{'  exact verification':<34}"
-        + "".join(f"  {100 * col[3].robust_accuracy:>14.2f}" for col in columns)
-    )
+    _row("Robust Accuracy (%)", [f"eps={_sig4(r.epsilon):>10}" for r in reports])
+    _row("  margin bound (under-approx)",
+         [f"{100 * r.under_approx_robust_accuracy:.2f}" for r in reports])
+    _row("  exact verification", [f"{100 * r.robust_accuracy:.2f}" for r in reports])
     print("Verification time (s)")
-    print(
-        f"{'  margin bound (under-approx)':<34}"
-        + "".join(f"  {_sig4(col[2]):>14}" for col in columns)
-    )
-    print(
-        f"{'  exact verification':<34}"
-        + "".join(f"  {_sig4(col[3].timings['total_seconds']):>14}" for col in columns)
-    )
-    for eps, _, _, report, doc in columns:
+    _row("  margin bound (under-approx)",
+         [_sig4(r.timings["margin_seconds"]) for r in reports])
+    _row("  exact verification", [_sig4(r.timings["total_seconds"]) for r in reports])
+    for report, doc in zip(reports, docs):
         extra = ""
         if args.oracle:
             oc = doc["oracle_check"]
             extra = f", oracle consistency {oc['consistent']}/{oc['checked']}"
         print(
-            f"eps={_sig4(eps)}: {report.adversarial_count} adversarial example(s), "
-            f"{report.n_states - report.n_correct} misclassified{extra}"
+            f"eps={_sig4(report.epsilon)}: {report.adversarial_count} adversarial "
+            f"example(s), {report.n_states - report.n_correct} misclassified{extra}"
         )
 
     if args.report:
-        if len(columns) == 1:
-            formats.write_json(args.report, columns[0][4])
+        if len(docs) == 1:
+            formats.write_json(args.report, docs[0])
         else:
             formats.write_json(
                 args.report,
-                {
-                    "format": formats.FORMAT_TAG,
-                    "kind": "verification_report_set",
-                    "runs": [doc for *_, doc in columns],
-                },
+                {"format": formats.FORMAT_TAG, "kind": "verification_report_set",
+                 "runs": docs},
             )
     if args.adversarial:
-        sidecar_entries = []
-        for *_, report, _doc in columns:
-            sidecar_entries.extend(report.adversarial)
         formats.write_json(
             args.adversarial,
-            formats.emit_adversarial_sidecar(sidecar_entries, dataset),
+            formats.emit_adversarial_sidecar(
+                [w for r in reports for w in r.adversarial], dataset),
         )
 
-    if any_non_robust and args.strict:
+    if args.strict and any(r.adversarial_count for r in reports):
         return EXIT_NON_ROBUST
     return EXIT_OK
 
@@ -238,15 +232,9 @@ def _cmd_bound(args) -> int:
         t0 = time.perf_counter()
         ura = under_robust_accuracy(classifier, dataset, eps)
         rows.append((eps, ura, time.perf_counter() - t0))
-    header = "".join(f"  eps={_sig4(eps):>10}" for eps, *_ in rows)
-    print(f"{'Robust Accuracy (%)':<34}{header}")
-    print(
-        f"{'  margin bound (under-approx)':<34}"
-        + "".join(f"  {100 * ura:>14.2f}" for _, ura, _ in rows)
-    )
-    print(
-        f"{'Time (s)':<34}" + "".join(f"  {_sig4(t):>14}" for *_, t in rows)
-    )
+    _row("Robust Accuracy (%)", [f"eps={_sig4(eps):>10}" for eps, *_ in rows])
+    _row("  margin bound (under-approx)", [f"{100 * ura:.2f}" for _, ura, _ in rows])
+    _row("Time (s)", [_sig4(t) for *_, t in rows])
     if args.report:
         formats.write_json(
             args.report,
@@ -297,18 +285,17 @@ def _cmd_encode_image(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    eps = _parse_epsilons(args.epsilon)
-    if len(eps) != 1:
+    epsilons = _parse_epsilons(args.epsilon)
+    if len(epsilons) != 1:
         raise ValidationError("oracle-check takes a single epsilon")
-    eps = eps[0]
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
     if classifier.dim != 2:
         raise SchemaError("oracle-check requires a dimension-2 classifier",
                           args.classifier)
-    report = verify_dataset(classifier, dataset, eps)
-    check = _oracle_cross_check(classifier, dataset, report, eps, args.resolution)
+    reports = verify_epsilons(classifier, dataset, epsilons)
+    check = _oracle_cross_check(classifier, dataset, reports, args.resolution)[0]
     print(
         f"oracle cross-check at resolution {args.resolution}^3: "
         f"{check['consistent']}/{check['checked']} exact verdicts consistent "

@@ -24,10 +24,12 @@ verification stack:
 * pure-state adversaries: for pure rho the pure-state bound equals
   delta (the joint numerical range of two Hermitian forms is convex,
   Toeplitz-Hausdorff), and the witness is the pure state ``C psi``;
-* dataset drivers that classify the whole dataset in one contraction,
-  filter with the margin bound and fall back to the exact bound only
+* a dataset driver that classifies the whole dataset in one contraction,
+  filters with the margin bound and falls back to the exact bound only
   where the filter is inconclusive, collecting adversarial examples
-  along the way.
+  along the way.  delta does not depend on epsilon, so one pass serves a
+  whole table of radii: each entry gets at most one bound, and every
+  radius thresholds it.
 
 Misclassified dataset entries are a correctness failure, not a
 robustness failure: they are excluded from robustness verdicts and
@@ -70,6 +72,7 @@ __all__ = [
     "compute_optimal_bound",
     "check_epsilon_robust",
     "pure_state_optimal_bound",
+    "verify_epsilons",
     "verify_dataset",
     "under_robust_accuracy",
 ]
@@ -87,7 +90,7 @@ def _require_epsilon(eps: float) -> float:
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Settings of the dataset driver :func:`verify_dataset`."""
+    """Settings of the dataset driver :func:`verify_epsilons`."""
 
     mode: str = MIXED  # "mixed": adversaries range over density matrices;
     #                    "pure": pure-state adversaries for pure entries
@@ -123,7 +126,6 @@ class OptimalBound:
     argmin_class: int | None
     sigma_star: DensityMatrix | None
     per_class: dict
-    label: int  # the class whose robustness is bounded
     witness_distance: float | None = None
     phi_star: PureState | None = None  # set for pure inputs only
     solves: int = 0  # dual bound solves, one per rival class that needs one
@@ -136,8 +138,6 @@ class OptimalBound:
 class RobustnessCheck:
     robust: bool
     witness: AdversarialWitness | None
-    per_class_feasible: dict
-    solves: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,7 @@ class PureBound:
     status: str
     delta: float | None
     unbounded: bool
-    argmin_class: int | None
     phi_star: PureState | None
-    per_class: dict
 
 
 def margin_robust_bound(classifier: Classifier, state, eps: float) -> bool:
@@ -323,7 +321,7 @@ def compute_optimal_bound(
     if best is None:
         return OptimalBound(
             delta=None, unbounded=True, argmin_class=None, sigma_star=None,
-            per_class=per_class, label=label, solves=solves,
+            per_class=per_class, solves=solves,
         )
     delta, k_star, w_k = best
     witness = classifier.gap_spectrum(label, k_star)[1] @ w_k
@@ -336,7 +334,7 @@ def compute_optimal_bound(
         distance = 1.0 - _sqrt_fidelity_from_root(root, sigma_star.matrix) ** 2
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
-        per_class=per_class, label=label, witness_distance=distance,
+        per_class=per_class, witness_distance=distance,
         phi_star=phi_star, solves=solves,
     )
 
@@ -346,22 +344,16 @@ def check_epsilon_robust(
 ) -> RobustnessCheck:
     """eps-robustness decision by thresholding the optimal bound.
 
-    The state is robust iff ``eps <= delta``; a rival class is feasible
-    when its own bound lies below eps.  A non-robust state carries the
-    optimal witness ``sigma_star`` at its measured distance.
+    The state is robust iff ``eps <= delta``; a non-robust state carries
+    the optimal witness ``sigma_star`` at its measured distance.
     """
     eps = _require_epsilon(eps)
     bound = compute_optimal_bound(classifier, state, label)
-    per_class = {
-        k: delta_k is not None and delta_k < eps
-        for k, delta_k in bound.per_class.items()
-    }
     witness = None
     if not bound.robust_at(eps):
         witness = AdversarialWitness(bound.sigma_star, bound.argmin_class,
                                      bound.witness_distance)
-    return RobustnessCheck(robust=witness is None, witness=witness,
-                           per_class_feasible=per_class, solves=bound.solves)
+    return RobustnessCheck(robust=witness is None, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +381,7 @@ def pure_state_optimal_bound(
         psi = PureState(psi)
     bound = compute_optimal_bound(classifier, psi, label)
     return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
-                     argmin_class=bound.argmin_class, phi_star=bound.phi_star,
-                     per_class=bound.per_class)
+                     phi_star=bound.phi_star)
 
 
 # ---------------------------------------------------------------------------
@@ -455,37 +446,46 @@ def under_robust_accuracy(
     return 1.0 - flagged / len(dataset)
 
 
-def verify_dataset(
+def verify_epsilons(
     classifier: Classifier,
     dataset: LabeledDataset,
-    eps: float,
+    epsilons,
     *,
     options: VerifyOptions | None = None,
-) -> VerificationReport:
-    """Filter-then-solve robustness verification of a labeled dataset.
+) -> list[VerificationReport]:
+    """Filter-then-solve robustness verification of a labeled dataset,
+    one report per radius in ``epsilons``, in the order given.
 
     The dataset is classified once, in one batch; misclassified entries
-    are recorded as correctness failures and skipped.  Entries whose margin passes the
-    certificate are robust with no further work; the rest get the exact
-    bound, and each non-robust entry contributes its witness to the
-    adversarial set R.  Robust accuracy is ``1 - |R| / |T|``.
+    are recorded as correctness failures and skipped.  At each radius,
+    entries whose margin passes the certificate are robust with no further
+    work; the rest are robust iff ``eps <= delta``, and each non-robust
+    entry contributes its witness to the adversarial set R.  Robust
+    accuracy is ``1 - |R| / |T|``.  As delta does not depend on the radius,
+    each correct entry the margin leaves undecided at the largest radius
+    gets one exact bound, shared by every radius.
+
+    Timings: ``margin_seconds`` is the shared classification;
+    ``exact_seconds`` sums the bound times of the entries exact at that
+    radius, the time a run at that radius alone would spend (so it does
+    not decrease as the radius grows); ``total_seconds`` is their sum.
     """
-    eps = _require_epsilon(eps)
+    epsilons = [_require_epsilon(eps) for eps in epsilons]
+    if not epsilons:
+        raise ValidationError("at least one epsilon is required")
     opts = options or VerifyOptions()
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
     dataset.check_compatible(classifier)
 
     t_start = time.perf_counter()
-    threshold = np.sqrt(2.0 * eps)
+    thresholds = [np.sqrt(2.0 * eps) for eps in epsilons]
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
     correct = batch.labels == labels
-    certified = batch.margins > threshold
     n = len(dataset)
     n_correct = int(np.count_nonzero(correct))
     accuracy_value = n_correct / n
-    ura = 1.0 - (n - int(np.count_nonzero(certified))) / n
     t_margin = time.perf_counter() - t_start
 
     warnings_list = []
@@ -496,76 +496,82 @@ def verify_dataset(
             "still exact but the classifier may be undertrained"
         )
 
-    jobs = []
-    verdicts: list[StateVerdict | None] = [None] * n
-    for i, (state, label) in enumerate(dataset):
-        base = dict(
-            index=i,
-            label=label,
-            predicted=int(batch.labels[i]),
-            correct=bool(correct[i]),
-            margin=float(batch.margins[i]),
-            tie=bool(batch.ties[i]),
-            margin_certified=False,
-        )
-        if not correct[i]:
-            verdicts[i] = StateVerdict(status="misclassified", **base)
-        elif certified[i]:
-            verdicts[i] = StateVerdict(
-                status="ok", robust=True, **{**base, "margin_certified": True}
-            )
-        else:
-            jobs.append((i, state, label, base))
-
-    t_exact_start = time.perf_counter()
-    # "sdp_solves" counts dual bound solves; the key name is kept for readers
-    # of saved reports.
-    solver_stats = {"sdp_solves": 0}
-    adversarial: list[AdversarialWitness] = []
-    for i, state, label, base in jobs:
-        bound = compute_optimal_bound(classifier, state, label)
-        solver_stats["sdp_solves"] += bound.solves
-        robust = bound.robust_at(eps)
+    exact = {}  # index -> (bound, witness at delta, seconds spent)
+    undecided = correct & ~(batch.margins > max(thresholds))
+    for i in np.flatnonzero(undecided).tolist():
+        t0 = time.perf_counter()
+        bound = compute_optimal_bound(classifier, states[i], labels[i])
         witness = None
-        if not robust:
+        if not bound.unbounded:
             sigma, distance = bound.sigma_star, bound.witness_distance
             if opts.mode == PURE and bound.phi_star is not None:
                 sigma = bound.phi_star
-                distance = 1.0 - abs(sigma.overlap(state)) ** 2
+                distance = 1.0 - abs(sigma.overlap(states[i])) ** 2
             witness = AdversarialWitness(
                 sigma, bound.argmin_class, distance, source_index=i
             )
-            adversarial.append(witness)
-        verdicts[i] = StateVerdict(
-            status="ok",
-            delta=bound.delta,
-            delta_unbounded=bound.unbounded,
-            robust=robust,
-            adversarial_class=witness.target_class if witness else None,
-            adversarial_distance=witness.distance if witness else None,
-            **base,
-        )
+        exact[i] = (bound, witness, time.perf_counter() - t0)
 
-    non_robust = sum(1 for v in verdicts if v is not None and v.robust is False)
-    t_exact = time.perf_counter() - t_exact_start
-    total = time.perf_counter() - t_start
+    bases = [
+        dict(index=i, label=label, predicted=int(batch.labels[i]),
+             correct=bool(correct[i]), margin=float(batch.margins[i]),
+             tie=bool(batch.ties[i]))
+        for i, label in enumerate(labels)
+    ]
+    reports = []
+    for eps, threshold in zip(epsilons, thresholds):
+        certified = batch.margins > threshold
+        verdicts, adversarial = [], []
+        # "sdp_solves" counts dual bound solves; the key name is kept for
+        # readers of saved reports.
+        solves, t_exact = 0, 0.0
+        for i, base in enumerate(bases):
+            if not correct[i]:
+                verdicts.append(StateVerdict(
+                    margin_certified=False, status="misclassified", **base))
+                continue
+            if certified[i]:
+                verdicts.append(StateVerdict(
+                    margin_certified=True, status="ok", robust=True, **base))
+                continue
+            bound, witness, seconds = exact[i]
+            solves += bound.solves
+            t_exact += seconds
+            robust = bound.robust_at(eps)
+            if not robust:
+                adversarial.append(witness)
+            verdicts.append(StateVerdict(
+                margin_certified=False, status="ok", delta=bound.delta,
+                delta_unbounded=bound.unbounded, robust=robust,
+                adversarial_class=None if robust else witness.target_class,
+                adversarial_distance=None if robust else witness.distance,
+                **base,
+            ))
+        reports.append(VerificationReport(
+            epsilon=eps,
+            mode=opts.mode,
+            n_states=n,
+            n_correct=n_correct,
+            accuracy=accuracy_value,
+            robust_accuracy=1.0 - len(adversarial) / n,
+            under_approx_robust_accuracy=1.0 - (n - int(np.count_nonzero(certified))) / n,
+            verdicts=verdicts,
+            adversarial=adversarial,
+            timings={
+                "margin_seconds": t_margin,
+                "exact_seconds": t_exact,
+                "total_seconds": t_margin + t_exact,
+            },
+            solver_stats={"sdp_solves": solves},
+            warnings=list(warnings_list),
+            seed=opts.seed,
+        ))
+    return reports
 
-    return VerificationReport(
-        epsilon=eps,
-        mode=opts.mode,
-        n_states=n,
-        n_correct=n_correct,
-        accuracy=accuracy_value,
-        robust_accuracy=1.0 - non_robust / n,
-        under_approx_robust_accuracy=ura,
-        verdicts=verdicts,
-        adversarial=adversarial,
-        timings={
-            "margin_seconds": t_margin,
-            "exact_seconds": t_exact,
-            "total_seconds": total,
-        },
-        solver_stats=solver_stats,
-        warnings=warnings_list,
-        seed=opts.seed,
-    )
+
+def verify_dataset(
+    classifier: Classifier, dataset: LabeledDataset, eps: float, *,
+    options: VerifyOptions | None = None,
+) -> VerificationReport:
+    """:func:`verify_epsilons` at the single radius ``eps``: its one report."""
+    return verify_epsilons(classifier, dataset, (eps,), options=options)[0]

@@ -127,6 +127,48 @@ class TestVerifyCommand:
         assert doc["kind"] == "verification_report_set"
         assert len(doc["runs"]) == 2
 
+    def test_runs_keep_epsilon_order_and_match_single_runs(self, case_files, tmp_path):
+        classifier_path, dataset_path = case_files
+
+        def run(eps):
+            report, sidecar = tmp_path / f"r{eps}.json", tmp_path / f"a{eps}.json"
+            assert main([
+                "verify", classifier_path, dataset_path, "--epsilon", eps,
+                "--omit-timings", "--report", str(report),
+                "--adversarial", str(sidecar),
+            ]) == 0
+            return json.loads(report.read_text()), json.loads(sidecar.read_text())
+
+        doc, sidecar = run("0.004,0.001")
+        singles = [run("0.004"), run("0.001")]
+        assert [r["epsilon"] for r in doc["runs"]] == [0.004, 0.001]
+        assert doc["runs"] == [report for report, _ in singles]
+        assert sidecar["states"] == [s for _, adv in singles for s in adv["states"]]
+        assert doc["runs"][0]["adversarial_count"] > doc["runs"][1]["adversarial_count"]
+
+    def test_oracle_searches_each_exact_entry_once(self, case_files, tmp_path,
+                                                   monkeypatch):
+        import qrv.oracle
+
+        classifier_path, dataset_path = case_files
+        searched = []
+        search = qrv.oracle.bloch_grid_min_distance
+
+        def counted(classifier, rho, label, grid):
+            searched.append(rho)
+            return search(classifier, rho, label, grid)
+
+        monkeypatch.setattr(qrv.oracle, "bloch_grid_min_distance", counted)
+        report_path = tmp_path / "set.json"
+        assert main([
+            "verify", classifier_path, dataset_path,
+            "--epsilon", "0.001,0.004,0.002", "--oracle", "--oracle-resolution", "21",
+            "--omit-timings", "--report", str(report_path),
+        ]) == 0
+        checks = [run["oracle_check"] for run in json.loads(report_path.read_text())["runs"]]
+        assert len(searched) == checks[1]["checked"] > checks[0]["checked"]
+        assert all(c["consistent"] == c["checked"] for c in checks)
+
     def test_omit_timings_is_byte_reproducible(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

@@ -22,7 +22,9 @@ from qrv.verifier import (
     pure_state_optimal_bound,
     under_robust_accuracy,
     verify_dataset,
+    verify_epsilons,
 )
+import qrv.verifier
 
 
 @pytest.fixture
@@ -331,6 +333,89 @@ class TestVerifyDataset:
     def test_empty_dataset_rejected(self, z_classifier):
         with pytest.raises(ValidationError):
             verify_dataset(z_classifier, LabeledDataset([]), 0.1)
+
+
+def mixed_dataset(rng):
+    """3-class dim-4 classifier and 24 correctly labeled rank-4 states."""
+    classifier, _, _ = classified_instance(rng, dim=4, n_classes=3, kraus_rank=2)
+    entries = []
+    for _ in range(24):
+        state = random_density_matrix(4, rng)
+        entries.append((state, classify(classifier, state).label_index))
+    return classifier, LabeledDataset(entries)
+
+
+def pure_dataset(rng):
+    """2-class dim-4 classifier and 24 pure states, two of them mislabeled."""
+    classifier, _, _ = classified_instance(rng, dim=4, kraus_rank=2)
+    entries = []
+    for i in range(24):
+        psi = random_pure_state(4, rng)
+        label = classify(classifier, psi).label_index
+        entries.append((psi, 1 - label if i < 2 else label))
+    return classifier, LabeledDataset(entries)
+
+
+# Unsorted, with one radius repeated.
+EPSILONS = (0.02, 0.002, 0.2, 0.02, 0.06)
+
+
+class TestVerifyEpsilons:
+    @pytest.mark.parametrize("make, mode", [(mixed_dataset, "mixed"),
+                                            (pure_dataset, "pure")])
+    def test_equals_one_run_per_epsilon(self, rng, make, mode):
+        classifier, dataset = make(rng)
+        options = VerifyOptions(mode=mode, seed=5)
+        reports = verify_epsilons(classifier, dataset, EPSILONS, options=options)
+        assert [r.epsilon for r in reports] == list(EPSILONS)
+        for eps, report in zip(EPSILONS, reports):
+            single = verify_dataset(classifier, dataset, eps, options=options)
+            assert report.verdicts == single.verdicts
+            assert report.solver_stats == single.solver_stats
+            assert report.robust_accuracy == single.robust_accuracy
+            assert (report.under_approx_robust_accuracy
+                    == single.under_approx_robust_accuracy)
+            assert report.warnings == single.warnings
+            assert ([(w.source_index, w.target_class, w.distance, type(w.sigma))
+                     for w in report.adversarial]
+                    == [(w.source_index, w.target_class, w.distance, type(w.sigma))
+                        for w in single.adversarial])
+        # The radii split the entries differently, so the comparison covers
+        # margin-certified, exact robust and exact non-robust verdicts.
+        assert len({r.solver_stats["sdp_solves"] for r in reports}) > 2
+        assert len({r.adversarial_count for r in reports}) > 2
+
+    def test_one_bound_per_exact_entry(self, rng, monkeypatch):
+        classifier, dataset = mixed_dataset(rng)
+        calls = []
+        bound = qrv.verifier.compute_optimal_bound
+
+        def counted(classifier, state, label=None):
+            calls.append(id(state))
+            return bound(classifier, state, label)
+
+        monkeypatch.setattr(qrv.verifier, "compute_optimal_bound", counted)
+        reports = verify_epsilons(classifier, dataset, EPSILONS)
+        widest = reports[EPSILONS.index(max(EPSILONS))]
+        exact = [v for v in widest.verdicts if v.correct and not v.margin_certified]
+        assert len(calls) == len(set(calls)) == len(exact) > 0
+        assert sum(r.solver_stats["sdp_solves"] for r in reports) > len(calls)
+
+    def test_exact_seconds_non_decreasing(self, rng):
+        classifier, dataset = mixed_dataset(rng)
+        epsilons = sorted(set(EPSILONS))
+        reports = verify_epsilons(classifier, dataset, epsilons)
+        exact = [r.timings["exact_seconds"] for r in reports]
+        assert exact == sorted(exact)
+        for r in reports:
+            assert r.timings["margin_seconds"] == reports[0].timings["margin_seconds"]
+            assert r.timings["total_seconds"] == (r.timings["margin_seconds"]
+                                                  + r.timings["exact_seconds"])
+
+    @pytest.mark.parametrize("epsilons", [(), (0.1, 0.0), (1.0,)])
+    def test_invalid_epsilons_rejected(self, z_classifier, epsilons):
+        with pytest.raises(ValidationError):
+            verify_epsilons(z_classifier, margin_one_dataset(), epsilons)
 
 
 class TestUnderRobustAccuracy:
