@@ -12,9 +12,9 @@ robustness fails.
 The names below are exported lazily (PEP 562): ``import qrv`` loads no
 submodule and not numpy, and ``qrv.X`` or ``from qrv import X`` imports
 the submodule that defines X on first use.  So ``python -m qrv.cli``
-reaches the top of :mod:`qrv.cli` before numpy loads.  The interior-point
-SDP solver in :mod:`qrv.sdp` is an independent oracle for the bound and is
-not exported here.
+reaches the top of :mod:`qrv.cli` before numpy loads.  The package solves
+no SDP and needs only numpy; the interior-point SDP solver that checks
+the bound independently lives with the tests (``tests/sdp_oracle.py``).
 """
 
 import importlib
@@ -23,7 +23,7 @@ _EXPORTS = {
     "config": ("dimension_cap",),
     "errors": (
         "DimensionMismatch", "MisclassifiedInput", "QrvError", "SchemaError",
-        "SolverFailure", "ValidationError",
+        "ValidationError",
     ),
     "states": (
         "DensityMatrix", "PureState", "bloch_vector", "density_from_bloch",

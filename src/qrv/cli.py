@@ -5,8 +5,9 @@ Subcommands: ``classify``, ``verify``, ``bound`` (margin filter only),
 
 Exit codes: 0 success; 1 verification found non-robust states and
 ``--strict`` was given (without it this is informational and exits 0);
-2 input/schema error, printed with the failing document path; 3 any
-other qrv error (the exact bound has no solver that can fail).
+2 input/schema error or a file that cannot be read or written, printed
+with the failing document path; 3 any other qrv error (the exact bound
+has no solver that can fail).
 
 Each command is one short process, so its fixed start-up cost counts.
 Unless the environment already sets ``OPENBLAS_NUM_THREADS``, this module
@@ -72,8 +73,14 @@ def _load(loader, path):
         return loader(path)
     except SchemaError as exc:
         raise SchemaError(str(exc).split(": ", 1)[-1], f"{path}:{exc.path}") from exc
-    except FileNotFoundError as exc:
-        raise SchemaError("file not found", str(path)) from exc
+
+
+def _search_grid(resolution: int):
+    """The grid oracle's search grid; commands build it before reading any
+    input, so a bad resolution fails first."""
+    from . import oracle
+
+    return oracle.SearchGrid(resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +122,7 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _oracle_cross_check(classifier, dataset, reports, resolution):
+def _oracle_cross_check(classifier, dataset, reports, grid):
     """Grid-oracle consistency check for the entries that needed exact
     solves, one check document per report.
 
@@ -129,7 +136,6 @@ def _oracle_cross_check(classifier, dataset, reports, resolution):
     """
     from . import oracle
 
-    grid = oracle.SearchGrid(resolution=resolution)
     grid_min = {}
     checks = []
     for report in reports:
@@ -155,13 +161,14 @@ def _oracle_cross_check(classifier, dataset, reports, resolution):
                  "oracle_delta_upper": None if np.isinf(delta_hat) else delta_hat,
                  "consistent": ok}
             )
-        checks.append({"resolution": resolution, "checked": checked,
+        checks.append({"resolution": grid.resolution, "checked": checked,
                        "consistent": consistent, "details": details})
     return checks
 
 
 def _cmd_verify(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
+    grid = _search_grid(args.oracle_resolution) if args.oracle else None
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
@@ -179,7 +186,7 @@ def _cmd_verify(args) -> int:
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     if args.oracle:
-        checks = _oracle_cross_check(classifier, dataset, reports, args.oracle_resolution)
+        checks = _oracle_cross_check(classifier, dataset, reports, grid)
         for doc, check in zip(docs, checks):
             doc["oracle_check"] = check
 
@@ -288,6 +295,7 @@ def _cmd_oracle_check(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
     if len(epsilons) != 1:
         raise ValidationError("oracle-check takes a single epsilon")
+    grid = _search_grid(args.resolution)
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
@@ -295,7 +303,7 @@ def _cmd_oracle_check(args) -> int:
         raise SchemaError("oracle-check requires a dimension-2 classifier",
                           args.classifier)
     reports = verify_epsilons(classifier, dataset, epsilons)
-    check = _oracle_cross_check(classifier, dataset, reports, args.resolution)[0]
+    check = _oracle_cross_check(classifier, dataset, reports, grid)[0]
     print(
         f"oracle cross-check at resolution {args.resolution}^3: "
         f"{check['consistent']}/{check['checked']} exact verdicts consistent "
@@ -394,15 +402,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValidationError as exc:
+    except ValidationError as exc:  # SchemaError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except QrvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"input error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

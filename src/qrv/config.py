@@ -2,8 +2,9 @@
 
 Every tolerance used by validation, bounds and verdicts is one module
 constant here, so validation and verdicts agree on what counts as a
-state, a channel and a tie (the SDP oracle takes its own targets in
-``qrv.sdp.SolverOptions``).  The values are deliberately strict.
+state, a channel and a tie (the test suite's SDP oracle,
+``tests/sdp_oracle.py``, takes its own solver targets).  The values are
+deliberately strict.
 """
 
 from __future__ import annotations

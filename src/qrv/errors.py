@@ -24,10 +24,6 @@ class SchemaError(ValidationError):
         self.path = path
 
 
-class SolverFailure(QrvError, RuntimeError):
-    """The numerical solver broke down and no certified answer exists."""
-
-
 class MisclassifiedInput(QrvError, ValueError):
     """Robustness was requested for a state the classifier gets wrong.
 

@@ -362,6 +362,8 @@ def read_json(path) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}", "$") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}", "$") from exc
 
 
 def load_classifier(path) -> Classifier:

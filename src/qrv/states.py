@@ -152,9 +152,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-StateLike = "PureState | DensityMatrix"
-
-
 def state_matrix(state) -> np.ndarray:
     """Density-matrix array of a PureState, DensityMatrix, or raw array."""
     if isinstance(state, PureState):

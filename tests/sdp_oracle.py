@@ -1,13 +1,14 @@
 """Small-scale semidefinite programming over Hermitian matrices.
 
-Problems are stated as ``min tr(C X)`` subject to ``tr(A_j X) (<= | ==)
-b_j`` and ``X >= 0`` with Hermitian data.  Solving embeds the problem
+This is the test suite's independent oracle for the fidelity optimum
+that ``qrv`` computes in closed form; the package itself never solves an
+SDP.  Problems are stated as ``min tr(C X)`` subject to ``tr(A_j X)
+(<= | ==) b_j`` and ``X >= 0`` with Hermitian data.  Solving embeds the problem
 into a real symmetric one (each Hermitian ``H`` maps to ``[[Re H,
 -Im H], [Im H, Re H]]``), runs a primal-dual path-following interior
 point method with Nesterov-Todd scaling, and projects the solution back.
-
-When the main solve fails, an elastic phase-one program minimizes the
-total constraint violation; a positive optimum certifies infeasibility.
+A solve that misses its tolerances reports a non-optimal status and no
+solution; nothing raises.
 
 The module also builds the block program computing ``sqrt(F(rho,
 sigma))``: maximize ``tr(X + X^dag) / 2`` over ``[[rho, X], [X^dag,
@@ -23,27 +24,17 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import SolverFailure, ValidationError
-from .states import DensityMatrix, as_complex_matrix, require_hermitian
-
-__all__ = [
-    "LinearConstraint",
-    "SdpProblem",
-    "SdpSolution",
-    "SolverOptions",
-    "solve",
-    "embed_hermitian",
-    "embed_matrix",
-    "project_embedded",
-    "sqrt_fidelity_sdp",
-    "sqrt_fidelity_sdp_fixed",
-    "FidelityBlockProblem",
-    "fixed_state_constraints",
-    "extract_fidelity_solution",
-]
+from qrv.errors import ValidationError
+from qrv.states import DensityMatrix, as_complex_matrix, require_hermitian
 
 EQ = "=="
 LE = "<="
+
+# Interior-point iteration cap, fraction of the step to the cone boundary
+# taken, and the relative Schur-complement regularization tried first.
+_MAX_ITERATIONS = 200
+_STEP_FRACTION = 0.98
+_REGULARIZATION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,35 +75,22 @@ class SdpProblem:
         self.constraints = tuple(checked)
         self.variable_dim = n
 
-    def is_real(self) -> bool:
-        if np.max(np.abs(self.objective.imag)) > 0:
-            return False
-        return all(np.max(np.abs(c.matrix.imag)) == 0 for c in self.constraints)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
     gap_tol: float = 1e-7
     feas_tol: float = 1e-7
-    max_iterations: int = 200
-    step_fraction: float = 0.98
-    regularization: float = 1e-12
     track_iterates: bool = False
 
 
 @dataclass
 class SdpSolution:
-    status: str  # optimal | infeasible | max_iterations | numerical_failure
+    status: str  # optimal | stalled | max_iterations | numerical_failure
     X: np.ndarray | None
     objective_value: float
-    duality_gap: float
     max_constraint_violation: float
     iterations: int
     stats: dict = field(default_factory=dict)
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +197,10 @@ def _max_step_lp(x, dx):
     return float(np.min(-x[neg] / dx[neg]))
 
 
-def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
+def _ipm_real(c_mat, a_stack, g_mat, b, opts: SolverOptions):
     """Infeasible-start predictor-corrector IPM on the cone S+^n x R+^q.
 
-    minimize  <C, X> + c_lp . u
+    minimize  <C, X>
     s.t.      <A_i, X> + (G u)_i = b_i,    X >= 0, u >= 0
     """
     n = c_mat.shape[0]
@@ -231,10 +209,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
     a_flat = a_stack.reshape(m, -1)
 
     scale_b = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
-    scale_c = 1.0 + max(
-        float(np.linalg.norm(c_mat)) / max(1.0, np.sqrt(n)),
-        float(np.max(np.abs(c_lp))) if q else 0.0,
-    )
+    scale_c = 1.0 + float(np.linalg.norm(c_mat)) / max(1.0, np.sqrt(n))
     x = scale_b * np.eye(n)
     u = scale_b * np.ones(q)
     z_mat = scale_c * np.eye(n)
@@ -245,15 +220,15 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
     info = {"iterations": 0}
     status = "max_iterations"
 
-    for it in range(opts.max_iterations):
+    for it in range(_MAX_ITERATIONS):
         ax = a_flat @ x.reshape(-1) + g_mat @ u if m else np.zeros(0)
         rp = b - ax
         rd_mat = c_mat - z_mat - np.tensordot(y, a_stack, axes=1) if m else c_mat - z_mat
-        rd_lp = c_lp - z_lp - (g_mat.T @ y if m else 0.0)
+        rd_lp = -z_lp - (g_mat.T @ y if m else 0.0)
         compl_total = float(np.sum(x * z_mat) + u @ z_lp)
         mu = compl_total / (n + q)
 
-        obj_p = float(np.sum(c_mat * x) + c_lp @ u)
+        obj_p = float(np.sum(c_mat * x))
         obj_d = float(b @ y) if m else 0.0
         denom = 1.0 + abs(obj_p) + abs(obj_d)
         pinf = float(np.max(np.abs(rp))) / scale_b if m else 0.0
@@ -277,7 +252,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
             info["iterations"] = it
             break
         # Tiny complementarity with a stubbornly large primal residual is
-        # the signature of an infeasible problem; let phase one decide.
+        # the signature of an infeasible problem; stop early.
         if mu < 1e-12 and pinf > 1e-5:
             status = "stalled"
             info["iterations"] = it
@@ -294,7 +269,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
                 sch = sch + (g_mat * w2) @ g_mat.T
             sch = 0.5 * (sch + sch.T)
 
-            base_reg = opts.regularization * (1.0 + np.trace(sch) / max(m, 1))
+            base_reg = _REGULARIZATION * (1.0 + np.trace(sch) / max(m, 1))
             factor = None
             reg = 0.0
             for attempt in range(5):
@@ -336,7 +311,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
             rc_lp = sigma * mu * zinv_lp - u if q else np.zeros(0)
             dx, du, dy, dz_mat, dz_lp = directions(rc_mat, rc_lp)
 
-            tau = opts.step_fraction
+            tau = _STEP_FRACTION
             ap = min(1.0, tau * _max_step_psd(x, dx), tau * _max_step_lp(u, du))
             ad = min(
                 1.0, tau * _max_step_psd(z_mat, dz_mat), tau * _max_step_lp(z_lp, dz_lp)
@@ -355,7 +330,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
             info["iterations"] = it
             break
     else:
-        info["iterations"] = opts.max_iterations
+        info["iterations"] = _MAX_ITERATIONS
 
     info.update(
         pinf=pinf, dinf=dinf, relgap=relgap, relcompl=relcompl,
@@ -363,7 +338,7 @@ def _ipm_real(c_mat, a_stack, g_mat, c_lp, b, opts: SolverOptions):
     )
     if opts.track_iterates:
         info["trace"] = trace
-    return status, x, u, y, z_mat, info
+    return status, x, info
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +361,7 @@ def _prepare_real_arrays(problem: SdpProblem):
     g_mat = np.zeros((m, q))
     for col, row in enumerate(ineq_rows):
         g_mat[row, col] = 1.0
-    return a_stack, g_mat, np.zeros(q), b
+    return a_stack, g_mat, b
 
 
 def _constraint_violations(problem: SdpProblem, x: np.ndarray) -> float:
@@ -405,124 +380,35 @@ def solve(
 ) -> SdpSolution:
     """Solve a Hermitian SDP to the configured tolerances.
 
-    Returns status ``optimal`` with a PSD solution, ``infeasible`` when
-    the elastic phase-one program certifies a positive minimum violation,
-    ``max_iterations`` when the iteration cap is hit without meeting the
-    tolerances, or ``numerical_failure`` on irrecoverable breakdown.
+    Returns status ``optimal`` with a PSD solution.  Otherwise ``X`` is
+    None and the status says why: ``stalled`` when complementarity
+    vanishes while the primal residual stays large (the signature of an
+    infeasible problem), ``max_iterations`` when the iteration cap is hit,
+    or ``numerical_failure`` on irrecoverable breakdown.
     """
     opts = options or SolverOptions()
-    work = problem if problem.is_real() else embed_hermitian(problem)
-    embedded = work is not problem
-
-    a_stack, g_mat, c_lp, b = _prepare_real_arrays(work)
-    status, x, _u, y, z_mat, info = _ipm_real(
-        work.objective.real, a_stack, g_mat, c_lp, b, opts
-    )
-
+    work = embed_hermitian(problem)
+    a_stack, g_mat, b = _prepare_real_arrays(work)
+    status, x, info = _ipm_real(work.objective.real, a_stack, g_mat, b, opts)
     if status != "optimal":
-        try:
-            feasible, phase_info = _phase_one(work, opts)
-            info["phase_one"] = phase_info
-        except SolverFailure:
-            feasible = True  # cannot certify infeasibility; report main status
-        if not feasible:
-            return SdpSolution(
-                status="infeasible",
-                X=None,
-                objective_value=float("nan"),
-                duality_gap=float("nan"),
-                max_constraint_violation=float("nan"),
-                iterations=info.get("iterations", 0),
-                stats=info,
-            )
-        if status == "stalled":
-            status = "max_iterations"
         return SdpSolution(
             status=status,
             X=None,
             objective_value=float("nan"),
-            duality_gap=float("nan"),
             max_constraint_violation=float("nan"),
-            iterations=info.get("iterations", 0),
+            iterations=info["iterations"],
             stats=info,
         )
 
-    if embedded:
-        x_out = project_embedded(x)
-        z_out = project_embedded(z_mat)
-        objective = 0.5 * info["primal_objective"]
-        dual_objective = 0.5 * info["dual_objective"]
-    else:
-        x_out = 0.5 * (x + x.T)
-        z_out = 0.5 * (z_mat + z_mat.T)
-        objective = info["primal_objective"]
-        dual_objective = info["dual_objective"]
-
-    violation = _constraint_violations(problem, x_out)
-    stats = dict(info)
-    stats.update(dual_matrix=z_out, dual_vector=y, dual_objective=dual_objective)
+    x_out = project_embedded(x)
     return SdpSolution(
         status="optimal",
         X=x_out,
-        objective_value=float(objective),
-        duality_gap=float(info["relgap"]),
-        max_constraint_violation=float(violation),
-        iterations=int(info["iterations"]),
-        stats=stats,
+        objective_value=0.5 * info["primal_objective"],
+        max_constraint_violation=_constraint_violations(problem, x_out),
+        iterations=info["iterations"],
+        stats=dict(info, dual_objective=0.5 * info["dual_objective"]),
     )
-
-
-def _phase_one(work: SdpProblem, opts: SolverOptions):
-    """Elastic feasibility program on an already-real problem.
-
-    Every constraint row gets nonnegative violation variables (both signs
-    for equalities, one for inequalities next to the usual slack); their
-    sum is minimized.  A minimum above ``feas_tol`` certifies
-    infeasibility.
-    """
-    m = len(work.constraints)
-    n = work.variable_dim
-    a_stack = np.empty((m, n, n), dtype=float)
-    b = np.empty(m)
-    cols = []  # (row, coefficient, cost)
-    for i, con in enumerate(work.constraints):
-        a_stack[i] = con.matrix.real
-        b[i] = con.bound
-        if con.relation == LE:
-            cols.append((i, 1.0, 0.0))   # slack
-            cols.append((i, -1.0, 1.0))  # violation
-        else:
-            cols.append((i, 1.0, 1.0))   # violation +
-            cols.append((i, -1.0, 1.0))  # violation -
-    q = len(cols)
-    g_mat = np.zeros((m, q))
-    c_lp = np.zeros(q)
-    for col, (row, coeff, cost) in enumerate(cols):
-        g_mat[row, col] = coeff
-        c_lp[col] = cost
-
-    # Phase one only needs to place the optimum on one side of the
-    # decision threshold, so it runs at its own fixed tolerances and the
-    # threshold never drops below 1e-7 even when a caller tightens the
-    # main solve.
-    phase_opts = SolverOptions(
-        gap_tol=1e-8,
-        feas_tol=1e-8,
-        max_iterations=max(opts.max_iterations, 200),
-        step_fraction=opts.step_fraction,
-        regularization=opts.regularization,
-    )
-    status, _x, _u, _y, _z, info = _ipm_real(
-        np.zeros((n, n)), a_stack, g_mat, c_lp, b, phase_opts
-    )
-    if status != "optimal":
-        raise SolverFailure(
-            f"phase-one feasibility solve failed with status {status}"
-        )
-    total_violation = float(info["primal_objective"])
-    feasible = total_violation <= max(opts.feas_tol, 1e-7)
-    info = dict(info, total_violation=total_violation)
-    return feasible, info
 
 
 # ---------------------------------------------------------------------------
@@ -566,34 +452,10 @@ class FidelityBlockProblem(SdpProblem):
     compressed too).
     """
 
-    def __init__(self, objective, constraints, *, state_dim, pinned_rank,
-                 range_isometry, sigma_isometry):
+    def __init__(self, objective, constraints, *, pinned_rank, sigma_isometry):
         super().__init__(objective, constraints)
-        self.state_dim = state_dim
         self.pinned_rank = pinned_rank
-        self.range_isometry = range_isometry
         self.sigma_isometry = sigma_isometry
-
-
-def fixed_state_constraints(sigma: DensityMatrix) -> list[tuple[np.ndarray, str, float]]:
-    """Affine description pinning the sigma block to a fixed state."""
-    n = sigma.dim
-    cons = []
-    m = sigma.matrix
-    for i in range(n):
-        a = np.zeros((n, n), dtype=complex)
-        a[i, i] = 1.0
-        cons.append((a, EQ, float(m[i, i].real)))
-        for j in range(i + 1, n):
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-            cons.append((a, EQ, float(2.0 * m[i, j].real)))
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = 1.0j
-            a[j, i] = -1.0j
-            cons.append((a, EQ, float(2.0 * m[i, j].imag)))
-    return cons
 
 
 def sqrt_fidelity_sdp(
@@ -643,9 +505,7 @@ def sqrt_fidelity_sdp(
     return FidelityBlockProblem(
         objective,
         constraints,
-        state_dim=n,
         pinned_rank=rank,
-        range_isometry=isometry,
         sigma_isometry=np.eye(n, dtype=complex),
     )
 
@@ -666,7 +526,6 @@ def sqrt_fidelity_sdp_fixed(
         raise ValidationError(
             f"state dims {rho.dim} and {sigma.dim} differ"
         )
-    n = rho.dim
     rho_iso, rho_c = _range_compression(rho.matrix)
     sig_iso, sig_c = _range_compression(sigma.matrix)
     r, s = rho_c.shape[0], sig_c.shape[0]
@@ -682,9 +541,7 @@ def sqrt_fidelity_sdp_fixed(
     return FidelityBlockProblem(
         objective,
         constraints,
-        state_dim=n,
         pinned_rank=r,
-        range_isometry=rho_iso,
         sigma_isometry=sig_iso,
     )
 

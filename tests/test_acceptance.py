@@ -22,7 +22,7 @@ from qrv.sampling import (
     random_kraus_channel,
     random_pure_state,
 )
-from qrv.sdp import SolverOptions, solve, sqrt_fidelity_sdp_fixed
+from sdp_oracle import SolverOptions, solve, sqrt_fidelity_sdp_fixed
 from qrv.states import fidelity, pure_to_density, trace_distance
 from qrv.verifier import (
     VerifyOptions,

@@ -200,6 +200,16 @@ class TestVerifyCommand:
         assert main([command, missing, missing, "--epsilon", eps]) == 2
         assert "epsilon must be in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ["--oracle", "--oracle-resolution", "1"]),
+        ("oracle-check", ["--resolution", "1"]),
+    ])
+    def test_bad_resolution_exits_2(self, tmp_path, capsys, command, flags):
+        # As for epsilon, the grid resolution is rejected before any input is read.
+        missing = str(tmp_path / "missing.json")
+        assert main([command, missing, missing, "--epsilon", "0.001", *flags]) == 2
+        assert "grid resolution must be at least 2" in capsys.readouterr().err
+
     def test_pure_mode_end_to_end(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         report_path = tmp_path / "pure.json"
@@ -306,25 +316,66 @@ class TestEncodeImage:
         assert small.mean() == pytest.approx(img.mean(), abs=1e-12)
 
 
-def _python(code, **env_set):
-    """stdout of ``python -c code`` with src on the path, no inherited
+def _run(argv, **env_set):
+    """``python argv`` with src on the path, no inherited
     OPENBLAS_NUM_THREADS, and ``env_set`` added to the environment."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     env.update(env_set)
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _python(code, **env_set):
+    """stdout of ``python -c code``, run as :func:`_run` runs it."""
+    result = _run(["-c", code], **env_set)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8", "report_dir", "image",
+                                  "out_prefix"])
+def test_unusable_path_exits_2(case, case_files, tmp_path):
+    # Run as a process: an uncaught error would print a traceback and exit
+    # 1, which is the --strict "non-robust" code.
+    classifier_path, dataset_path = case_files
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    missing_dir = tmp_path / "no_such_dir"
+    argv, path = {
+        "directory": (["verify", str(tmp_path), dataset_path], tmp_path),
+        "not_utf8": (["verify", str(binary), dataset_path], binary),
+        "report_dir": (["verify", classifier_path, dataset_path,
+                        "--report", str(missing_dir / "r.json")], missing_dir / "r.json"),
+        "image": (["encode-image", str(tmp_path / "missing.pgm")], tmp_path / "missing.pgm"),
+        "out_prefix": (["gen-qubit", "--n-train", "4", "--n-val", "2",
+                        "--out-prefix", str(missing_dir / "x")],
+                       missing_dir / "x_classifier.json"),
+    }[case]
+    if argv[0] == "verify":
+        argv += ["--epsilon", "0.001"]
+    result = _run(["-m", "qrv.cli", *argv])
+    assert result.returncode == 2, result.stderr
+    assert "input error: " + str(path) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_no_module_loads_scipy():
+    # scipy is a test dependency only (conftest and the SDP oracle).
+    code = ("import pkgutil, sys, qrv; "
+            "names = [m.name for m in pkgutil.walk_packages(qrv.__path__, 'qrv.')]; "
+            "[__import__(name) for name in names]; "
+            "print('qrv.verifier' in names, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _python(code) == "True []"
+
+
 def test_cli_import_does_not_load_scipy():
-    # The verify path needs only numpy; scipy belongs to the SDP oracle
-    # (qrv.sdp), which the CLI does not import.  Nor does it load the
-    # grid oracle, the samplers or the case study, which only some
-    # subcommands use.
+    # The verify path needs only numpy, as does every qrv module.  Nor
+    # does the CLI load the grid oracle, the samplers or the case study,
+    # which only some subcommands use.
     code = ("import sys, qrv.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
             "or m in ('qrv.oracle', 'qrv.sampling', 'qrv.casestudy')))")

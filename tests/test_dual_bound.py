@@ -1,7 +1,7 @@
 """The two-multiplier dual bound against the interior-point SDP oracle.
 
 ``compute_optimal_bound`` gets delta from the fidelity dual; the block SDP
-of :mod:`qrv.sdp` solves the same program independently.  The property
+of :mod:`sdp_oracle` solves the same program independently.  The property
 suite covers pure, full-rank and rank-deficient states, gap operators
 with a zero eigenvalue, and the singular case where the state has no
 weight on the gap operator's lowest eigenspace.
@@ -19,9 +19,9 @@ from qrv.sampling import (
     random_pure_state,
     random_unitary,
 )
-from qrv.sdp import EQ, LE, extract_fidelity_solution, solve, sqrt_fidelity_sdp
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
 from qrv.verifier import compute_optimal_bound
+from sdp_oracle import EQ, LE, extract_fidelity_solution, solve, sqrt_fidelity_sdp
 
 
 def sdp_per_class(classifier, rho, label):
