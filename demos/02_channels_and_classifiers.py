@@ -20,7 +20,6 @@ from qrv import (
 
 classifier = qubit_rotation_classifier(theta_star=0.4835)
 print("classifier:", classifier)
-print("channel diagnostics:", classifier.channel.validate())
 print()
 
 print("classification along the X-Z plane (angle from the z axis):")

@@ -5,16 +5,16 @@ measurement family: is a correctly classified state still classified the
 same way everywhere within fidelity distance epsilon?  It computes a
 cheap margin certificate and the exact optimal robust bound from the
 two-multiplier fidelity dual (one eigendecomposition per class gap
-operator plus a one-dimensional root search per state), and extracts
-concrete adversarial states (pure ones for pure inputs on request) when
-robustness fails.
+operator plus a one-dimensional root search per state), extracts concrete
+adversarial states (pure ones for pure inputs on request) when robustness
+fails, and re-checks a saved report offline without solving anything.
 
 The names below are exported lazily (PEP 562): ``import qrv`` loads no
 submodule and not numpy, and ``qrv.X`` or ``from qrv import X`` imports
 the submodule that defines X on first use.  So ``python -m qrv.cli``
 reaches the top of :mod:`qrv.cli` before numpy loads.  The package solves
-no SDP and needs only numpy; the interior-point SDP solver that checks
-the bound independently lives with the tests (``tests/sdp_oracle.py``).
+no SDP and needs only numpy; the SDP solver and the dimension-2 grid
+oracles that check it live with the tests (``tests/*_oracle.py``).
 """
 
 import importlib
@@ -26,10 +26,8 @@ _EXPORTS = {
         "ValidationError",
     ),
     "states": (
-        "DensityMatrix", "PureState", "bloch_vector", "density_from_bloch",
-        "fidelity", "hermitian_eigensystem", "matrix_sqrt_psd",
-        "project_to_density", "pure_to_density", "sqrt_fidelity", "tensor_product",
-        "trace_distance",
+        "DensityMatrix", "PureState", "fidelity", "matrix_sqrt_psd",
+        "pure_to_density", "sqrt_fidelity", "trace_distance",
     ),
     "channels": (
         "KrausChannel", "compose", "depolarizing", "identity_channel",
@@ -37,8 +35,8 @@ _EXPORTS = {
     ),
     "classifiers": (
         "BatchClassification", "Classification", "Classifier", "LabeledDataset",
-        "Measurement", "accuracy", "class_probabilities", "classify",
-        "classify_batch", "computational_measurement",
+        "Measurement", "accuracy", "classify", "classify_batch",
+        "computational_measurement",
     ),
     "verifier": (
         "AdversarialWitness", "OptimalBound", "PureBound", "RobustnessCheck",
@@ -47,10 +45,7 @@ _EXPORTS = {
         "pure_state_optimal_bound", "under_robust_accuracy", "verify_dataset",
         "verify_epsilons",
     ),
-    "oracle": (
-        "SearchGrid", "bloch_grid_min_distance", "pure_sphere_min_distance",
-        "random_neighborhood_probe",
-    ),
+    "recheck": ("recheck_report",),
     "sampling": (
         "random_classifier", "random_density_matrix", "random_kraus_channel",
         "random_measurement", "random_pure_state", "random_unitary",

@@ -8,7 +8,6 @@ trace preservation (``sum_k E_k^dag E_k = I``) is validated numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +26,6 @@ from .states import (
 
 __all__ = [
     "KrausChannel",
-    "ChannelDiagnostics",
-    "diagnose",
     "unitary_channel",
     "identity_channel",
     "depolarizing",
@@ -109,40 +106,11 @@ class KrausChannel:
             out += e.conj().T @ a @ e
         return 0.5 * (out + out.conj().T)
 
-    def validate(self) -> "ChannelDiagnostics":
-        """Diagnostics on the CPTP conditions.
-
-        Complete positivity holds by Kraus construction and is reported,
-        not re-verified.
-        """
-        return diagnose(self.kraus)
-
     def __repr__(self) -> str:
         return (
             f"KrausChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
             f"kraus={len(self.kraus)})"
         )
-
-
-@dataclass(frozen=True)
-class ChannelDiagnostics:
-    trace_preserving_defect: float
-    trace_preserving: bool
-    kraus_count: int
-    note: str = "complete positivity holds structurally for any Kraus set"
-
-
-def diagnose(kraus) -> ChannelDiagnostics:
-    """Diagnostics for an arbitrary Kraus set, valid or not."""
-    mats = [as_complex_matrix(e) for e in kraus]
-    if not mats:
-        raise ValidationError("need at least one Kraus matrix")
-    defect = isometry_defect(mats)
-    return ChannelDiagnostics(
-        trace_preserving_defect=defect,
-        trace_preserving=defect <= ISOMETRY_TOL,
-        kraus_count=len(mats),
-    )
 
 
 def unitary_channel(u) -> KrausChannel:

@@ -26,7 +26,6 @@ __all__ = [
     "Classification",
     "BatchClassification",
     "LabeledDataset",
-    "class_probabilities",
     "classify",
     "classify_batch",
     "accuracy",
@@ -220,11 +219,6 @@ def _probability_rows(classifier: Classifier, states) -> np.ndarray:
         # tr(N rho) = sum_ij conj(N_ij) rho_ij for Hermitian N
         probs[matrix_rows] = (flat @ effects.reshape(len(effects), -1).conj().T).real
     return np.clip(probs, 0.0, 1.0)
-
-
-def class_probabilities(classifier: Classifier, state) -> np.ndarray:
-    """Outcome distribution p_k = tr(M_k^dag M_k channel(rho)), clamped to [0,1]."""
-    return _probability_rows(classifier, [state])[0]
 
 
 def classify_batch(classifier: Classifier, states) -> BatchClassification:

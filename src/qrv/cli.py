@@ -1,19 +1,19 @@
 """Command-line workflow.
 
-Subcommands: ``classify``, ``verify``, ``bound`` (margin filter only),
-``gen-qubit``, ``encode-image``, ``oracle-check``.
+Subcommands: ``classify``, ``verify``, ``recheck`` (a saved report,
+offline), ``bound`` (margin filter only), ``gen-qubit``, ``encode-image``.
 
 Exit codes: 0 success; 1 verification found non-robust states and
-``--strict`` was given (without it this is informational and exits 0);
-2 input/schema error or a file that cannot be read or written, printed
-with the failing document path; 3 any other qrv error (the exact bound
-has no solver that can fail).
+``--strict`` was given (without it this is informational and exits 0),
+or ``recheck`` found a mismatch; 2 input/schema error or a file that
+cannot be read or written, printed with the failing document path; 3 any
+other qrv error (the exact bound has no solver that can fail).
 
 Each command is one short process, so its fixed start-up cost counts.
 Unless the environment already sets ``OPENBLAS_NUM_THREADS``, this module
-sets it to 1 before numpy loads.  ``oracle`` and ``casestudy`` are
-imported only by the commands and flags that use them (``--oracle``,
-``oracle-check``, ``gen-qubit``, ``encode-image``).
+sets it to 1 before numpy loads.  ``recheck`` and ``casestudy`` are
+imported only by the commands that use them (``recheck``, ``gen-qubit``,
+``encode-image``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from .classifiers import accuracy, classify_batch
 from .errors import QrvError, SchemaError, ValidationError
 from . import formats
@@ -37,14 +35,13 @@ from .verifier import VerifyOptions, under_robust_accuracy, verify_epsilons
 
 EXIT_OK = 0
 EXIT_NON_ROBUST = 1
+EXIT_MISMATCH = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
 def _sig4(x: float) -> str:
     """Report numbers carry four significant digits."""
-    if x is None:
-        return "-"
     if x == 0:
         return "0.000"
     return f"{x:.4g}"
@@ -73,14 +70,6 @@ def _load(loader, path):
         return loader(path)
     except SchemaError as exc:
         raise SchemaError(str(exc).split(": ", 1)[-1], f"{path}:{exc.path}") from exc
-
-
-def _search_grid(resolution: int):
-    """The grid oracle's search grid; commands build it before reading any
-    input, so a bad resolution fails first."""
-    from . import oracle
-
-    return oracle.SearchGrid(resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -122,58 +111,13 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _oracle_cross_check(classifier, dataset, reports, grid):
-    """Grid-oracle consistency check for the entries that needed exact
-    solves, one check document per report.
-
-    The grid minimum upper-bounds the exact bound, so two violations are
-    possible: the grid found a class change closer than the certified
-    optimum, or it exhibits a concrete adversarial example inside the
-    ball for a state the verifier called robust.  A coarse grid finding
-    nothing is not evidence of robustness and is never counted against
-    the verifier.  The grid search does not depend on epsilon, so each
-    entry is searched once for all reports.
-    """
-    from . import oracle
-
-    grid_min = {}
-    checks = []
-    for report in reports:
-        checked = consistent = 0
-        details = []
-        for verdict in report.verdicts:
-            if verdict.status != "ok" or verdict.margin_certified:
-                continue
-            if verdict.index not in grid_min:
-                state, label = dataset.entries[verdict.index]
-                rho = state.density() if hasattr(state, "density") else state
-                grid_min[verdict.index] = oracle.bloch_grid_min_distance(
-                    classifier, rho, label, grid)[0]
-            delta_hat = grid_min[verdict.index]
-            checked += 1
-            delta = np.inf if verdict.delta_unbounded else verdict.delta
-            undershoot = delta_hat < delta - 1e-4
-            missed_witness = bool(verdict.robust) and delta_hat <= report.epsilon - 1e-6
-            ok = not (undershoot or missed_witness)
-            consistent += ok
-            details.append(
-                {"index": verdict.index, "delta": verdict.delta,
-                 "oracle_delta_upper": None if np.isinf(delta_hat) else delta_hat,
-                 "consistent": ok}
-            )
-        checks.append({"resolution": grid.resolution, "checked": checked,
-                       "consistent": consistent, "details": details})
-    return checks
-
-
 def _cmd_verify(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
-    grid = _search_grid(args.oracle_resolution) if args.oracle else None
+    for path in filter(None, (args.report, args.adversarial)):
+        open(path, "a").close()  # an unwritable output fails before any work
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
-    if args.oracle and classifier.dim != 2:
-        raise SchemaError("--oracle requires a dimension-2 classifier", args.classifier)
 
     options = VerifyOptions(mode=args.mode, seed=args.seed)
     reports = verify_epsilons(classifier, dataset, epsilons, options=options)
@@ -185,10 +129,6 @@ def _cmd_verify(args) -> int:
         docs.append(doc)
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-    if args.oracle:
-        checks = _oracle_cross_check(classifier, dataset, reports, grid)
-        for doc, check in zip(docs, checks):
-            doc["oracle_check"] = check
 
     _row("Robust Accuracy (%)", [f"eps={_sig4(r.epsilon):>10}" for r in reports])
     _row("  margin bound (under-approx)",
@@ -198,14 +138,10 @@ def _cmd_verify(args) -> int:
     _row("  margin bound (under-approx)",
          [_sig4(r.timings["margin_seconds"]) for r in reports])
     _row("  exact verification", [_sig4(r.timings["total_seconds"]) for r in reports])
-    for report, doc in zip(reports, docs):
-        extra = ""
-        if args.oracle:
-            oc = doc["oracle_check"]
-            extra = f", oracle consistency {oc['consistent']}/{oc['checked']}"
+    for report in reports:
         print(
             f"eps={_sig4(report.epsilon)}: {report.adversarial_count} adversarial "
-            f"example(s), {report.n_states - report.n_correct} misclassified{extra}"
+            f"example(s), {report.n_states - report.n_correct} misclassified"
         )
 
     if args.report:
@@ -227,6 +163,21 @@ def _cmd_verify(args) -> int:
     if args.strict and any(r.adversarial_count for r in reports):
         return EXIT_NON_ROBUST
     return EXIT_OK
+
+
+def _cmd_recheck(args) -> int:
+    from .recheck import recheck_report
+
+    classifier = _load(formats.load_classifier, args.classifier)
+    dataset = _load(formats.load_dataset, args.dataset)
+    dataset.check_compatible(classifier)
+    witnesses = _load(formats.load_sidecar, args.adversarial)
+    problems, summary = _load(
+        lambda p: recheck_report(classifier, dataset, formats.read_json(p), witnesses),
+        args.report,
+    )
+    print("\n".join(problems) if problems else f"recheck: {summary}, consistent")
+    return EXIT_MISMATCH if problems else EXIT_OK
 
 
 def _cmd_bound(args) -> int:
@@ -291,40 +242,6 @@ def _cmd_encode_image(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_check(args) -> int:
-    epsilons = _parse_epsilons(args.epsilon)
-    if len(epsilons) != 1:
-        raise ValidationError("oracle-check takes a single epsilon")
-    grid = _search_grid(args.resolution)
-    classifier = _load(formats.load_classifier, args.classifier)
-    dataset = _load(formats.load_dataset, args.dataset)
-    dataset.check_compatible(classifier)
-    if classifier.dim != 2:
-        raise SchemaError("oracle-check requires a dimension-2 classifier",
-                          args.classifier)
-    reports = verify_epsilons(classifier, dataset, epsilons)
-    check = _oracle_cross_check(classifier, dataset, reports, grid)[0]
-    print(
-        f"oracle cross-check at resolution {args.resolution}^3: "
-        f"{check['consistent']}/{check['checked']} exact verdicts consistent "
-        "(the grid minimum must never undershoot the certified bound, and a "
-        "grid witness inside the ball must not contradict a robust verdict)"
-    )
-    for item in check["details"]:
-        if not item["consistent"]:
-            print(
-                f"  violation at index {item['index']}: "
-                f"delta={_sig4(item['delta'])} "
-                f"oracle_upper={_sig4(item['oracle_delta_upper'])}"
-            )
-    if args.report:
-        formats.write_json(
-            args.report,
-            {"format": formats.FORMAT_TAG, "kind": "oracle_check", **check},
-        )
-    return EXIT_OK if check["consistent"] == check["checked"] else EXIT_NON_ROBUST
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -349,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True,
                    help="threshold(s) in (0,1); comma-separated for a table")
     p.add_argument("--mode", choices=["mixed", "pure"], default="mixed")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check exact verdicts against the Bloch-ball grid")
-    p.add_argument("--oracle-resolution", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when non-robust states are found")
@@ -361,6 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omit-timings", action="store_true",
                    help="drop wall-clock timings for byte-reproducible reports")
     p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("recheck", help="re-check a saved verification report "
+                       "and its adversarial sidecar without solving anything")
+    for name in ("classifier", "dataset", "report", "adversarial"):
+        p.add_argument(name)
+    p.set_defaults(func=_cmd_recheck)
 
     p = sub.add_parser("bound", help="margin-bound under-approximation only")
     p.add_argument("classifier")
@@ -385,15 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--out", default="state.json")
     p.set_defaults(func=_cmd_encode_image)
-
-    p = sub.add_parser("oracle-check",
-                       help="compare exact verdicts with the Bloch-ball grid")
-    p.add_argument("classifier")
-    p.add_argument("dataset")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--resolution", type=int, default=100)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_oracle_check)
     return parser
 
 

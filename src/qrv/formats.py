@@ -45,6 +45,7 @@ __all__ = [
     "read_json",
     "load_classifier",
     "load_dataset",
+    "load_sidecar",
     "load_state",
     "save_classifier",
     "save_dataset",
@@ -321,24 +322,7 @@ def emit_report(report: VerificationReport, *, include_timings: bool = True) -> 
         "robust_accuracy": report.robust_accuracy,
         "under_approx_robust_accuracy": report.under_approx_robust_accuracy,
         "adversarial_count": report.adversarial_count,
-        "verdicts": [
-            {
-                "index": v.index,
-                "label": v.label,
-                "predicted": v.predicted,
-                "correct": v.correct,
-                "margin": v.margin,
-                "tie": v.tie,
-                "margin_certified": v.margin_certified,
-                "status": v.status,
-                "delta": v.delta,
-                "delta_unbounded": v.delta_unbounded,
-                "robust": v.robust,
-                "adversarial_class": v.adversarial_class,
-                "adversarial_distance": v.adversarial_distance,
-            }
-            for v in report.verdicts
-        ],
+        "verdicts": [dict(vars(v)) for v in report.verdicts],
         "solver_stats": dict(report.solver_stats),
         "warnings": list(report.warnings),
     }
@@ -372,6 +356,14 @@ def load_classifier(path) -> Classifier:
 
 def load_dataset(path) -> LabeledDataset:
     return parse_dataset(read_json(path))
+
+
+def load_sidecar(path) -> list:
+    """A sidecar's ``(state, raw entry)`` pairs; unlike a dataset it may be empty."""
+    doc = read_json(path)
+    _check_format(doc, "dataset", "$")
+    empty = _require_key(doc, "states", "$") == []
+    return [] if empty else list(zip((s for s, _ in parse_dataset(doc)), doc["states"]))
 
 
 def load_state(path):

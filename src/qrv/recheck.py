@@ -1,0 +1,149 @@
+"""Offline re-check of a saved verification report, solving nothing: one
+batched classification, one cached ``eigh`` per gap operator, and per exact
+verdict the dual value at each rival's recorded shift w > 0 (sound by weak
+duality), with r from a square-root factor of rho as the verifier takes it.
+A null shift certifies an unbounded radius if the rival is unreachable, else 0.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .classifiers import Classifier, LabeledDataset, classify_batch
+from .errors import SchemaError
+from .formats import FORMAT_TAG
+from .states import PureState, fidelity, matrix_sqrt_psd
+from .verifier import WITNESS_BUDGET, _dual_value
+
+__all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
+
+DELTA_TOL = 1e-12  # recorded delta and margins against their recomputation
+DISTANCE_TOL = 1e-9  # recorded witness distances against 1 - F recomputed
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def recheck_report(
+    classifier: Classifier, dataset: LabeledDataset, report: dict, witnesses
+) -> tuple[list[str], str]:
+    """One line per mismatch between ``report`` (a parsed verification
+    report or report set) and its recomputation, and a summary.  Each
+    non-robust verdict takes the next of the sidecar's ``witnesses``,
+    ``(state, entry)`` pairs in file order."""
+    n = len(dataset)
+    kind = report.get("kind") if isinstance(report, dict) else None
+    runs = report.get("runs") if kind == "verification_report_set" else [report]
+    if (kind not in ("verification_report", "verification_report_set")
+            or report.get("format") != FORMAT_TAG or not isinstance(runs, list)):
+        raise SchemaError(f"expected a {FORMAT_TAG} verification report or report set")
+    for j, run in enumerate(runs):
+        verdicts = run.get("verdicts") if isinstance(run, dict) else None
+        if not (isinstance(verdicts, list) and len(verdicts) == n
+                and all(isinstance(v, dict) for v in verdicts)):
+            raise SchemaError(f"expected {n} verdict objects", f"runs[{j}].verdicts")
+        if not (_number(run.get("epsilon")) and 0.0 < run["epsilon"] < 1.0):
+            raise SchemaError("epsilon must be a number in (0, 1)", f"runs[{j}].epsilon")
+    states, labels = zip(*dataset)
+    batch = classify_batch(classifier, states)
+    correct = batch.labels == labels
+    wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
+    queue = iter(enumerate(witnesses))
+    weights, problems = {}, []
+
+    def certified(i, shifts) -> float:
+        """The least radius the shifts certify over the rivals of entry i."""
+        best = math.inf
+        for k, w in enumerate(shifts):
+            if k == labels[i]:
+                continue
+            a, vectors = classifier.gap_spectrum(labels[i], k)
+            if w is None:
+                best = min(best, math.inf if a[0] > 0.0 else 0.0)
+                continue
+            if (i, k) not in weights:
+                s = states[i]
+                pure = isinstance(s, PureState)
+                root = s.amplitudes[:, None] if pure else matrix_sqrt_psd(s.matrix)
+                weights[i, k] = (np.abs(vectors.conj().T @ root) ** 2).sum(axis=1)
+            best = min(best, _dual_value(w, a, weights[i, k]))
+        return best
+
+    for run in runs:
+        eps = run["epsilon"]
+        by_margin = batch.margins > np.sqrt(2.0 * eps)
+        non_robust = 0
+        for i, v in enumerate(run["verdicts"]):
+            def bad(field, message):
+                problems.append(f"eps={eps} index={i} {field}: {message}")
+
+            def expect(field, value, tol=None) -> bool:
+                got = v.get(field)
+                if tol is None:
+                    same = got == value and type(got) is type(value)
+                else:
+                    same = _number(got) and abs(got - value) <= tol
+                if not same:
+                    bad(field, f"recorded {got!r}, recomputed {value!r}")
+                return same
+
+            ok = bool(correct[i])
+            expect("predicted", int(batch.labels[i]))
+            expect("correct", ok)
+            expect("tie", bool(batch.ties[i]))
+            expect("margin", float(batch.margins[i]), DELTA_TOL)
+            expect("margin_certified", ok and bool(by_margin[i]))
+            if not ok or by_margin[i]:
+                expect("robust", True if ok else None)
+                expect("dual_shifts", None)
+                continue
+
+            shifts = v.get("dual_shifts")
+            if not (isinstance(shifts, list) and len(shifts) == classifier.n_classes
+                    and all(w is None or _number(w) and w > 0.0 for w in shifts)
+                    and shifts[labels[i]] is None):
+                bad("dual_shifts", f"{shifts!r} is not a null or positive shift per "
+                    "class, null at the label")
+                shifts = [None] * classifier.n_classes
+            value, delta = certified(i, shifts), v.get("delta")
+            expect("delta_unbounded", value == math.inf)
+            if value == math.inf:
+                expect("delta", None)
+            elif not expect("delta", value, DELTA_TOL):
+                delta = value
+            robust = value == math.inf or eps <= delta
+            expect("robust", robust)
+            if robust:
+                continue
+
+            non_robust += 1
+            j, (sigma, entry) = next(queue, (None, (None, None)))
+            if j is None or entry.get("source_index") != i:
+                bad("source_index", "no sidecar witness is left" if j is None
+                    else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
+                continue
+            expect("adversarial_class", entry.get("target_class"))
+            rho, sigma = (s.density() if isinstance(s, PureState) else s
+                          for s in (states[i], sigma))
+            distance = 1.0 - fidelity(rho, sigma)
+            expect("adversarial_distance", distance, DISTANCE_TOL)
+            if distance > eps + WITNESS_BUDGET:
+                bad("adversarial_distance", f"sidecar entry {j} lies at {distance!r}, "
+                    f"beyond eps + {WITNESS_BUDGET}")
+            if wbatch.labels[j] == labels[i] and not wbatch.ties[j]:
+                bad("adversarial_class", f"sidecar entry {j} keeps label {labels[i]}")
+
+        ura = 1.0 - (n - int(np.count_nonzero(by_margin))) / n
+        for field, value in (("robust_accuracy", 1.0 - non_robust / n),
+                             ("under_approx_robust_accuracy", ura),
+                             ("adversarial_count", non_robust)):
+            if run.get(field) != value:
+                problems.append(f"eps={eps} {field}: recorded {run.get(field)!r}, "
+                                f"recomputed {value!r}")
+    left = sum(1 for _ in queue)
+    if left:
+        problems.append(f"sidecar: {left} witness(es) no verdict refers to")
+    return problems, f"{len(runs)} run(s), {len(witnesses)} witness(es)"

@@ -1,6 +1,6 @@
 """Seeded random states, channels and classifiers.
 
-Used by the probabilistic oracle, the demos and the test suite.  All
+Used by the benchmark inputs, the demos and the tests' oracles.  All
 draws go through an explicit ``numpy.random.Generator`` so that fixed
 seeds reproduce identical objects bit for bit.
 """

@@ -9,8 +9,6 @@ distance is provided alongside for comparison.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .config import (
@@ -28,16 +26,11 @@ __all__ = [
     "DensityMatrix",
     "as_complex_matrix",
     "require_hermitian",
-    "hermitian_eigensystem",
     "matrix_sqrt_psd",
     "pure_to_density",
-    "project_to_density",
     "fidelity",
     "sqrt_fidelity",
     "trace_distance",
-    "tensor_product",
-    "bloch_vector",
-    "density_from_bloch",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -125,8 +118,7 @@ class DensityMatrix:
 
     Construction validates all three invariants: Hermitian to
     ``HERM_TOL``, trace 1 to ``TRACE_TOL``, no eigenvalue below
-    ``-PSD_TOL``.  Use :func:`project_to_density` to repair nearly-valid
-    matrices such as interior-point solver output.
+    ``-PSD_TOL``.
     """
 
     __slots__ = ("matrix", "dim")
@@ -170,17 +162,6 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian m.
-
-    Satisfies ``m = V diag(w) V^dag`` and ``V^dag V = I`` to working
-    precision; non-Hermitian input is rejected.
-    """
-    m = require_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return w, v
-
-
 def _suppress_spectral_junk(w: np.ndarray) -> np.ndarray:
     """Zero eigenvalues at relative machine noise.
 
@@ -199,9 +180,10 @@ def matrix_sqrt_psd(m) -> np.ndarray:
 
     Eigenvalues in ``[-PSD_REJECT, 0)`` are clamped to zero so that
     solver-induced PSD drift cannot leak NaNs into fidelities; anything
-    below ``-PSD_REJECT`` is rejected as not PSD.
+    below ``-PSD_REJECT`` is rejected as not PSD, and so is a matrix that
+    is not Hermitian to ``HERM_TOL``.
     """
-    w, v = hermitian_eigensystem(m)
+    w, v = np.linalg.eigh(require_hermitian(m))
     if w[0] < -PSD_REJECT:
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
@@ -209,27 +191,6 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     w = _suppress_spectral_junk(w)
     root = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (root + root.conj().T)
-
-
-def project_to_density(m) -> DensityMatrix:
-    """Nearest-density-matrix repair for nearly-valid input.
-
-    Symmetrizes, clamps negative eigenvalues in the accepted drift range,
-    and renormalizes the trace.  Input that is far from a density matrix
-    (eigenvalue below ``-PSD_REJECT``) is rejected.
-    """
-    h = 0.5 * (as_complex_matrix(m, square=True) + as_complex_matrix(m).conj().T)
-    w, v = np.linalg.eigh(h)
-    if w[0] < -PSD_REJECT:
-        raise ValidationError(
-            f"matrix too indefinite to repair: min eigenvalue {w[0]:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ValidationError("matrix has zero trace after clamping")
-    w /= total
-    return DensityMatrix((v * w) @ v.conj().T)
 
 
 def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -266,37 +227,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     diff = rho.matrix - sigma.matrix
     w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return min(max(0.5 * float(np.sum(np.abs(w))), 0.0), 1.0)
-
-
-def tensor_product(a, b, *more) -> np.ndarray:
-    """Kronecker product of two or more matrices."""
-    out = np.kron(as_complex_matrix(a), as_complex_matrix(b))
-    for extra in more:
-        out = np.kron(out, as_complex_matrix(extra))
-    return out
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """(x, y, z) Bloch coordinates of a qubit state."""
-    if rho.dim != 2:
-        raise DimensionMismatch("Bloch coordinates are defined for dim 2 only")
-    m = rho.matrix
-    return np.array(
-        [
-            float(np.real(np.trace(m @ PAULI_X))),
-            float(np.real(np.trace(m @ PAULI_Y))),
-            float(np.real(np.trace(m @ PAULI_Z))),
-        ]
-    )
-
-
-def density_from_bloch(r: Iterable[float]) -> DensityMatrix:
-    """Qubit state 0.5 * (I + x X + y Y + z Z) for ||r|| <= 1."""
-    x, y, z = (float(c) for c in r)
-    norm = np.sqrt(x * x + y * y + z * z)
-    if norm > 1.0 + PSD_TOL:
-        raise ValidationError(f"Bloch vector has norm {norm:.9f} > 1")
-    m = 0.5 * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
-    if norm > 1.0:  # numerical drift just outside the ball
-        return project_to_density(m)
-    return DensityMatrix(m)

@@ -129,6 +129,7 @@ class OptimalBound:
     witness_distance: float | None = None
     phi_star: PureState | None = None  # set for pure inputs only
     solves: int = 0  # dual bound solves, one per rival class that needs one
+    shifts: dict = field(default_factory=dict)  # rival -> w of its dual value or None
 
     def robust_at(self, eps: float) -> bool:
         return self.unbounded or eps <= self.delta
@@ -235,16 +236,24 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
 WITNESS_BUDGET = 1e-6
 
 
+def _dual_value(w: float, a: np.ndarray, r: np.ndarray) -> float:
+    """Dual value ``1 - (w - a_0) sum_i r_i / (w + a_i - a_0)`` in [0, 1] at
+    the shift ``w = mu / lambda + a_0``: for any w > 0 a lower bound on the
+    class-flip distance by weak duality, tight at the root of psi."""
+    value = 1.0 - (w - float(a[0])) * float(r @ (1.0 / (w + (a - a[0]))))
+    return min(max(value, 0.0), 1.0)
+
+
 def _dual_bound(
     a: np.ndarray, r: np.ndarray, factor: np.ndarray, tied: bool
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, float | None]:
     """Dual bound for one rival class with gap eigenvalues ``a``, and its witness.
 
     ``factor`` is a square root of rho in the gap operator's eigenbasis,
     ``V^dag rho V = factor factor^dag``, and ``r`` its squared row norms
     (``r_i = <v_i|rho|v_i>``).  Returns delta ``= 1 - u S(u)`` at the root
-    of psi (0 when rho is already ``tied``) and a factor ``W`` of the
-    witness in the same basis, ``sigma* = W W^dag``.
+    of psi (0 when rho is already ``tied``), a factor ``W`` of the witness
+    in the same basis, ``sigma* = W W^dag``, and delta's shift w (or None).
 
     The witness lies on the dual curve ``C rho C / Q``, ``C = (u I + A)^-1``,
     ``Q = tr(C rho C)`` (tending to rho as u grows, the curve of a tied rho):
@@ -264,10 +273,10 @@ def _dual_bound(
     """
     flip = 2.0 * TIE_TOL
     d = a - a[0]
-    delta = 0.0
+    delta, w = 0.0, None
     if not tied:
         w = _dual_ratio(a, r)
-        delta = min(max(1.0 - (w - float(a[0])) * float(r @ (1.0 / (w + d))), 0.0), 1.0)
+        delta = _dual_value(w, a, r)
     for target in (-flip, 0.0) if a[0] < -flip else (0.0,):
         c = np.ones_like(d) if tied else 1.0 / (_dual_ratio(a, r, target) + d)
         rc2 = r * c * c
@@ -279,7 +288,7 @@ def _dual_bound(
     x = c[:, None] * factor * np.sqrt((1.0 - m) / q)
     kernel = np.zeros((len(a), 1), dtype=complex)
     kernel[0, 0] = 1j * np.sqrt(m) * np.exp(1j * np.angle(x[0, 0]))
-    return delta, np.hstack([x, kernel])
+    return delta, np.hstack([x, kernel]), w
 
 
 def compute_optimal_bound(
@@ -300,6 +309,7 @@ def compute_optimal_bound(
     label = _label_for(classifier, state, label)
 
     per_class: dict = {}
+    shifts: dict = {}
     best = None  # (delta_k, k, witness factor W_k in the gap eigenbasis)
     solves = 0
     for k in range(classifier.n_classes):
@@ -307,13 +317,13 @@ def compute_optimal_bound(
             continue
         a, vectors = classifier.gap_spectrum(label, k)
         if a[0] > 0.0:
-            per_class[k] = None  # class unreachable by any state
+            per_class[k] = shifts[k] = None  # class unreachable by any state
             continue
         factor = vectors.conj().T @ root  # V^dag rho V = factor factor^dag
         r = (np.abs(factor) ** 2).sum(axis=1)
         tied = float(a @ r) <= 0.0
         solves += not tied
-        delta_k, w_k = _dual_bound(a, r, factor, tied)
+        delta_k, w_k, shifts[k] = _dual_bound(a, r, factor, tied)
         per_class[k] = delta_k
         if best is None or delta_k < best[0]:
             best = (delta_k, k, w_k)
@@ -321,7 +331,7 @@ def compute_optimal_bound(
     if best is None:
         return OptimalBound(
             delta=None, unbounded=True, argmin_class=None, sigma_star=None,
-            per_class=per_class, solves=solves,
+            per_class=per_class, solves=solves, shifts=shifts,
         )
     delta, k_star, w_k = best
     witness = classifier.gap_spectrum(label, k_star)[1] @ w_k
@@ -335,7 +345,7 @@ def compute_optimal_bound(
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
         per_class=per_class, witness_distance=distance,
-        phi_star=phi_star, solves=solves,
+        phi_star=phi_star, solves=solves, shifts=shifts,
     )
 
 
@@ -390,7 +400,8 @@ def pure_state_optimal_bound(
 
 @dataclass(frozen=True)
 class StateVerdict:
-    """Outcome of verifying one dataset entry."""
+    """Outcome of verifying one dataset entry; its fields, in this order,
+    are the keys of a report verdict."""
 
     index: int
     label: int
@@ -405,6 +416,7 @@ class StateVerdict:
     robust: bool | None = None
     adversarial_class: int | None = None
     adversarial_distance: float | None = None
+    dual_shifts: list | None = None  # per class, for exact verdicts only
 
 
 @dataclass
@@ -545,6 +557,7 @@ def verify_epsilons(
                 delta_unbounded=bound.unbounded, robust=robust,
                 adversarial_class=None if robust else witness.target_class,
                 adversarial_distance=None if robust else witness.distance,
+                dual_shifts=list(map(bound.shifts.get, range(classifier.n_classes))),
                 **base,
             ))
         reports.append(VerificationReport(

@@ -7,39 +7,80 @@ bound and converges to it as the grid refines.  The random probe is a
 probabilistic falsifier for any dimension; finding nothing is never a
 robustness certificate.
 
-None of this runs on production verification paths; it backs the
-``--oracle`` cross-check flag and the test suite.
+This is test code: no part of the package imports it.  It also holds
+the qubit Bloch-coordinate helpers and the density-matrix repair that
+only these searches use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .classifiers import Classifier, classify
-from .config import TIE_TOL
-from .errors import DimensionMismatch, ValidationError
-from .sampling import random_density_matrix
-from .states import (
+from qrv.classifiers import Classifier, classify
+from qrv.config import PSD_REJECT, PSD_TOL, TIE_TOL
+from qrv.errors import DimensionMismatch, ValidationError
+from qrv.sampling import random_density_matrix
+from qrv.states import (
     DensityMatrix,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     PureState,
-    bloch_vector,
-    density_from_bloch,
+    as_complex_matrix,
     fidelity,
     pure_to_density,
 )
 
-__all__ = [
-    "SearchGrid",
-    "bloch_grid_min_distance",
-    "pure_sphere_min_distance",
-    "random_neighborhood_probe",
-    "qubit_fidelity_closed_form",
-]
+
+def project_to_density(m) -> DensityMatrix:
+    """Nearest-density-matrix repair for nearly-valid input.
+
+    Symmetrizes, clamps negative eigenvalues in the accepted drift range,
+    and renormalizes the trace.  Input that is far from a density matrix
+    (eigenvalue below ``-PSD_REJECT``) is rejected.
+    """
+    h = 0.5 * (as_complex_matrix(m, square=True) + as_complex_matrix(m).conj().T)
+    w, v = np.linalg.eigh(h)
+    if w[0] < -PSD_REJECT:
+        raise ValidationError(
+            f"matrix too indefinite to repair: min eigenvalue {w[0]:.3e}"
+        )
+    w = np.clip(w, 0.0, None)
+    total = float(np.sum(w))
+    if total <= 0.0:
+        raise ValidationError("matrix has zero trace after clamping")
+    w /= total
+    return DensityMatrix((v * w) @ v.conj().T)
+
+
+def bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    """(x, y, z) Bloch coordinates of a qubit state."""
+    if rho.dim != 2:
+        raise DimensionMismatch("Bloch coordinates are defined for dim 2 only")
+    m = rho.matrix
+    return np.array(
+        [
+            float(np.real(np.trace(m @ PAULI_X))),
+            float(np.real(np.trace(m @ PAULI_Y))),
+            float(np.real(np.trace(m @ PAULI_Z))),
+        ]
+    )
+
+
+def density_from_bloch(r: Iterable[float]) -> DensityMatrix:
+    """Qubit state 0.5 * (I + x X + y Y + z Z) for ||r|| <= 1."""
+    x, y, z = (float(c) for c in r)
+    norm = np.sqrt(x * x + y * y + z * z)
+    if norm > 1.0 + PSD_TOL:
+        raise ValidationError(f"Bloch vector has norm {norm:.9f} > 1")
+    m = 0.5 * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+    if norm > 1.0:  # numerical drift just outside the ball
+        return project_to_density(m)
+    return DensityMatrix(m)
+
 
 @dataclass(frozen=True)
 class SearchGrid:

@@ -15,7 +15,7 @@ from conftest import classified_instance, max_tied_overlap
 from qrv.casestudy import generate_qubit_case_study
 from qrv.classifiers import LabeledDataset, classify
 from qrv.formats import emit_dataset, emit_report
-from qrv.oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
+from grid_oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
 from qrv.sampling import (
     random_classifier,
     random_density_matrix,

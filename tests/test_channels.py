@@ -5,8 +5,8 @@ from qrv.channels import (
     KrausChannel,
     compose,
     depolarizing,
-    diagnose,
     identity_channel,
+    isometry_defect,
     measure_and_control,
     unitary_channel,
 )
@@ -118,21 +118,21 @@ class TestCompose:
 
 
 class TestDiagnostics:
+    # The trace-preservation defect max |sum E^dag E - I| that every
+    # Kraus set, measurement and unitary is checked against.
     def test_identity_has_zero_defect(self):
-        report = identity_channel(2).validate()
-        assert report.trace_preserving
-        assert report.trace_preserving_defect == pytest.approx(0.0, abs=1e-14)
+        assert isometry_defect(identity_channel(2).kraus) == pytest.approx(0.0, abs=1e-14)
 
     def test_scaled_identity_flagged(self):
-        report = diagnose([0.5 * np.eye(2)])
-        assert not report.trace_preserving
-        assert report.trace_preserving_defect == pytest.approx(0.75, abs=1e-12)
+        assert isometry_defect([0.5 * np.eye(2)]) == pytest.approx(0.75, abs=1e-12)
+        with pytest.raises(ValidationError):
+            KrausChannel([0.5 * np.eye(2)])
 
     def test_measurement_controlled_circuit(self):
         m0 = np.diag([1.0, 0.0]).astype(complex)
         m1 = np.diag([0.0, 1.0]).astype(complex)
         ch = measure_and_control([m0, m1], [np.eye(2), PAULI_X])
-        assert ch.validate().trace_preserving_defect <= 1e-7
+        assert isometry_defect(ch.kraus) <= 1e-7
 
 
 class TestConstructors:

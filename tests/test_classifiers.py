@@ -8,7 +8,6 @@ from qrv.classifiers import (
     LabeledDataset,
     Measurement,
     accuracy,
-    class_probabilities,
     classify,
     classify_batch,
     computational_measurement,
@@ -25,27 +24,27 @@ def z_classifier():
 
 class TestClassProbabilities:
     def test_basis_state(self, z_classifier):
-        probs = class_probabilities(z_classifier, pure_to_density(PureState([1, 0])))
+        probs = classify(z_classifier, pure_to_density(PureState([1, 0]))).probabilities
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_maximally_mixed(self, z_classifier):
-        probs = class_probabilities(z_classifier, DensityMatrix(np.eye(2) / 2))
+        probs = classify(z_classifier, DensityMatrix(np.eye(2) / 2)).probabilities
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_equal_superposition(self, z_classifier):
         plus = pure_to_density(PureState([1, 1] / np.sqrt(2)))
-        probs = class_probabilities(z_classifier, plus)
+        probs = classify(z_classifier, plus).probabilities
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_sums_to_one(self, rng):
         for dim, classes in ((2, 2), (4, 3)):
             c = random_classifier(dim, rng, n_classes=classes, kraus_rank=2)
-            probs = class_probabilities(c, random_density_matrix(dim, rng))
+            probs = classify(c, random_density_matrix(dim, rng)).probabilities
             assert abs(probs.sum() - 1.0) < 1e-7
 
     def test_dimension_mismatch(self, z_classifier, rng):
         with pytest.raises(DimensionMismatch):
-            class_probabilities(z_classifier, random_density_matrix(4, rng))
+            classify(z_classifier, random_density_matrix(4, rng))
 
 
 class TestClassify:
@@ -79,8 +78,8 @@ class TestClassify:
         c = random_classifier(4, rng, n_classes=3, kraus_rank=2)
         for _ in range(10):
             psi = random_pure_state(4, rng)
-            direct = class_probabilities(c, psi)
-            via_density = class_probabilities(c, pure_to_density(psi))
+            direct = classify(c, psi).probabilities
+            via_density = classify(c, pure_to_density(psi)).probabilities
             np.testing.assert_allclose(direct, via_density, atol=1e-8)
 
     def test_batch_matches_per_state_loop(self, rng):

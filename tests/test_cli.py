@@ -146,28 +146,20 @@ class TestVerifyCommand:
         assert sidecar["states"] == [s for _, adv in singles for s in adv["states"]]
         assert doc["runs"][0]["adversarial_count"] > doc["runs"][1]["adversarial_count"]
 
-    def test_oracle_searches_each_exact_entry_once(self, case_files, tmp_path,
-                                                   monkeypatch):
-        import qrv.oracle
+    @pytest.mark.parametrize("flag", ["--report", "--adversarial"])
+    def test_unwritable_output_fails_before_any_work(self, case_files, tmp_path, capsys,
+                                                     monkeypatch, flag):
+        import qrv.cli
 
+        calls = []
+        monkeypatch.setattr(qrv.cli, "verify_epsilons", lambda *a, **k: calls.append(a))
         classifier_path, dataset_path = case_files
-        searched = []
-        search = qrv.oracle.bloch_grid_min_distance
-
-        def counted(classifier, rho, label, grid):
-            searched.append(rho)
-            return search(classifier, rho, label, grid)
-
-        monkeypatch.setattr(qrv.oracle, "bloch_grid_min_distance", counted)
-        report_path = tmp_path / "set.json"
-        assert main([
-            "verify", classifier_path, dataset_path,
-            "--epsilon", "0.001,0.004,0.002", "--oracle", "--oracle-resolution", "21",
-            "--omit-timings", "--report", str(report_path),
-        ]) == 0
-        checks = [run["oracle_check"] for run in json.loads(report_path.read_text())["runs"]]
-        assert len(searched) == checks[1]["checked"] > checks[0]["checked"]
-        assert all(c["consistent"] == c["checked"] for c in checks)
+        out = tmp_path / "no_such_dir" / "out.json"
+        assert main(["verify", classifier_path, dataset_path, "--epsilon", "0.002",
+                     flag, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert f"input error: {out}" in captured.err
 
     def test_omit_timings_is_byte_reproducible(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
@@ -180,35 +172,13 @@ class TestVerifyCommand:
             ]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_oracle_flag(self, case_files, tmp_path):
-        classifier_path, dataset_path = case_files
-        report_path = tmp_path / "r.json"
-        code = main([
-            "verify", classifier_path, dataset_path,
-            "--epsilon", "0.002", "--oracle", "--oracle-resolution", "41",
-            "--report", str(report_path),
-        ])
-        assert code == 0
-        doc = json.loads(report_path.read_text())
-        assert doc["oracle_check"]["consistent"] == doc["oracle_check"]["checked"]
-
-    @pytest.mark.parametrize("command", ["verify", "bound", "oracle-check"])
+    @pytest.mark.parametrize("command", ["verify", "bound"])
     @pytest.mark.parametrize("eps", ["0", "1", "-0.1", "2.0"])
     def test_bad_epsilon_exits_2(self, tmp_path, capsys, command, eps):
         # The input files do not exist: epsilon is rejected before any is read.
         missing = str(tmp_path / "missing.json")
         assert main([command, missing, missing, "--epsilon", eps]) == 2
         assert "epsilon must be in (0, 1)" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, flags", [
-        ("verify", ["--oracle", "--oracle-resolution", "1"]),
-        ("oracle-check", ["--resolution", "1"]),
-    ])
-    def test_bad_resolution_exits_2(self, tmp_path, capsys, command, flags):
-        # As for epsilon, the grid resolution is rejected before any input is read.
-        missing = str(tmp_path / "missing.json")
-        assert main([command, missing, missing, "--epsilon", "0.001", *flags]) == 2
-        assert "grid resolution must be at least 2" in capsys.readouterr().err
 
     def test_pure_mode_end_to_end(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
@@ -234,16 +204,6 @@ class TestBoundCommand:
                      "--epsilon", "0.001,0.002"]) == 0
         out = capsys.readouterr().out
         assert "margin bound (under-approx)" in out
-
-
-class TestOracleCheckCommand:
-    def test_agreement_on_case_study(self, case_files):
-        classifier_path, dataset_path = case_files
-        code = main([
-            "oracle-check", classifier_path, dataset_path,
-            "--epsilon", "0.002", "--resolution", "61",
-        ])
-        assert code == 0
 
 
 def write_pgm_p2(path, pixels, maxval=255):
@@ -372,14 +332,22 @@ def test_no_module_loads_scipy():
     assert _python(code) == "True []"
 
 
-def test_cli_import_does_not_load_scipy():
-    # The verify path needs only numpy, as does every qrv module.  Nor
-    # does the CLI load the grid oracle, the samplers or the case study,
-    # which only some subcommands use.
+def test_cli_import_does_not_load_scipy(case_files, tmp_path):
+    # The verify and recheck paths need only numpy, as does every qrv
+    # module.  Nor do they load the samplers or the case study, which only
+    # some subcommands and the tests use.
+    classifier_path, dataset_path = case_files
+    report, sidecar = str(tmp_path / "r.json"), str(tmp_path / "a.json")
     code = ("import sys, qrv.cli; "
+            "assert qrv.cli.main(sys.argv[1:]) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m in ('qrv.oracle', 'qrv.sampling', 'qrv.casestudy')))")
-    assert _python(code) == "[]"
+            "or m in ('qrv.sampling', 'qrv.casestudy')))")
+    for argv in (["verify", classifier_path, dataset_path, "--epsilon", "0.002",
+                  "--report", report, "--adversarial", sidecar],
+                 ["recheck", classifier_path, dataset_path, report, sidecar]):
+        result = _run(["-c", code, *argv])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_package_import_is_lazy():

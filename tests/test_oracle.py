@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import classified_instance
-from qrv.channels import identity_channel
-from qrv.classifiers import Classifier, classify, computational_measurement
-from qrv.errors import DimensionMismatch, ValidationError
-from qrv.oracle import (
+from grid_oracle import (
     SearchGrid,
     bloch_grid_min_distance,
+    bloch_vector,
     pure_sphere_min_distance,
     qubit_fidelity_closed_form,
     random_neighborhood_probe,
 )
+from qrv.channels import identity_channel
+from qrv.classifiers import Classifier, classify, computational_measurement
+from qrv.errors import DimensionMismatch, ValidationError
 from qrv.sampling import random_density_matrix
-from qrv.states import DensityMatrix, PureState, bloch_vector, fidelity, pure_to_density
+from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
 from qrv.verifier import compute_optimal_bound
 
 

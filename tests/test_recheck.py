@@ -1,0 +1,259 @@
+"""``qrv recheck``: saved reports re-check offline, and corruption is caught.
+
+The recorded dual shifts must reproduce delta exactly, certify it in
+40-digit arithmetic, and any one-field edit of a report or its sidecar
+must make the re-check fail naming the entry.
+"""
+
+import copy
+import json
+
+import mpmath
+import numpy as np
+import pytest
+
+import qrv.verifier
+from conftest import classified_instance
+from qrv.cli import main
+from qrv.classifiers import LabeledDataset, classify_batch
+from qrv.formats import save_classifier, save_dataset
+from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
+from qrv.states import DensityMatrix, PureState, matrix_sqrt_psd
+from qrv.verifier import _dual_value, compute_optimal_bound
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A dim-4, 3-class case with pure and mixed entries and one
+    misclassified entry, verified once per (mode, epsilons) pair."""
+    root = tmp_path_factory.mktemp("recheck")
+    rng = np.random.default_rng(7)
+    classifier = random_classifier(4, rng, n_classes=3, kraus_rank=2)
+    states = ([random_pure_state(4, rng) for _ in range(15)]
+              + [random_density_matrix(4, rng, rank=2) for _ in range(15)])
+    labels = [int(k) for k in classify_batch(classifier, states).labels]
+    labels[0] = (labels[0] + 1) % 3
+    paths = {"classifier": str(root / "c.json"), "dataset": str(root / "d.json")}
+    save_classifier(paths["classifier"], classifier)
+    save_dataset(paths["dataset"], LabeledDataset(zip(states, labels)))
+    for mode in ("mixed", "pure"):
+        for name, eps in (("single", "0.01"), ("set", "0.001,0.01")):
+            report, sidecar = root / f"{mode}_{name}_r.json", root / f"{mode}_{name}_a.json"
+            assert main(["verify", paths["classifier"], paths["dataset"], "--epsilon", eps,
+                         "--mode", mode, "--omit-timings", "--report", str(report),
+                         "--adversarial", str(sidecar)]) == 0
+            paths[mode, name] = (report, sidecar)
+    return paths
+
+
+REPORTS = [("mixed", "single"), ("mixed", "set"), ("pure", "single"), ("pure", "set")]
+
+
+def recheck(saved, report, sidecar, tmp_path, capsys):
+    """Write the (possibly edited) documents and run ``qrv recheck``."""
+    paths = []
+    for name, doc in (("r.json", report), ("a.json", sidecar)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    capsys.readouterr()
+    code = main(["recheck", saved["classifier"], saved["dataset"], *paths])
+    return code, capsys.readouterr().out
+
+
+def load(saved, key):
+    return [json.loads(path.read_text()) for path in saved[key]]
+
+
+def first_run(report):
+    return report["runs"][0] if report["kind"] == "verification_report_set" else report
+
+
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_untouched_report_rechecks(saved, key, tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recheck must not solve")
+
+    monkeypatch.setattr(qrv.verifier, "compute_optimal_bound", forbidden)
+    monkeypatch.setattr(qrv.verifier, "_dual_ratio", forbidden)
+    report, sidecar = load(saved, key)
+    run = first_run(report)
+    kinds = {(v["margin_certified"], v["robust"]) for v in run["verdicts"]}
+    assert {(True, True), (False, True), (False, False), (False, None)} <= kinds
+    assert any(s is None for v in run["verdicts"] if v["dual_shifts"]
+               for k, s in enumerate(v["dual_shifts"]) if k == v["label"])
+    code, out = recheck(saved, report, sidecar, tmp_path, capsys)
+    assert code == 0, out
+    assert out.startswith("recheck: ") and out.strip().endswith("consistent")
+
+
+def _entry(run, *, robust, certified=False):
+    """Index of the first correct verdict with this outcome."""
+    return next(v["index"] for v in run["verdicts"] if v["status"] == "ok"
+                and v["robust"] is robust and v["margin_certified"] is certified)
+
+
+def _delta(report, sidecar, run):
+    i = next(v["index"] for v in run["verdicts"] if v["robust"] is True
+             and not v["margin_certified"] and v["delta"] is not None)
+    run["verdicts"][i]["delta"] += 1e-6
+    return i, "delta"
+
+
+def _shift(report, sidecar, run):
+    i = _entry(run, robust=False)
+    verdict = run["verdicts"][i]
+    verdict["dual_shifts"][verdict["adversarial_class"]] *= 1.01
+    return i, "delta"
+
+
+def _robust(report, sidecar, run):
+    i = _entry(run, robust=True)
+    run["verdicts"][i]["robust"] = False
+    return i, "robust"
+
+
+def _margin_certified(report, sidecar, run):
+    i = _entry(run, robust=True, certified=True)
+    run["verdicts"][i]["margin_certified"] = False
+    return i, "margin_certified"
+
+
+def _distance(report, sidecar, run):
+    i = _entry(run, robust=False)
+    run["verdicts"][i]["adversarial_distance"] += 1e-6
+    return i, "adversarial_distance"
+
+
+def _amplitude(report, sidecar, run):
+    # A phase on one basis amplitude keeps the witness a valid state.
+    entry = sidecar["states"][0]
+    phase = np.exp(0.01j)
+    data = np.array(entry["data"]).view(complex)[..., 0]
+    if entry["kind"] == "pure":
+        data[0] *= phase
+    else:
+        data[0, :] *= phase
+        data[:, 0] *= np.conj(phase)
+    entry["data"] = np.stack([data.real, data.imag], axis=-1).tolist()
+    return entry["source_index"], "adversarial_distance"
+
+
+def _robust_accuracy(report, sidecar, run):
+    run["robust_accuracy"] += 0.01
+    return None, "robust_accuracy"
+
+
+def _drop_witness(report, sidecar, run):
+    return sidecar["states"].pop(0)["source_index"], "source_index"
+
+
+EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
+         _robust_accuracy, _drop_witness]
+
+
+@pytest.mark.parametrize("edit", EDITS, ids=[e.__name__.strip("_") for e in EDITS])
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_one_field_edit_is_caught(saved, key, edit, tmp_path, capsys):
+    report, sidecar = copy.deepcopy(load(saved, key))
+    run = first_run(report)
+    index, field = edit(report, sidecar, run)
+    code, out = recheck(saved, report, sidecar, tmp_path, capsys)
+    assert code == 1
+    where = "" if index is None else f" index={index}"
+    assert f"eps={run['epsilon']}{where} {field}: " in out, out
+
+
+def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
+    assert main(["verify", saved["classifier"], saved["dataset"], "--epsilon", "1e-9",
+                 "--report", str(tmp_path / "r.json"),
+                 "--adversarial", str(tmp_path / "a.json")]) == 0
+    sidecar = json.loads((tmp_path / "a.json").read_text())
+    assert sidecar["states"] == []
+    code, out = recheck(saved, json.loads((tmp_path / "r.json").read_text()), sidecar,
+                        tmp_path, capsys)
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("case", ["not_a_report", "verdict_count", "missing"])
+def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
+    report, sidecar = saved["mixed", "single"]
+    if case == "not_a_report":
+        report = saved["dataset"]
+    elif case == "verdict_count":
+        doc = json.loads(report.read_text())
+        doc["verdicts"].pop()
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(doc))
+    else:
+        sidecar = tmp_path / "missing.json"
+    code = main(["recheck", saved["classifier"], saved["dataset"], str(report), str(sidecar)])
+    assert code == 2
+    assert "input error: " in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The recorded shifts against 40-digit arithmetic
+
+
+def _mp_dual_value(gap, state, w):
+    """The dual value at shift w with mpmath's eigh of the gap operator at
+    40 digits, and r_i = <v_i|rho|v_i> in the same precision."""
+    with mpmath.workdps(40):
+        dim = gap.shape[0]
+        e, q = mpmath.eigh(mpmath.matrix([[mpmath.mpc(x) for x in row] for row in gap]))
+        if isinstance(state, PureState):
+            psi = mpmath.matrix([mpmath.mpc(x) for x in state.amplitudes])
+            r = [abs(sum(mpmath.conj(q[j, i]) * psi[j] for j in range(dim))) ** 2
+                 for i in range(dim)]
+        else:
+            rho = mpmath.matrix([[mpmath.mpc(x) for x in row] for row in state.matrix])
+            r = [mpmath.re((q[:, i].H * rho * q[:, i])[0]) for i in range(dim)]
+        w = mpmath.mpf(w)
+        value = 1 - (w - e[0]) * sum(r[i] / (w + e[i] - e[0]) for i in range(dim))
+        return float(min(max(value, 0), 1))
+
+
+def _no_weight_on_lowest_gap_vector(rng):
+    """A dim-8 mixed state orthogonal to the lowest eigenvector of its gap
+    operator, so the verifier's shift sits at its clamp."""
+    for _ in range(100):
+        classifier = random_classifier(8, rng, n_classes=2, kraus_rank=2)
+        label = int(rng.integers(2))
+        v0 = classifier.gap_spectrum(label, 1 - label)[1][:, :1]
+        projector = np.eye(8) - v0 @ v0.conj().T
+        m = projector @ random_density_matrix(8, rng).matrix @ projector
+        state = DensityMatrix(m / np.trace(m).real)
+        batch = classify_batch(classifier, [state])
+        if batch.labels[0] == label and not batch.ties[0]:
+            return classifier, state, label
+    raise AssertionError("no classified state orthogonal to the lowest gap vector")
+
+
+CASES = [(kind, dim) for dim in (2, 3, 4, 8, 16) for kind in ("pure", "mixed")]
+
+
+@pytest.mark.parametrize("kind, dim", CASES + [("orthogonal", 8)],
+                         ids=[f"{k}-{d}" for k, d in CASES] + ["orthogonal-8"])
+def test_recorded_shift_certifies_delta_at_40_digits(kind, dim):
+    rng = np.random.default_rng(1000 + dim)
+    if kind == "orthogonal":
+        classifier, state, label = _no_weight_on_lowest_gap_vector(rng)
+    else:
+        classifier, state, label = classified_instance(
+            rng, dim=dim, n_classes=2 if dim == 2 else 3, kraus_rank=2,
+            pure=kind == "pure", min_margin=0.02)
+    bound = compute_optimal_bound(classifier, state, label)
+    shifted = [k for k, w in bound.shifts.items() if w is not None]
+    assert shifted
+    for k in shifted:
+        a, vectors = classifier.gap_spectrum(label, k)
+        root = state.amplitudes[:, None] if kind == "pure" else matrix_sqrt_psd(state.matrix)
+        r = (np.abs(vectors.conj().T @ root) ** 2).sum(axis=1)
+        # The recorded shift reproduces the bound bit for bit ...
+        assert _dual_value(bound.shifts[k], a, r) == bound.per_class[k]
+        # ... and certifies it in 40-digit arithmetic.
+        exact = _mp_dual_value(classifier.class_gap_operator(label, k), state,
+                               bound.shifts[k])
+        assert bound.per_class[k] <= exact + 1e-12
+        assert exact - bound.per_class[k] <= 1e-8
+    assert bound.delta == min(v for v in bound.per_class.values() if v is not None)

@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grid_oracle import bloch_vector, density_from_bloch, project_to_density
 from qrv.errors import DimensionMismatch, ValidationError
 from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import (
     DensityMatrix,
-    PAULI_X,
     PureState,
-    bloch_vector,
-    density_from_bloch,
     fidelity,
-    hermitian_eigensystem,
     matrix_sqrt_psd,
-    project_to_density,
     pure_to_density,
-    tensor_product,
     trace_distance,
 )
 
@@ -42,34 +37,6 @@ class TestPureToDensity:
     def test_small_norm_drift_renormalized(self):
         psi = PureState([1.0 + 5e-8, 0.0])
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-
-
-class TestEigensystem:
-    def test_identity(self):
-        w, v = hermitian_eigensystem(np.eye(2))
-        np.testing.assert_allclose(w, [1, 1])
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-
-    def test_diagonal_ascending(self):
-        w, v = hermitian_eigensystem(np.diag([0.7, 0.3]))
-        np.testing.assert_allclose(w, [0.3, 0.7])
-        np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-12)
-
-    def test_pauli_x_spectrum(self):
-        w, _ = hermitian_eigensystem(PAULI_X)
-        np.testing.assert_allclose(w, [-1, 1], atol=1e-12)
-
-    @pytest.mark.parametrize("dim", [2, 5, 8])
-    def test_reconstruction_and_unitarity(self, rng, dim):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = g + g.conj().T
-        w, v = hermitian_eigensystem(h)
-        np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-8)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-8)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestMatrixSqrt:
@@ -99,6 +66,10 @@ class TestMatrixSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             matrix_sqrt_psd(np.diag([1.0, -1e-3]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValidationError):
+            matrix_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestFidelity:
@@ -163,21 +134,6 @@ def test_fuchs_van_de_graaf(seed, dim):
     t = trace_distance(rho, sigma)
     assert 1.0 - np.sqrt(f) <= t + 1e-7
     assert t <= np.sqrt(1.0 - f) + 1e-7
-
-
-class TestTensorProduct:
-    def test_identity_identity(self):
-        np.testing.assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_case(self):
-        out = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_double_bit_flip(self):
-        xx = tensor_product(PAULI_X, PAULI_X)
-        e00 = np.zeros(4)
-        e00[0] = 1.0
-        np.testing.assert_allclose(xx @ e00, [0, 0, 0, 1], atol=1e-12)
 
 
 class TestDensityMatrixValidation:

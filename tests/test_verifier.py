@@ -11,7 +11,7 @@ from qrv.classifiers import (
     computational_measurement,
 )
 from qrv.errors import MisclassifiedInput, ValidationError
-from qrv.oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
+from grid_oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
 from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
 from qrv.verifier import (
