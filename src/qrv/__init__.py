@@ -6,7 +6,7 @@ same way everywhere within fidelity distance epsilon?  It computes a
 cheap margin certificate and the exact optimal robust bound from the
 two-multiplier fidelity dual (one eigendecomposition per class gap
 operator plus a one-dimensional root search per state), extracts concrete
-adversarial states (pure ones for pure inputs on request) when robustness
+adversarial states (pure ones for pure inputs) when robustness
 fails, and re-checks a saved report offline without solving anything.
 
 The names below are exported lazily (PEP 562): ``import qrv`` loads no

@@ -6,7 +6,8 @@ offline), ``bound`` (margin filter only), ``gen-qubit``, ``encode-image``.
 Exit codes: 0 success; 1 verification found non-robust states and
 ``--strict`` was given (without it this is informational and exits 0),
 or ``recheck`` found a mismatch; 2 input/schema error or a file that
-cannot be read or written, printed with the failing document path; 3 any
+cannot be read or written, printed with the failing document path, or a
+malformed ``QRV_MAX_DIM``, checked before any file is read; 3 any
 other qrv error (the exact bound has no solver that can fail).
 
 Each command is one short process, so its fixed start-up cost counts.
@@ -29,6 +30,7 @@ import sys
 import time
 
 from .classifiers import accuracy, classify_batch
+from .config import dimension_cap
 from .errors import QrvError, SchemaError, ValidationError
 from . import formats
 from .verifier import VerifyOptions, under_robust_accuracy, verify_epsilons
@@ -119,7 +121,7 @@ def _cmd_verify(args) -> int:
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
 
-    options = VerifyOptions(mode=args.mode, seed=args.seed)
+    options = VerifyOptions(seed=args.seed)
     reports = verify_epsilons(classifier, dataset, epsilons, options=options)
     docs = []
     for report in reports:
@@ -265,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--epsilon", required=True,
                    help="threshold(s) in (0,1); comma-separated for a table")
-    p.add_argument("--mode", choices=["mixed", "pure"], default="mixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when non-robust states are found")
@@ -312,6 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        dimension_cap()  # a malformed QRV_MAX_DIM is not blamed on the first file read
         return args.func(args)
     except ValidationError as exc:  # SchemaError included
         print(f"input error: {exc}", file=sys.stderr)

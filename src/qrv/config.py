@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ValidationError
+
 DEFAULT_MAX_DIM = 256
 MAX_DIM_ENV_VAR = "QRV_MAX_DIM"
 
@@ -48,9 +50,10 @@ def dimension_cap() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{MAX_DIM_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise ValidationError(
+            f"{MAX_DIM_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 2:
-        raise ValueError(f"{MAX_DIM_ENV_VAR} must be at least 2, got {value}")
+        raise ValidationError(f"{MAX_DIM_ENV_VAR} must be at least 2, got {value}")
     return value
 
 
@@ -58,8 +61,6 @@ def check_dimension(dim: int) -> None:
     """Raise if ``dim`` exceeds the configured cap."""
     cap = dimension_cap()
     if dim > cap:
-        from .errors import ValidationError
-
         raise ValidationError(
             f"dimension {dim} exceeds the configured cap {cap}; "
             f"raise {MAX_DIM_ENV_VAR} to override"

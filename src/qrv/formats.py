@@ -314,7 +314,6 @@ def emit_report(report: VerificationReport, *, include_timings: bool = True) -> 
         "format": FORMAT_TAG,
         "kind": "verification_report",
         "epsilon": report.epsilon,
-        "mode": report.mode,
         "seed": report.seed,
         "n_states": report.n_states,
         "n_correct": report.n_correct,

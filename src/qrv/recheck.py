@@ -14,7 +14,7 @@ import numpy as np
 from .classifiers import Classifier, LabeledDataset, classify_batch
 from .errors import SchemaError
 from .formats import FORMAT_TAG
-from .states import PureState, fidelity, matrix_sqrt_psd
+from .states import _state_factor, fidelity
 from .verifier import WITNESS_BUDGET, _dual_value
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
@@ -65,10 +65,8 @@ def recheck_report(
                 best = min(best, math.inf if a[0] > 0.0 else 0.0)
                 continue
             if (i, k) not in weights:
-                s = states[i]
-                pure = isinstance(s, PureState)
-                root = s.amplitudes[:, None] if pure else matrix_sqrt_psd(s.matrix)
-                weights[i, k] = (np.abs(vectors.conj().T @ root) ** 2).sum(axis=1)
+                factor = vectors.conj().T @ _state_factor(states[i])
+                weights[i, k] = (np.abs(factor) ** 2).sum(axis=1)
             best = min(best, _dual_value(w, a, weights[i, k]))
         return best
 
@@ -126,9 +124,7 @@ def recheck_report(
                     else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
                 continue
             expect("adversarial_class", entry.get("target_class"))
-            rho, sigma = (s.density() if isinstance(s, PureState) else s
-                          for s in (states[i], sigma))
-            distance = 1.0 - fidelity(rho, sigma)
+            distance = 1.0 - fidelity(states[i], sigma)
             expect("adversarial_distance", distance, DISTANCE_TOL)
             if distance > eps + WITNESS_BUDGET:
                 bad("adversarial_distance", f"sidecar entry {j} lies at {distance!r}, "

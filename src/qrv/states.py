@@ -100,9 +100,6 @@ class PureState:
         self.amplitudes = arr
         self.dim = arr.size
 
-    def density(self) -> "DensityMatrix":
-        return pure_to_density(self)
-
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
         if self.dim != other.dim:
@@ -125,6 +122,7 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         m = require_hermitian(matrix, "density matrix")
+        check_dimension(m.shape[0])
         trace = float(np.real(np.trace(m)))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix has trace {trace:.12f}, not 1")
@@ -133,7 +131,6 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {lo:.3e}"
             )
-        check_dimension(m.shape[0])
         self.matrix = m
         self.dim = m.shape[0]
 
@@ -193,30 +190,45 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+def _check_same_dims(rho, sigma) -> None:
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
 
 
-def sqrt_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
-    _check_same_dims(rho, sigma)
-    return _sqrt_fidelity_from_root(matrix_sqrt_psd(rho.matrix), sigma.matrix)
+def _state_factor(state) -> np.ndarray:
+    """A factor R with ``rho = R R^dag``: a pure state's amplitude column,
+    or a density matrix's eigenvectors of nonzero eigenvalue scaled by
+    their square roots."""
+    if isinstance(state, PureState):
+        return state.amplitudes[:, None]
+    w, v = np.linalg.eigh(state.matrix)
+    w = _suppress_spectral_junk(w)
+    keep = w > 0.0
+    return v[:, keep] * np.sqrt(w[keep])
 
 
-def _sqrt_fidelity_from_root(root: np.ndarray, sigma: np.ndarray) -> float:
-    """:func:`sqrt_fidelity` given ``root = matrix_sqrt_psd(rho)``."""
-    inner = root @ sigma @ root
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    value = float(np.sum(np.sqrt(_suppress_spectral_junk(w))))
+def _factor_sqrt_fidelity(r: np.ndarray, s: np.ndarray) -> float:
+    """sqrt(F) of ``R R^dag`` and ``S S^dag``: the trace norm of
+    ``R^dag S`` (the sum of its singular values), clamped to [0, 1]."""
+    value = float(np.sum(np.linalg.svd(r.conj().T @ s, compute_uv=False)))
     return min(max(value, 0.0), 1.0)
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def sqrt_fidelity(rho, sigma) -> float:
+    """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)) in [0, 1] of two
+    states, each a PureState or a DensityMatrix."""
+    _check_same_dims(rho, sigma)
+    return _factor_sqrt_fidelity(_state_factor(rho), _state_factor(sigma))
+
+
+def fidelity(rho, sigma) -> float:
     """Fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1].
 
-    Computed by eigendecomposition; symmetric in its arguments up to
-    numerical noise.  For pure states it reduces to |<psi|phi>|^2.
+    Either argument is a PureState or a DensityMatrix.  Computed as
+    ``||R^dag S||_tr^2`` from factors ``rho = R R^dag``, ``sigma = S S^dag``
+    (one ``eigh`` per density matrix, none for a pure state); symmetric
+    in its arguments up to numerical noise.  For pure states it is
+    |<psi|phi>|^2.
     """
     return sqrt_fidelity(rho, sigma) ** 2
 

@@ -21,9 +21,10 @@ verification stack:
   the optimum it is ``1/4 B^-1 rho B^-1`` with ``B = mu I + lambda A``,
   and a second root, just past the optimum, puts it strictly inside
   the rival class; its measured distance closes the interval;
-* pure-state adversaries: for pure rho the pure-state bound equals
-  delta (the joint numerical range of two Hermitian forms is convex,
-  Toeplitz-Hausdorff), and the witness is the pure state ``C psi``;
+* witnesses in the input's form: for pure rho the pure-state bound
+  equals delta (the joint numerical range of two Hermitian forms is
+  convex, Toeplitz-Hausdorff), so a pure entry's witness is the pure
+  state ``C psi`` and a mixed entry's is sigma*;
 * a dataset driver that classifies the whole dataset in one contraction,
   filters with the margin bound and falls back to the exact bound only
   where the filter is inconclusive, collecting adversarial examples
@@ -53,12 +54,7 @@ from .classifiers import (
 )
 from .config import TIE_TOL
 from .errors import MisclassifiedInput, ValidationError
-from .states import (
-    DensityMatrix,
-    PureState,
-    _sqrt_fidelity_from_root,
-    matrix_sqrt_psd,
-)
+from .states import DensityMatrix, PureState, _factor_sqrt_fidelity, _state_factor
 
 __all__ = [
     "VerifyOptions",
@@ -77,10 +73,6 @@ __all__ = [
     "under_robust_accuracy",
 ]
 
-MIXED = "mixed"
-PURE = "pure"
-
-
 def _require_epsilon(eps: float) -> float:
     eps = float(eps)
     if not 0.0 < eps < 1.0:
@@ -92,13 +84,7 @@ def _require_epsilon(eps: float) -> float:
 class VerifyOptions:
     """Settings of the dataset driver :func:`verify_epsilons`."""
 
-    mode: str = MIXED  # "mixed": adversaries range over density matrices;
-    #                    "pure": pure-state adversaries for pure entries
     seed: int = 0  # recorded in reports; no computation draws on it
-
-    def __post_init__(self):
-        if self.mode not in (MIXED, PURE):
-            raise ValidationError(f"mode must be 'mixed' or 'pure', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +102,10 @@ class OptimalBound:
     """Largest radius with no adversarial example, plus its witness.
 
     ``delta`` is the dual value, a lower bound on the true radius;
-    ``witness_distance`` is the measured ``1 - F(rho, sigma_star)``, an
-    upper bound, so the true radius lies in between.  For pure input psi,
-    ``phi_star`` is the pure witness ``C psi`` at the same distance.
+    ``witness_distance`` is the measured ``1 - F`` of the witness in the
+    input's form, an upper bound, so the true radius lies in between.  For
+    pure input psi that witness is ``phi_star``, the pure state ``C psi``
+    (``sigma_star`` is at the same distance); otherwise it is ``sigma_star``.
     """
 
     delta: float | None  # None encodes an unbounded radius
@@ -301,11 +288,10 @@ def compute_optimal_bound(
     positive definite) contributes an unbounded radius; when every rival is
     unreachable the state is robust at every eps < 1.  A rival already
     tied at rho contributes delta 0 with no solve.  The witness distance is
-    measured on the built sigma*: ``1 - <psi|sigma*|psi>`` for pure psi,
-    ``1 - F(rho, sigma*)`` otherwise.
+    ``1 - F`` measured on the witness in the input's form: ``phi_star`` for
+    pure psi, ``sigma_star`` otherwise.
     """
-    pure = isinstance(state, PureState)
-    root = state.amplitudes[:, None] if pure else matrix_sqrt_psd(state.matrix)
+    root = _state_factor(state)
     label = _label_for(classifier, state, label)
 
     per_class: dict = {}
@@ -337,11 +323,10 @@ def compute_optimal_bound(
     witness = classifier.gap_spectrum(label, k_star)[1] @ w_k
     sigma_star = DensityMatrix(witness @ witness.conj().T)
     phi_star = None
-    if pure:
+    if isinstance(state, PureState):
         phi_star = PureState(witness.sum(axis=1))  # unit norm already
-        distance = 1.0 - float(np.linalg.norm(witness.conj().T @ state.amplitudes)) ** 2
-    else:
-        distance = 1.0 - _sqrt_fidelity_from_root(root, sigma_star.matrix) ** 2
+    distance = 1.0 - _factor_sqrt_fidelity(
+        root, _state_factor(phi_star or sigma_star)) ** 2
     return OptimalBound(
         delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
         per_class=per_class, witness_distance=distance,
@@ -355,14 +340,15 @@ def check_epsilon_robust(
     """eps-robustness decision by thresholding the optimal bound.
 
     The state is robust iff ``eps <= delta``; a non-robust state carries
-    the optimal witness ``sigma_star`` at its measured distance.
+    the optimal witness at its measured distance, ``phi_star`` for a pure
+    state and ``sigma_star`` for a mixed one.
     """
     eps = _require_epsilon(eps)
     bound = compute_optimal_bound(classifier, state, label)
     witness = None
     if not bound.robust_at(eps):
-        witness = AdversarialWitness(bound.sigma_star, bound.argmin_class,
-                                     bound.witness_distance)
+        witness = AdversarialWitness(bound.phi_star or bound.sigma_star,
+                                     bound.argmin_class, bound.witness_distance)
     return RobustnessCheck(robust=witness is None, witness=witness)
 
 
@@ -422,7 +408,6 @@ class StateVerdict:
 @dataclass
 class VerificationReport:
     epsilon: float
-    mode: str
     n_states: int
     n_correct: int
     accuracy: float
@@ -515,12 +500,9 @@ def verify_epsilons(
         bound = compute_optimal_bound(classifier, states[i], labels[i])
         witness = None
         if not bound.unbounded:
-            sigma, distance = bound.sigma_star, bound.witness_distance
-            if opts.mode == PURE and bound.phi_star is not None:
-                sigma = bound.phi_star
-                distance = 1.0 - abs(sigma.overlap(states[i])) ** 2
             witness = AdversarialWitness(
-                sigma, bound.argmin_class, distance, source_index=i
+                bound.phi_star or bound.sigma_star, bound.argmin_class,
+                bound.witness_distance, source_index=i,
             )
         exact[i] = (bound, witness, time.perf_counter() - t0)
 
@@ -562,7 +544,6 @@ def verify_epsilons(
             ))
         reports.append(VerificationReport(
             epsilon=eps,
-            mode=opts.mode,
             n_states=n,
             n_correct=n_correct,
             accuracy=accuracy_value,

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from qrv.casestudy import (
     generate_qubit_case_study,
     read_pgm,
 )
-from qrv.cli import main
+from qrv.cli import build_parser, main
 from qrv.errors import ValidationError
 from qrv.formats import load_state, save_classifier, save_dataset
 from qrv.classifiers import LabeledDataset
@@ -180,21 +182,37 @@ class TestVerifyCommand:
         assert main([command, missing, missing, "--epsilon", eps]) == 2
         assert "epsilon must be in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-qubit", "verify"])
+    @pytest.mark.parametrize("value", ["abc", "1"])
+    def test_malformed_max_dim_exits_2(self, case_files, tmp_path, capsys, monkeypatch,
+                                       command, value):
+        # An input error of its own: no traceback, no file blamed for it.
+        classifier_path, dataset_path = case_files
+        monkeypatch.setenv("QRV_MAX_DIM", value)
+        argv = {"gen-qubit": ["gen-qubit", "--out-prefix", str(tmp_path / "q")],
+                "verify": ["verify", classifier_path, dataset_path, "--epsilon", "0.002"],
+                }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: QRV_MAX_DIM must be "), err
+        assert str(tmp_path) not in err
+
     def test_pure_mode_end_to_end(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         report_path = tmp_path / "pure.json"
         sidecar_path = tmp_path / "pure_adv.json"
         code = main([
             "verify", classifier_path, dataset_path,
-            "--epsilon", "0.002", "--mode", "pure",
+            "--epsilon", "0.002",
             "--report", str(report_path), "--adversarial", str(sidecar_path),
         ])
         assert code == 0
         doc = json.loads(report_path.read_text())
-        assert doc["mode"] == "pure"
-        if doc["adversarial_count"]:
-            sidecar = json.loads(sidecar_path.read_text())
-            assert all(entry["kind"] == "pure" for entry in sidecar["states"])
+        assert "mode" not in doc
+        # The case study's entries are pure, so are its witnesses.
+        sidecar = json.loads(sidecar_path.read_text())
+        assert len(sidecar["states"]) == doc["adversarial_count"] > 0
+        assert all(entry["kind"] == "pure" for entry in sidecar["states"])
 
 
 class TestBoundCommand:
@@ -371,3 +389,16 @@ def test_lazy_exports_resolve():
     assert set(qrv.__all__) <= set(dir(qrv))
     with pytest.raises(AttributeError):
         getattr(qrv, "no_such_name")
+
+
+def test_readme_lists_the_verify_flags():
+    # The README's flag paragraph names every `qrv verify` option and no
+    # other; --epsilon appears in every example and -h is argparse's own.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Useful `verify` flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in commands.choices["verify"]._actions for s in a.option_strings}
+    assert documented <= options
+    assert options - {"--epsilon", "-h", "--help"} <= documented

@@ -18,45 +18,48 @@ from qrv.cli import main
 from qrv.classifiers import LabeledDataset, classify_batch
 from qrv.formats import save_classifier, save_dataset
 from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
-from qrv.states import DensityMatrix, PureState, matrix_sqrt_psd
+from qrv.states import DensityMatrix, PureState, _state_factor
 from qrv.verifier import _dual_value, compute_optimal_bound
 
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """A dim-4, 3-class case with pure and mixed entries and one
-    misclassified entry, verified once per (mode, epsilons) pair."""
+    """A dim-4, 3-class classifier with a dataset of mixed entries and one
+    of pure entries, each with one misclassified entry, verified once per
+    (dataset, epsilons) pair; witnesses take their entries' form."""
     root = tmp_path_factory.mktemp("recheck")
     rng = np.random.default_rng(7)
     classifier = random_classifier(4, rng, n_classes=3, kraus_rank=2)
-    states = ([random_pure_state(4, rng) for _ in range(15)]
-              + [random_density_matrix(4, rng, rank=2) for _ in range(15)])
-    labels = [int(k) for k in classify_batch(classifier, states).labels]
-    labels[0] = (labels[0] + 1) % 3
-    paths = {"classifier": str(root / "c.json"), "dataset": str(root / "d.json")}
+    paths = {"classifier": str(root / "c.json")}
     save_classifier(paths["classifier"], classifier)
-    save_dataset(paths["dataset"], LabeledDataset(zip(states, labels)))
-    for mode in ("mixed", "pure"):
+    for kind, make in (("mixed", lambda: random_density_matrix(4, rng, rank=2)),
+                       ("pure", lambda: random_pure_state(4, rng))):
+        states = [make() for _ in range(30)]
+        labels = [int(k) for k in classify_batch(classifier, states).labels]
+        labels[0] = (labels[0] + 1) % 3
+        paths[kind] = str(root / f"{kind}_d.json")
+        save_dataset(paths[kind], LabeledDataset(zip(states, labels)))
         for name, eps in (("single", "0.01"), ("set", "0.001,0.01")):
-            report, sidecar = root / f"{mode}_{name}_r.json", root / f"{mode}_{name}_a.json"
-            assert main(["verify", paths["classifier"], paths["dataset"], "--epsilon", eps,
-                         "--mode", mode, "--omit-timings", "--report", str(report),
+            report, sidecar = root / f"{kind}_{name}_r.json", root / f"{kind}_{name}_a.json"
+            assert main(["verify", paths["classifier"], paths[kind], "--epsilon", eps,
+                         "--omit-timings", "--report", str(report),
                          "--adversarial", str(sidecar)]) == 0
-            paths[mode, name] = (report, sidecar)
+            paths[kind, name] = (report, sidecar)
     return paths
 
 
 REPORTS = [("mixed", "single"), ("mixed", "set"), ("pure", "single"), ("pure", "set")]
 
 
-def recheck(saved, report, sidecar, tmp_path, capsys):
-    """Write the (possibly edited) documents and run ``qrv recheck``."""
+def recheck(saved, kind, report, sidecar, tmp_path, capsys):
+    """Write the (possibly edited) documents and run ``qrv recheck`` on the
+    ``kind`` dataset."""
     paths = []
     for name, doc in (("r.json", report), ("a.json", sidecar)):
         (tmp_path / name).write_text(json.dumps(doc))
         paths.append(str(tmp_path / name))
     capsys.readouterr()
-    code = main(["recheck", saved["classifier"], saved["dataset"], *paths])
+    code = main(["recheck", saved["classifier"], saved[kind], *paths])
     return code, capsys.readouterr().out
 
 
@@ -81,7 +84,9 @@ def test_untouched_report_rechecks(saved, key, tmp_path, capsys, monkeypatch):
     assert {(True, True), (False, True), (False, False), (False, None)} <= kinds
     assert any(s is None for v in run["verdicts"] if v["dual_shifts"]
                for k, s in enumerate(v["dual_shifts"]) if k == v["label"])
-    code, out = recheck(saved, report, sidecar, tmp_path, capsys)
+    kind = "pure" if key[0] == "pure" else "density"
+    assert {entry["kind"] for entry in sidecar["states"]} == {kind}
+    code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
     assert code == 0, out
     assert out.startswith("recheck: ") and out.strip().endswith("consistent")
 
@@ -157,20 +162,20 @@ def test_one_field_edit_is_caught(saved, key, edit, tmp_path, capsys):
     report, sidecar = copy.deepcopy(load(saved, key))
     run = first_run(report)
     index, field = edit(report, sidecar, run)
-    code, out = recheck(saved, report, sidecar, tmp_path, capsys)
+    code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
     assert code == 1
     where = "" if index is None else f" index={index}"
     assert f"eps={run['epsilon']}{where} {field}: " in out, out
 
 
 def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
-    assert main(["verify", saved["classifier"], saved["dataset"], "--epsilon", "1e-9",
+    assert main(["verify", saved["classifier"], saved["mixed"], "--epsilon", "1e-9",
                  "--report", str(tmp_path / "r.json"),
                  "--adversarial", str(tmp_path / "a.json")]) == 0
     sidecar = json.loads((tmp_path / "a.json").read_text())
     assert sidecar["states"] == []
-    code, out = recheck(saved, json.loads((tmp_path / "r.json").read_text()), sidecar,
-                        tmp_path, capsys)
+    code, out = recheck(saved, "mixed", json.loads((tmp_path / "r.json").read_text()),
+                        sidecar, tmp_path, capsys)
     assert code == 0, out
 
 
@@ -178,7 +183,7 @@ def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
 def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
     report, sidecar = saved["mixed", "single"]
     if case == "not_a_report":
-        report = saved["dataset"]
+        report = saved["mixed"]
     elif case == "verdict_count":
         doc = json.loads(report.read_text())
         doc["verdicts"].pop()
@@ -186,7 +191,7 @@ def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
         report.write_text(json.dumps(doc))
     else:
         sidecar = tmp_path / "missing.json"
-    code = main(["recheck", saved["classifier"], saved["dataset"], str(report), str(sidecar)])
+    code = main(["recheck", saved["classifier"], saved["mixed"], str(report), str(sidecar)])
     assert code == 2
     assert "input error: " in capsys.readouterr().err
 
@@ -247,8 +252,8 @@ def test_recorded_shift_certifies_delta_at_40_digits(kind, dim):
     assert shifted
     for k in shifted:
         a, vectors = classifier.gap_spectrum(label, k)
-        root = state.amplitudes[:, None] if kind == "pure" else matrix_sqrt_psd(state.matrix)
-        r = (np.abs(vectors.conj().T @ root) ** 2).sum(axis=1)
+        # r from a square-root factor of rho, as the verifier takes it
+        r = (np.abs(vectors.conj().T @ _state_factor(state)) ** 2).sum(axis=1)
         # The recorded shift reproduces the bound bit for bit ...
         assert _dual_value(bound.shifts[k], a, r) == bound.per_class[k]
         # ... and certifies it in 40-digit arithmetic.

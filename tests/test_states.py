@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,23 @@ class TestFidelity:
         with pytest.raises(DimensionMismatch):
             fidelity(random_density_matrix(2, rng), random_density_matrix(4, rng))
 
+    def test_pure_and_mixed_on_either_side(self, rng):
+        # Every pairing gives the value of its density matrices, symmetrically.
+        for dim in (2, 3, 5):
+            psi, phi = random_pure_state(dim, rng), random_pure_state(dim, rng)
+            rho, sigma = random_density_matrix(dim, rng), random_density_matrix(dim, rng, rank=2)
+            for a, b in itertools.product((psi, rho), (phi, sigma)):
+                dense = [pure_to_density(s) if isinstance(s, PureState) else s for s in (a, b)]
+                assert fidelity(a, b) == pytest.approx(fidelity(*dense), abs=1e-12)
+                assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
+            overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
+            assert fidelity(psi, phi) == pytest.approx(overlap, abs=1e-15)
+            other = random_pure_state(dim + 1, rng)
+            for state in (psi, rho):
+                for pair in ((state, other), (other, state)):
+                    with pytest.raises(DimensionMismatch):
+                        fidelity(*pair)
+
 
 class TestTraceDistance:
     def test_zero_on_equal(self, rng):
@@ -157,6 +176,16 @@ class TestDensityMatrixValidation:
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("QRV_MAX_DIM", "2")
         with pytest.raises(ValidationError):
+            DensityMatrix(np.eye(4) / 4)
+
+    def test_dimension_cap_precedes_eigendecomposition(self, monkeypatch):
+        # The cap bounds the cubic eigvalsh, so it is checked first.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh ran before the dimension cap")
+
+        monkeypatch.setenv("QRV_MAX_DIM", "2")
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        with pytest.raises(ValidationError, match="exceeds the configured cap 2"):
             DensityMatrix(np.eye(4) / 4)
 
 

@@ -271,10 +271,7 @@ class TestVerifyDataset:
                 assert lo.robust
 
     def test_pure_mode_uses_pure_witnesses(self, z_classifier):
-        report = verify_dataset(
-            z_classifier, boundary_dataset(), 0.01,
-            options=VerifyOptions(mode="pure"),
-        )
+        report = verify_dataset(z_classifier, boundary_dataset(), 0.01)
         assert report.adversarial_count == 2
         assert all(isinstance(w.sigma, PureState) for w in report.adversarial)
 
@@ -289,10 +286,7 @@ class TestVerifyDataset:
         for _ in range(4):
             psi = random_pure_state(dim, rng)
             entries.append((psi, classify(classifier, psi).label_index))
-        report = verify_dataset(
-            classifier, LabeledDataset(entries), 0.9,
-            options=VerifyOptions(mode="pure"),
-        )
+        report = verify_dataset(classifier, LabeledDataset(entries), 0.9)
         assert report.adversarial_count > 0
         for witness in report.adversarial:
             psi, label = entries[witness.source_index]
@@ -304,8 +298,8 @@ class TestVerifyDataset:
             assert outcome.label_index != label or outcome.tie
 
     def test_case_study_witnesses_change_class_strictly(self):
-        # Mixed-mode witnesses on the qubit case study lie strictly inside
-        # the rival class, within the 1e-6 budget beyond the verdict's delta.
+        # The case study's witnesses (pure, like its entries) lie strictly
+        # inside the rival class, within the 1e-6 budget beyond delta.
         classifier, train, _ = generate_qubit_case_study(seed=0)
         report = verify_dataset(classifier, train, 0.004)
         assert report.adversarial_count > 0
@@ -361,11 +355,11 @@ EPSILONS = (0.02, 0.002, 0.2, 0.02, 0.06)
 
 
 class TestVerifyEpsilons:
-    @pytest.mark.parametrize("make, mode", [(mixed_dataset, "mixed"),
+    @pytest.mark.parametrize("make, kind", [(mixed_dataset, "mixed"),
                                             (pure_dataset, "pure")])
-    def test_equals_one_run_per_epsilon(self, rng, make, mode):
+    def test_equals_one_run_per_epsilon(self, rng, make, kind):
         classifier, dataset = make(rng)
-        options = VerifyOptions(mode=mode, seed=5)
+        options = VerifyOptions(seed=5)
         reports = verify_epsilons(classifier, dataset, EPSILONS, options=options)
         assert [r.epsilon for r in reports] == list(EPSILONS)
         for eps, report in zip(EPSILONS, reports):
@@ -384,6 +378,9 @@ class TestVerifyEpsilons:
         # margin-certified, exact robust and exact non-robust verdicts.
         assert len({r.solver_stats["sdp_solves"] for r in reports}) > 2
         assert len({r.adversarial_count for r in reports}) > 2
+        # Witnesses take their entries' form.
+        form = PureState if kind == "pure" else DensityMatrix
+        assert all(isinstance(w.sigma, form) for r in reports for w in r.adversarial)
 
     def test_one_bound_per_exact_entry(self, rng, monkeypatch):
         classifier, dataset = mixed_dataset(rng)
