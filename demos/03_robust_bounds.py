@@ -41,7 +41,7 @@ for eps in eps_values:
 bound = compute_optimal_bound(classifier, rho)
 print(f"\noptimal robust bound delta = {bound.delta:.6f} "
       f"(rival class {classifier.labels[bound.argmin_class]})")
-sigma = bound.sigma_star
+sigma = bound.witness  # a density matrix, as rho is one
 flip = classify(classifier, sigma)
 print(f"nearest flipping state: classified {classifier.labels[flip.label_index]}, "
       f"distance {1 - fidelity(rho, sigma):.6f}")

@@ -52,7 +52,7 @@ def recheck_report(
     correct = batch.labels == labels
     wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
     queue = iter(enumerate(witnesses))
-    weights, problems = {}, []
+    roots, problems = {}, []
 
     def certified(i, shifts) -> float:
         """The least radius the shifts certify over the rivals of entry i."""
@@ -64,10 +64,10 @@ def recheck_report(
             if w is None:
                 best = min(best, math.inf if a[0] > 0.0 else 0.0)
                 continue
-            if (i, k) not in weights:
-                factor = vectors.conj().T @ _state_factor(states[i])
-                weights[i, k] = (np.abs(factor) ** 2).sum(axis=1)
-            best = min(best, _dual_value(w, a, weights[i, k]))
+            if i not in roots:  # one factor of rho per entry, not per rival
+                roots[i] = _state_factor(states[i])
+            r = (np.abs(vectors.conj().T @ roots[i]) ** 2).sum(axis=1)
+            best = min(best, _dual_value(w, a, r))
         return best
 
     for run in runs:

@@ -208,9 +208,11 @@ def _state_factor(state) -> np.ndarray:
 
 
 def _factor_sqrt_fidelity(r: np.ndarray, s: np.ndarray) -> float:
-    """sqrt(F) of ``R R^dag`` and ``S S^dag``: the trace norm of
-    ``R^dag S`` (the sum of its singular values), clamped to [0, 1]."""
-    value = float(np.sum(np.linalg.svd(r.conj().T @ s, compute_uv=False)))
+    """sqrt(F) of ``R R^dag`` and ``S S^dag``: the trace norm of ``R^dag S``
+    (its Euclidean norm if it has one row or column), clamped to [0, 1]."""
+    m = r.conj().T @ s
+    value = float(np.linalg.norm(m) if 1 in m.shape
+                  else np.sum(np.linalg.svd(m, compute_uv=False)))
     return min(max(value, 0.0), 1.0)
 
 

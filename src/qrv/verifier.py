@@ -102,20 +102,18 @@ class OptimalBound:
     """Largest radius with no adversarial example, plus its witness.
 
     ``delta`` is the dual value, a lower bound on the true radius;
-    ``witness_distance`` is the measured ``1 - F`` of the witness in the
-    input's form, an upper bound, so the true radius lies in between.  For
-    pure input psi that witness is ``phi_star``, the pure state ``C psi``
-    (``sigma_star`` is at the same distance); otherwise it is ``sigma_star``.
+    ``witness_distance`` is the measured ``1 - F`` of ``witness``, an upper
+    bound, so the true radius lies in between.  The witness takes the
+    input's form: the pure state ``phi* = C psi`` for a pure input psi, else
+    the density matrix ``sigma*``; None when the radius is unbounded.
     """
 
     delta: float | None  # None encodes an unbounded radius
     unbounded: bool
     argmin_class: int | None
-    sigma_star: DensityMatrix | None
+    witness: PureState | DensityMatrix | None
     per_class: dict
     witness_distance: float | None = None
-    phi_star: PureState | None = None  # set for pure inputs only
-    solves: int = 0  # dual bound solves, one per rival class that needs one
     shifts: dict = field(default_factory=dict)  # rival -> w of its dual value or None
 
     def robust_at(self, eps: float) -> bool:
@@ -287,9 +285,10 @@ def compute_optimal_bound(
     A rival class whose flip constraint is infeasible (its gap operator is
     positive definite) contributes an unbounded radius; when every rival is
     unreachable the state is robust at every eps < 1.  A rival already
-    tied at rho contributes delta 0 with no solve.  The witness distance is
-    ``1 - F`` measured on the witness in the input's form: ``phi_star`` for
-    pure psi, ``sigma_star`` otherwise.
+    tied at rho contributes delta 0 with no solve.  The witness is the
+    pure state ``phi*`` for a pure input and ``sigma*`` for a mixed one, and
+    its distance ``1 - F`` is measured on its square-root factor, the one
+    the dual built.
     """
     root = _state_factor(state)
     label = _label_for(classifier, state, label)
@@ -297,7 +296,6 @@ def compute_optimal_bound(
     per_class: dict = {}
     shifts: dict = {}
     best = None  # (delta_k, k, witness factor W_k in the gap eigenbasis)
-    solves = 0
     for k in range(classifier.n_classes):
         if k == label:
             continue
@@ -308,7 +306,6 @@ def compute_optimal_bound(
         factor = vectors.conj().T @ root  # V^dag rho V = factor factor^dag
         r = (np.abs(factor) ** 2).sum(axis=1)
         tied = float(a @ r) <= 0.0
-        solves += not tied
         delta_k, w_k, shifts[k] = _dual_bound(a, r, factor, tied)
         per_class[k] = delta_k
         if best is None or delta_k < best[0]:
@@ -316,21 +313,20 @@ def compute_optimal_bound(
 
     if best is None:
         return OptimalBound(
-            delta=None, unbounded=True, argmin_class=None, sigma_star=None,
-            per_class=per_class, solves=solves, shifts=shifts,
+            delta=None, unbounded=True, argmin_class=None, witness=None,
+            per_class=per_class, shifts=shifts,
         )
     delta, k_star, w_k = best
-    witness = classifier.gap_spectrum(label, k_star)[1] @ w_k
-    sigma_star = DensityMatrix(witness @ witness.conj().T)
-    phi_star = None
+    factor = classifier.gap_spectrum(label, k_star)[1] @ w_k  # sigma* = F F^dag
     if isinstance(state, PureState):
-        phi_star = PureState(witness.sum(axis=1))  # unit norm already
-    distance = 1.0 - _factor_sqrt_fidelity(
-        root, _state_factor(phi_star or sigma_star)) ** 2
+        witness = PureState(factor.sum(axis=1))  # unit norm already
+        factor = witness.amplitudes[:, None]
+    else:
+        witness = DensityMatrix(factor @ factor.conj().T)
+    distance = 1.0 - _factor_sqrt_fidelity(root, factor) ** 2
     return OptimalBound(
-        delta=delta, unbounded=False, argmin_class=k_star, sigma_star=sigma_star,
-        per_class=per_class, witness_distance=distance,
-        phi_star=phi_star, solves=solves, shifts=shifts,
+        delta=delta, unbounded=False, argmin_class=k_star, witness=witness,
+        per_class=per_class, witness_distance=distance, shifts=shifts,
     )
 
 
@@ -340,15 +336,15 @@ def check_epsilon_robust(
     """eps-robustness decision by thresholding the optimal bound.
 
     The state is robust iff ``eps <= delta``; a non-robust state carries
-    the optimal witness at its measured distance, ``phi_star`` for a pure
-    state and ``sigma_star`` for a mixed one.
+    the bound's witness at its measured distance: a pure state for a pure
+    input, a density matrix for a mixed one.
     """
     eps = _require_epsilon(eps)
     bound = compute_optimal_bound(classifier, state, label)
     witness = None
     if not bound.robust_at(eps):
-        witness = AdversarialWitness(bound.phi_star or bound.sigma_star,
-                                     bound.argmin_class, bound.witness_distance)
+        witness = AdversarialWitness(bound.witness, bound.argmin_class,
+                                     bound.witness_distance)
     return RobustnessCheck(robust=witness is None, witness=witness)
 
 
@@ -377,7 +373,7 @@ def pure_state_optimal_bound(
         psi = PureState(psi)
     bound = compute_optimal_bound(classifier, psi, label)
     return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
-                     phi_star=bound.phi_star)
+                     phi_star=bound.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +489,12 @@ def verify_epsilons(
             "still exact but the classifier may be undertrained"
         )
 
-    exact = {}  # index -> (bound, witness at delta, seconds spent)
+    exact = {}  # index -> (bound, seconds spent)
     undecided = correct & ~(batch.margins > max(thresholds))
     for i in np.flatnonzero(undecided).tolist():
         t0 = time.perf_counter()
         bound = compute_optimal_bound(classifier, states[i], labels[i])
-        witness = None
-        if not bound.unbounded:
-            witness = AdversarialWitness(
-                bound.phi_star or bound.sigma_star, bound.argmin_class,
-                bound.witness_distance, source_index=i,
-            )
-        exact[i] = (bound, witness, time.perf_counter() - t0)
+        exact[i] = (bound, time.perf_counter() - t0)
 
     bases = [
         dict(index=i, label=label, predicted=int(batch.labels[i]),
@@ -528,18 +518,21 @@ def verify_epsilons(
                 verdicts.append(StateVerdict(
                     margin_certified=True, status="ok", robust=True, **base))
                 continue
-            bound, witness, seconds = exact[i]
-            solves += bound.solves
+            bound, seconds = exact[i]
+            shifts = list(map(bound.shifts.get, range(classifier.n_classes)))
+            solves += len(shifts) - shifts.count(None)  # a null shift took no solve
             t_exact += seconds
             robust = bound.robust_at(eps)
             if not robust:
-                adversarial.append(witness)
+                adversarial.append(AdversarialWitness(
+                    bound.witness, bound.argmin_class, bound.witness_distance,
+                    source_index=i))
             verdicts.append(StateVerdict(
                 margin_certified=False, status="ok", delta=bound.delta,
                 delta_unbounded=bound.unbounded, robust=robust,
-                adversarial_class=None if robust else witness.target_class,
-                adversarial_distance=None if robust else witness.distance,
-                dual_shifts=list(map(bound.shifts.get, range(classifier.n_classes))),
+                adversarial_class=None if robust else bound.argmin_class,
+                adversarial_distance=None if robust else bound.witness_distance,
+                dual_shifts=shifts,
                 **base,
             ))
         reports.append(VerificationReport(

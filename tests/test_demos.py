@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script, and every Python block of the README, runs to
+completion against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +11,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.DOTALL | re.MULTILINE)
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    run_python([str(demo)], tmp_path)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_exits_zero(block, tmp_path):
+    run_python(["-c", block], tmp_path)

@@ -74,23 +74,17 @@ def draw_state(kind, dim, rng, support=None):
 
 def check_witness(classifier, state, label, bound):
     assert type(bound.delta) is float
-    rho = pure_to_density(state) if isinstance(state, PureState) else state
+    assert type(bound.witness) is type(state)  # the witness takes the input's form
     # The dual value is a lower bound and the measured witness distance an
     # upper bound; 1e-9 absorbs rounding in the eigendecomposition fidelity.
     assert bound.delta - 1e-9 <= bound.witness_distance <= bound.delta + 1e-5
     assert bound.witness_distance == pytest.approx(
-        1.0 - fidelity(rho, bound.sigma_star), abs=1e-12
+        1.0 - fidelity(state, bound.witness), abs=1e-12
     )
-    outcome = classify(classifier, bound.sigma_star)
-    assert outcome.label_index != label or outcome.tie
-    if not isinstance(state, PureState):
-        assert bound.phi_star is None
-        return
-    # A pure input also gets a pure witness in the same interval.
-    assert isinstance(bound.phi_star, PureState)
-    distance = 1.0 - abs(bound.phi_star.overlap(state)) ** 2
-    assert bound.delta - 1e-9 <= distance <= bound.delta + 1e-5
-    outcome = classify(classifier, bound.phi_star)
+    if isinstance(state, PureState):
+        overlap = abs(bound.witness.overlap(state)) ** 2
+        assert bound.witness_distance == pytest.approx(1.0 - overlap, abs=1e-12)
+    outcome = classify(classifier, bound.witness)
     assert outcome.label_index != label or outcome.tie
 
 
@@ -168,10 +162,13 @@ def test_singular_basis_state_needs_kernel_component():
     classifier = Classifier(identity_channel(2), Measurement(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     ))
-    bound = check_against_oracle(classifier, PureState([1, 0]))
+    zero = PureState([1, 0])
+    bound = check_against_oracle(classifier, pure_to_density(zero))
     assert bound.delta == pytest.approx(0.5, abs=1e-9)
-    np.testing.assert_allclose(bound.sigma_star.matrix, np.eye(2) / 2, atol=1e-5)
-    assert abs(bound.phi_star.overlap(PureState([1, 0]))) ** 2 == pytest.approx(0.5, abs=1e-6)
+    np.testing.assert_allclose(bound.witness.matrix, np.eye(2) / 2, atol=1e-5)
+    bound = check_against_oracle(classifier, zero)
+    assert bound.delta == pytest.approx(0.5, abs=1e-9)
+    assert abs(bound.witness.overlap(zero)) ** 2 == pytest.approx(0.5, abs=1e-6)
 
 
 def test_zero_minimum_eigenvalue_gap():

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import qrv.recheck
 import qrv.verifier
 from conftest import classified_instance
 from qrv.cli import main
@@ -89,6 +90,25 @@ def test_untouched_report_rechecks(saved, key, tmp_path, capsys, monkeypatch):
     code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
     assert code == 0, out
     assert out.startswith("recheck: ") and out.strip().endswith("consistent")
+
+
+def test_one_state_factor_per_exact_entry(saved, tmp_path, capsys, monkeypatch):
+    # Three classes give an exact entry up to two solved rivals; rho's
+    # factor is taken once for all of them.
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return _state_factor(state)
+
+    monkeypatch.setattr(qrv.recheck, "_state_factor", counting)
+    report, sidecar = load(saved, ("mixed", "single"))
+    solved = [sum(w is not None for w in v["dual_shifts"])
+              for v in report["verdicts"] if v["dual_shifts"]]
+    assert 2 in solved
+    code, out = recheck(saved, "mixed", report, sidecar, tmp_path, capsys)
+    assert code == 0, out
+    assert len(calls) == sum(n > 0 for n in solved)
 
 
 def _entry(run, *, robust, certified=False):

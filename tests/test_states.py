@@ -10,6 +10,8 @@ from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import (
     DensityMatrix,
     PureState,
+    _factor_sqrt_fidelity,
+    _state_factor,
     fidelity,
     matrix_sqrt_psd,
     pure_to_density,
@@ -124,6 +126,20 @@ class TestFidelity:
                 for pair in ((state, other), (other, state)):
                     with pytest.raises(DimensionMismatch):
                         fidelity(*pair)
+
+    def test_one_row_or_column_takes_the_euclidean_norm(self, rng):
+        # R^dag S with one row or column: its one singular value is its norm.
+        for dim in (2, 5, 16):
+            psi, phi = random_pure_state(dim, rng), random_pure_state(dim, rng)
+            column = psi.amplitudes[:, None]
+            for s in (phi.amplitudes[:, None], _state_factor(random_density_matrix(dim, rng))):
+                singular = np.linalg.svd(column.conj().T @ s, compute_uv=False)
+                expected = min(float(np.sum(singular)), 1.0)
+                assert _factor_sqrt_fidelity(column, s) == pytest.approx(expected, abs=1e-15)
+                assert _factor_sqrt_fidelity(s, column) == pytest.approx(expected, abs=1e-15)
+            overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
+            got = _factor_sqrt_fidelity(column, phi.amplitudes[:, None]) ** 2
+            assert got == pytest.approx(overlap, abs=1e-15)
 
 
 class TestTraceDistance:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,19 @@ from qrv.verifier import (
     verify_epsilons,
 )
 import qrv.verifier
+
+
+def mp_fidelity(rho, sigma):
+    """[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 of two density matrices, in
+    40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a, b = (mpmath.matrix([[mpmath.mpc(x) for x in row] for row in m])
+                for m in (rho, sigma))
+        e, q = mpmath.eigh(a)
+        root = q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in e]) * q.H
+        m = root * b * root
+        values = mpmath.eigh((m + m.H) / 2, eigvals_only=True)
+        return float(sum(mpmath.sqrt(max(x, 0)) for x in values) ** 2)
 
 
 @pytest.fixture
@@ -80,20 +94,30 @@ class TestOptimalBound:
             bound = compute_optimal_bound(classifier, state, label)
             if bound.unbounded:
                 continue
-            outcome = classify(classifier, bound.sigma_star)
+            outcome = classify(classifier, bound.witness)
             assert outcome.label_index != label or outcome.tie
-            distance = 1.0 - fidelity(state, bound.sigma_star)
+            distance = 1.0 - fidelity(state, bound.witness)
             assert distance == pytest.approx(bound.delta, abs=1e-5)
 
     def test_mixed_witness_distance_is_the_public_fidelity(self, rng):
-        # The re-check reuses the bound's sqrt(rho); it must give exactly
-        # what fidelity() gives on the returned witness.
+        # The distance is measured on the dual's factor of sigma*, not on
+        # sigma* itself; 40-digit arithmetic on the two matrices checks it.
         for dim in (2, 5, 16):
             classifier, state, label = classified_instance(rng, dim=dim, n_classes=3)
             bound = compute_optimal_bound(classifier, state, label)
-            if not bound.unbounded:
-                expected = 1.0 - fidelity(state, bound.sigma_star)
-                assert bound.witness_distance == expected
+            assert isinstance(bound.witness, DensityMatrix)
+            expected = 1.0 - mp_fidelity(state.matrix, bound.witness.matrix)
+            assert bound.witness_distance == pytest.approx(expected, abs=1e-12)
+
+    def test_pure_input_builds_no_density_matrix(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pure input needs no density matrix")
+
+        classifier, state, label = classified_instance(rng, dim=4, n_classes=3, pure=True)
+        monkeypatch.setattr(qrv.verifier, "DensityMatrix", forbidden)
+        bound = compute_optimal_bound(classifier, state, label)
+        assert isinstance(bound.witness, PureState)
+        assert bound.witness_distance == pytest.approx(bound.delta, abs=1e-5)
 
     def test_margin_consistency(self, rng):
         # The margin certificate is a lower bound on the exact radius:
