@@ -38,9 +38,10 @@ WELL_TRAINED_THRESHOLD = 0.95
 
 
 class Measurement:
-    """An ordered measurement family {M_k}, one operator per class label."""
+    """An ordered measurement family {M_k}, one operator per class label,
+    and its POVM effects ``effects`` = (M_k^dag M_k, ...)."""
 
-    __slots__ = ("operators", "dim", "_effects")
+    __slots__ = ("operators", "dim", "effects")
 
     def __init__(self, operators):
         mats = [as_complex_matrix(m, square=True) for m in operators]
@@ -57,14 +58,7 @@ class Measurement:
             )
         self.operators = tuple(mats)
         self.dim = dim
-        self._effects = None
-
-    @property
-    def effects(self) -> tuple[np.ndarray, ...]:
-        """The POVM effects M_k^dag M_k (cached)."""
-        if self._effects is None:
-            self._effects = tuple(m.conj().T @ m for m in self.operators)
-        return self._effects
+        self.effects = tuple(m.conj().T @ m for m in mats)
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -84,10 +78,16 @@ def computational_measurement(dim: int = 2) -> Measurement:
 
 
 class Classifier:
-    """A channel plus a measurement, with one string label per class."""
+    """A channel plus a measurement, with one string label per class.
 
-    __slots__ = ("channel", "measurement", "labels", "_dual_effects",
-                 "_effect_stack", "_gap_spectra")
+    ``dual_effects`` is the ``(n_classes, dim, dim)`` stack of
+    Heisenberg-picture effects ``N_k = channel^dag(M_k^dag M_k)``, computed
+    at construction.  With it, ``p_k = tr(N_k rho)`` costs one inner product
+    per class, and a whole dataset is classified in one contraction, which
+    is what makes margin filtering over a large dataset cheap.
+    """
+
+    __slots__ = ("channel", "measurement", "labels", "dual_effects", "_gap_spectra")
 
     def __init__(
         self,
@@ -115,8 +115,7 @@ class Classifier:
         self.channel = channel
         self.measurement = measurement
         self.labels = tuple(labels)
-        self._dual_effects = None
-        self._effect_stack = None
+        self.dual_effects = np.stack([channel.dual_apply(e) for e in measurement.effects])
         self._gap_spectra = {}
 
     @property
@@ -126,27 +125,6 @@ class Classifier:
     @property
     def n_classes(self) -> int:
         return len(self.measurement)
-
-    @property
-    def dual_effects(self) -> tuple[np.ndarray, ...]:
-        """Heisenberg-picture effects N_k = channel^dag(M_k^dag M_k).
-
-        With these cached, p_k = tr(N_k rho) costs one inner product per
-        class, which is what makes margin filtering over a large dataset
-        cheap.
-        """
-        if self._dual_effects is None:
-            self._dual_effects = tuple(
-                self.channel.dual_apply(e) for e in self.measurement.effects
-            )
-        return self._dual_effects
-
-    @property
-    def effect_stack(self) -> np.ndarray:
-        """The dual effects stacked into one (n_classes, dim, dim) array (cached)."""
-        if self._effect_stack is None:
-            self._effect_stack = np.stack(self.dual_effects)
-        return self._effect_stack
 
     def class_gap_operator(self, winner: int, rival: int) -> np.ndarray:
         """N_winner - N_rival; states with tr(G sigma) <= 0 lose the argmax."""
@@ -194,7 +172,7 @@ def _probability_rows(classifier: Classifier, states) -> np.ndarray:
     density matrices, each group in one contraction with the stacked
     effects.
     """
-    effects = classifier.effect_stack
+    effects = classifier.dual_effects
     vector_rows, vectors, matrix_rows, matrices = [], [], [], []
     for i, state in enumerate(states):
         if isinstance(state, PureState):

@@ -1,7 +1,8 @@
 """Offline re-check of a saved verification report, solving nothing: one
 batched classification, one cached ``eigh`` per gap operator, and per exact
 verdict the dual value at each rival's recorded shift w > 0 (sound by weak
-duality), with r from a square-root factor of rho as the verifier takes it.
+duality), with r from a square-root factor of rho as the verifier takes it;
+the same factor measures the entry's witness, so rho is factored once.
 A null shift certifies an unbounded radius if the rival is unreachable, else 0.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 from .classifiers import Classifier, LabeledDataset, classify_batch
 from .errors import SchemaError
 from .formats import FORMAT_TAG
-from .states import _state_factor, fidelity
+from .states import _factor_sqrt_fidelity, _state_factor
 from .verifier import WITNESS_BUDGET, _dual_value
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
@@ -25,6 +26,12 @@ DISTANCE_TOL = 1e-9  # recorded witness distances against 1 - F recomputed
 
 def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _same(got, value, tol=None) -> bool:
+    """Equal and of one type or, given ``tol``, numbers within it."""
+    return (got == value and type(got) is type(value) if tol is None
+            else _number(got) and abs(got - value) <= tol)
 
 
 def recheck_report(
@@ -40,6 +47,8 @@ def recheck_report(
     if (kind not in ("verification_report", "verification_report_set")
             or report.get("format") != FORMAT_TAG or not isinstance(runs, list)):
         raise SchemaError(f"expected a {FORMAT_TAG} verification report or report set")
+    if not runs:
+        raise SchemaError("a report set needs at least one run", "runs")
     for j, run in enumerate(runs):
         verdicts = run.get("verdicts") if isinstance(run, dict) else None
         if not (isinstance(verdicts, list) and len(verdicts) == n
@@ -50,9 +59,15 @@ def recheck_report(
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
     correct = batch.labels == labels
+    n_correct = int(np.count_nonzero(correct))
     wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
     queue = iter(enumerate(witnesses))
     roots, problems = {}, []
+
+    def root(i) -> np.ndarray:
+        if i not in roots:  # one factor of rho per entry, not per rival or witness
+            roots[i] = _state_factor(states[i])
+        return roots[i]
 
     def certified(i, shifts) -> float:
         """The least radius the shifts certify over the rivals of entry i."""
@@ -64,39 +79,40 @@ def recheck_report(
             if w is None:
                 best = min(best, math.inf if a[0] > 0.0 else 0.0)
                 continue
-            if i not in roots:  # one factor of rho per entry, not per rival
-                roots[i] = _state_factor(states[i])
-            r = (np.abs(vectors.conj().T @ roots[i]) ** 2).sum(axis=1)
+            r = (np.abs(vectors.conj().T @ root(i)) ** 2).sum(axis=1)
             best = min(best, _dual_value(w, a, r))
         return best
 
     for run in runs:
         eps = run["epsilon"]
         by_margin = batch.margins > np.sqrt(2.0 * eps)
-        non_robust = 0
+        non_robust = solves = 0
         for i, v in enumerate(run["verdicts"]):
             def bad(field, message):
                 problems.append(f"eps={eps} index={i} {field}: {message}")
 
-            def expect(field, value, tol=None) -> bool:
-                got = v.get(field)
-                if tol is None:
-                    same = got == value and type(got) is type(value)
-                else:
-                    same = _number(got) and abs(got - value) <= tol
+            def expect(field, value, tol=None, got=None) -> bool:
+                got = v.get(field) if got is None else got
+                same = _same(got, value, tol)
                 if not same:
                     bad(field, f"recorded {got!r}, recomputed {value!r}")
                 return same
 
             ok = bool(correct[i])
+            expect("index", i)
+            expect("label", labels[i])
+            expect("status", "ok" if ok else "misclassified")
             expect("predicted", int(batch.labels[i]))
             expect("correct", ok)
             expect("tie", bool(batch.ties[i]))
             expect("margin", float(batch.margins[i]), DELTA_TOL)
             expect("margin_certified", ok and bool(by_margin[i]))
-            if not ok or by_margin[i]:
+            if not ok or by_margin[i]:  # no bound, so no bound or witness field
                 expect("robust", True if ok else None)
-                expect("dual_shifts", None)
+                expect("delta_unbounded", False)
+                for field in ("delta", "dual_shifts", "adversarial_class",
+                              "adversarial_distance"):
+                    expect(field, None)
                 continue
 
             shifts = v.get("dual_shifts")
@@ -106,6 +122,7 @@ def recheck_report(
                 bad("dual_shifts", f"{shifts!r} is not a null or positive shift per "
                     "class, null at the label")
                 shifts = [None] * classifier.n_classes
+            solves += len(shifts) - shifts.count(None)
             value, delta = certified(i, shifts), v.get("delta")
             expect("delta_unbounded", value == math.inf)
             if value == math.inf:
@@ -115,6 +132,8 @@ def recheck_report(
             robust = value == math.inf or eps <= delta
             expect("robust", robust)
             if robust:
+                expect("adversarial_class", None)
+                expect("adversarial_distance", None)
                 continue
 
             non_robust += 1
@@ -124,8 +143,10 @@ def recheck_report(
                     else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
                 continue
             expect("adversarial_class", entry.get("target_class"))
-            distance = 1.0 - fidelity(states[i], sigma)
+            distance = 1.0 - _factor_sqrt_fidelity(root(i), _state_factor(sigma)) ** 2
             expect("adversarial_distance", distance, DISTANCE_TOL)
+            expect(f"sidecar[{j}].label", labels[i], got=entry["label"])
+            expect(f"sidecar[{j}].distance", distance, DISTANCE_TOL, entry.get("distance"))
             if distance > eps + WITNESS_BUDGET:
                 bad("adversarial_distance", f"sidecar entry {j} lies at {distance!r}, "
                     f"beyond eps + {WITNESS_BUDGET}")
@@ -133,10 +154,12 @@ def recheck_report(
                 bad("adversarial_class", f"sidecar entry {j} keeps label {labels[i]}")
 
         ura = 1.0 - (n - int(np.count_nonzero(by_margin))) / n
-        for field, value in (("robust_accuracy", 1.0 - non_robust / n),
+        for field, value in (("n_states", n), ("n_correct", n_correct),
+                             ("accuracy", n_correct / n), ("adversarial_count", non_robust),
+                             ("robust_accuracy", 1.0 - non_robust / n),
                              ("under_approx_robust_accuracy", ura),
-                             ("adversarial_count", non_robust)):
-            if run.get(field) != value:
+                             ("solver_stats", {"sdp_solves": solves})):
+            if not _same(run.get(field), value):
                 problems.append(f"eps={eps} {field}: recorded {run.get(field)!r}, "
                                 f"recomputed {value!r}")
     left = sum(1 for _ in queue)

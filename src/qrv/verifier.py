@@ -14,13 +14,15 @@ verification stack:
   (Alberti's variational form of the fidelity): with ``(a_i, v_i)`` the
   eigenpairs of A and ``r_i = <v_i|rho|v_i>``,
   ``sqrt(F*) = min_{lambda >= 0, mu} mu + 1/4 sum_i r_i / (mu + lambda a_i)``.
-  One cached ``eigh`` per gap operator plus a one-dimensional root
-  search per state gives delta as a dual value (a sound lower bound by
-  weak duality).  The witness comes in closed form from the same dual
-  curve ``sigma(u) = C rho C / tr(C rho C)``, ``C = (u I + A)^-1``: at
-  the optimum it is ``1/4 B^-1 rho B^-1`` with ``B = mu I + lambda A``,
-  and a second root, just past the optimum, puts it strictly inside
-  the rival class; its measured distance closes the interval;
+  One cached ``eigh`` per gap operator plus one root search w per state
+  and rival gives delta_k as the dual value at w (a sound lower bound by
+  weak duality, which ``qrv recheck`` recomputes from the recorded w).
+  The witness comes in closed form from the same dual curve ``sigma(u) =
+  C rho C / tr(C rho C)``, ``C = (u I + A)^-1``: at the optimum it is
+  ``1/4 B^-1 rho B^-1`` with ``B = mu I + lambda A``.  It is built once
+  per bound, for the rival that sets delta, at a second root just past
+  the optimum, strictly inside the rival class; its measured distance
+  closes the interval;
 * witnesses in the input's form: for pure rho the pure-state bound
   equals delta (the joint numerical range of two Hermitian forms is
   convex, Toeplitz-Hausdorff), so a pure entry's witness is the pure
@@ -229,16 +231,13 @@ def _dual_value(w: float, a: np.ndarray, r: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _dual_bound(
-    a: np.ndarray, r: np.ndarray, factor: np.ndarray, tied: bool
-) -> tuple[float, np.ndarray, float | None]:
-    """Dual bound for one rival class with gap eigenvalues ``a``, and its witness.
-
-    ``factor`` is a square root of rho in the gap operator's eigenbasis,
-    ``V^dag rho V = factor factor^dag``, and ``r`` its squared row norms
-    (``r_i = <v_i|rho|v_i>``).  Returns delta ``= 1 - u S(u)`` at the root
-    of psi (0 when rho is already ``tied``), a factor ``W`` of the witness
-    in the same basis, ``sigma* = W W^dag``, and delta's shift w (or None).
+def _witness_factor(
+    a: np.ndarray, r: np.ndarray, factor: np.ndarray, w: float | None, delta: float
+) -> np.ndarray:
+    """A factor ``W`` of the witness, ``sigma* = W W^dag``, in the eigenbasis
+    of the gap eigenvalues ``a`` of the rival that sets ``delta``, from
+    rho's ``factor`` there (``V^dag rho V = factor factor^dag``, ``r`` its
+    squared row norms) and delta's root ``w`` (None when rho is tied).
 
     The witness lies on the dual curve ``C rho C / Q``, ``C = (u I + A)^-1``,
     ``Q = tr(C rho C)`` (tending to rho as u grows, the curve of a tied rho):
@@ -246,24 +245,21 @@ def _dual_bound(
     ``u Q = S - psi Q``, distance ``1 - u S - psi S <= delta - psi S``.  It
     is taken where ``psi = -2 TIE_TOL``, strictly inside the rival class,
     when ``a_min`` lies below that and it costs at most ``WITNESS_BUDGET``
-    beyond delta; else where ``psi = 0``.  When psi cannot reach the
-    target (the ratio is clamped: rho does not weigh the lowest eigenvector
-    ``v_0``), a column ``sqrt(m) v_0``, ``m = (psi - target) / (psi -
-    a_min)``, brings ``tr(A sigma)`` onto it and scales F by ``1 - m``.  Its phase is a
-    quarter turn from the first column's v_0 entry, so for pure rho the
-    sum of the columns is a pure witness with the same ``|<v_i|phi>|^2``
-    and the same overlap with rho.  Taking ``r`` and W from the factor
-    keeps rounding noise on the lowest eigenspace quadratic, so ``C``
-    cannot blow it up.
+    beyond delta; else at ``w``, where ``psi = 0``.  When psi cannot reach
+    the target (the ratio is clamped: rho does not weigh the lowest
+    eigenvector ``v_0``), a column ``sqrt(m) v_0``, ``m = (psi - target) /
+    (psi - a_min)``, brings ``tr(A sigma)`` onto it and scales F by
+    ``1 - m``.  Its phase is a quarter turn from the first column's v_0
+    entry, so for pure rho the sum of the columns is a pure witness with
+    the same ``|<v_i|phi>|^2`` and the same overlap with rho.  Taking ``r``
+    and W from the factor keeps rounding noise on the lowest eigenspace
+    quadratic, so ``C`` cannot blow it up.
     """
     flip = 2.0 * TIE_TOL
     d = a - a[0]
-    delta, w = 0.0, None
-    if not tied:
-        w = _dual_ratio(a, r)
-        delta = _dual_value(w, a, r)
     for target in (-flip, 0.0) if a[0] < -flip else (0.0,):
-        c = np.ones_like(d) if tied else 1.0 / (_dual_ratio(a, r, target) + d)
+        c = np.ones_like(d) if w is None else (
+            1.0 / ((_dual_ratio(a, r, target) if target else w) + d))
         rc2 = r * c * c
         q = float(rc2.sum())
         psi = float(a @ rc2) / q
@@ -273,7 +269,7 @@ def _dual_bound(
     x = c[:, None] * factor * np.sqrt((1.0 - m) / q)
     kernel = np.zeros((len(a), 1), dtype=complex)
     kernel[0, 0] = 1j * np.sqrt(m) * np.exp(1j * np.angle(x[0, 0]))
-    return delta, np.hstack([x, kernel]), w
+    return np.hstack([x, kernel])
 
 
 def compute_optimal_bound(
@@ -295,7 +291,7 @@ def compute_optimal_bound(
 
     per_class: dict = {}
     shifts: dict = {}
-    best = None  # (delta_k, k, witness factor W_k in the gap eigenbasis)
+    best = None  # (delta_k, k, gap eigenpairs, rho's factor and r in them, w)
     for k in range(classifier.n_classes):
         if k == label:
             continue
@@ -305,19 +301,18 @@ def compute_optimal_bound(
             continue
         factor = vectors.conj().T @ root  # V^dag rho V = factor factor^dag
         r = (np.abs(factor) ** 2).sum(axis=1)
-        tied = float(a @ r) <= 0.0
-        delta_k, w_k, shifts[k] = _dual_bound(a, r, factor, tied)
-        per_class[k] = delta_k
-        if best is None or delta_k < best[0]:
-            best = (delta_k, k, w_k)
+        w = shifts[k] = None if float(a @ r) <= 0.0 else _dual_ratio(a, r)
+        per_class[k] = 0.0 if w is None else _dual_value(w, a, r)
+        if best is None or per_class[k] < best[0]:
+            best = (per_class[k], k, a, vectors, factor, r, w)
 
     if best is None:
         return OptimalBound(
             delta=None, unbounded=True, argmin_class=None, witness=None,
             per_class=per_class, shifts=shifts,
         )
-    delta, k_star, w_k = best
-    factor = classifier.gap_spectrum(label, k_star)[1] @ w_k  # sigma* = F F^dag
+    delta, k_star, a, vectors, factor, r, w = best
+    factor = vectors @ _witness_factor(a, r, factor, w, delta)  # sigma* = F F^dag
     if isinstance(state, PureState):
         witness = PureState(factor.sum(axis=1))  # unit norm already
         factor = witness.amplitudes[:, None]

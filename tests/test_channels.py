@@ -117,7 +117,7 @@ class TestCompose:
             compose(identity_channel(2), identity_channel(4))
 
 
-class TestDiagnostics:
+class TestIsometryDefect:
     # The trace-preservation defect max |sum E^dag E - I| that every
     # Kraus set, measurement and unitary is checked against.
     def test_identity_has_zero_defect(self):

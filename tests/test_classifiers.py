@@ -92,6 +92,7 @@ class TestClassify:
         states += [DensityMatrix(np.eye(4) / 4)]
         rng.shuffle(states)
         batch = classify_batch(c, states)
+        assert isinstance(c.dual_effects, np.ndarray) and c.dual_effects.shape == (3, 4, 4)
         for i, state in enumerate(states):
             m = pure_to_density(state).matrix if isinstance(state, PureState) else state.matrix
             expected = np.array([np.trace(n @ m).real for n in c.dual_effects])

@@ -197,7 +197,7 @@ class TestVerifyCommand:
         assert err.startswith("input error: QRV_MAX_DIM must be "), err
         assert str(tmp_path) not in err
 
-    def test_pure_mode_end_to_end(self, case_files, tmp_path):
+    def test_pure_entries_end_to_end(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         report_path = tmp_path / "pure.json"
         sidecar_path = tmp_path / "pure_adv.json"

@@ -7,10 +7,14 @@ with a zero eigenvalue, and the singular case where the state has no
 weight on the gap operator's lowest eigenspace.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qrv.verifier
+from conftest import classified_instance
 from qrv.channels import identity_channel, unitary_channel
 from qrv.classifiers import Classifier, Measurement, classify
 from qrv.sampling import (
@@ -19,7 +23,8 @@ from qrv.sampling import (
     random_pure_state,
     random_unitary,
 )
-from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
+from qrv.config import TIE_TOL
+from qrv.states import DensityMatrix, PureState, _state_factor, fidelity, pure_to_density
 from qrv.verifier import compute_optimal_bound
 from sdp_oracle import EQ, LE, extract_fidelity_solution, solve, sqrt_fidelity_sdp
 
@@ -197,3 +202,37 @@ def test_gap_spectrum_is_cached():
     np.testing.assert_allclose(
         (v * w) @ v.conj().T, classifier.class_gap_operator(0, 2), atol=1e-12
     )
+
+
+def test_one_root_per_rival_and_one_witness_per_bound(monkeypatch):
+    # Each reachable, untied rival takes one root search for its delta_k.
+    # The witness is built once, for the rival that sets delta, and adds
+    # one root just past the optimum (psi = -2 TIE_TOL): 3 roots for 2 rivals.
+    calls = Counter()
+
+    def counting(f):
+        def wrapper(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("_dual_ratio", "_witness_factor"):
+        monkeypatch.setattr(qrv.verifier, name, counting(getattr(qrv.verifier, name)))
+    rng = np.random.default_rng(11)
+    classifier, rho, label = classified_instance(rng, dim=4, n_classes=3, kraus_rank=2,
+                                                 min_margin=0.02)
+    for k in set(range(3)) - {label}:
+        a, vectors = classifier.gap_spectrum(label, k)
+        r = (np.abs(vectors.conj().T @ _state_factor(rho)) ** 2).sum(axis=1)
+        assert a[0] < -2.0 * TIE_TOL and a @ r > 0.0  # reachable and untied
+    bound = compute_optimal_bound(classifier, rho, label)
+    assert None not in bound.shifts.values()
+    assert calls == {"_dual_ratio": 3, "_witness_factor": 1}
+
+    # Every rival unreachable (N_0 - N_1 = 0.6 I): no root and no witness.
+    dominant = Classifier(identity_channel(2), Measurement(
+        [np.sqrt(0.8) * np.eye(2), np.sqrt(0.2) * np.eye(2)]))
+    zero = PureState([1, 0])
+    for state in (zero, pure_to_density(zero)):
+        assert compute_optimal_bound(dominant, state, 0).unbounded
+    assert calls == {"_dual_ratio": 3, "_witness_factor": 1}

@@ -6,6 +6,7 @@ must make the re-check fail naming the entry.
 """
 
 import copy
+import dataclasses
 import json
 
 import mpmath
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import qrv.recheck
+import qrv.states
 import qrv.verifier
 from conftest import classified_instance
 from qrv.cli import main
@@ -20,7 +22,7 @@ from qrv.classifiers import LabeledDataset, classify_batch
 from qrv.formats import save_classifier, save_dataset
 from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, _state_factor
-from qrv.verifier import _dual_value, compute_optimal_bound
+from qrv.verifier import StateVerdict, _dual_value, compute_optimal_bound
 
 
 @pytest.fixture(scope="module")
@@ -94,21 +96,23 @@ def test_untouched_report_rechecks(saved, key, tmp_path, capsys, monkeypatch):
 
 def test_one_state_factor_per_exact_entry(saved, tmp_path, capsys, monkeypatch):
     # Three classes give an exact entry up to two solved rivals; rho's
-    # factor is taken once for all of them.
+    # factor is taken once for all of them and for its witness's distance,
+    # which adds only the witness's own factor.
     calls = []
 
     def counting(state):
         calls.append(state)
         return _state_factor(state)
 
-    monkeypatch.setattr(qrv.recheck, "_state_factor", counting)
+    for module in (qrv.recheck, qrv.states):
+        monkeypatch.setattr(module, "_state_factor", counting)
     report, sidecar = load(saved, ("mixed", "single"))
     solved = [sum(w is not None for w in v["dual_shifts"])
               for v in report["verdicts"] if v["dual_shifts"]]
-    assert 2 in solved
+    assert 2 in solved and sidecar["states"]
     code, out = recheck(saved, "mixed", report, sidecar, tmp_path, capsys)
     assert code == 0, out
-    assert len(calls) == sum(n > 0 for n in solved)
+    assert len(calls) == sum(n > 0 for n in solved) + len(sidecar["states"])
 
 
 def _entry(run, *, robust, certified=False):
@@ -172,13 +176,87 @@ def _drop_witness(report, sidecar, run):
     return sidecar["states"].pop(0)["source_index"], "source_index"
 
 
+def _certified_adversarial_class(report, sidecar, run):
+    i = _entry(run, robust=True, certified=True)
+    run["verdicts"][i]["adversarial_class"] = (run["verdicts"][i]["label"] + 1) % 3
+    return i, "adversarial_class"
+
+
+def _n_states(report, sidecar, run):
+    run["n_states"] += 1
+    return None, "n_states"
+
+
+def _n_correct(report, sidecar, run):
+    run["n_correct"] -= 1
+    return None, "n_correct"
+
+
+def _accuracy(report, sidecar, run):
+    run["accuracy"] -= 0.01
+    return None, "accuracy"
+
+
+def _sdp_solves(report, sidecar, run):
+    run["solver_stats"]["sdp_solves"] += 1
+    return None, "solver_stats"
+
+
+def _sidecar_label(report, sidecar, run):
+    entry = sidecar["states"][0]
+    entry["label"] = (entry["label"] + 1) % 3
+    return entry["source_index"], "sidecar[0].label"
+
+
+def _sidecar_distance(report, sidecar, run):
+    entry = sidecar["states"][0]
+    entry["distance"] += 1e-6
+    return entry["source_index"], "sidecar[0].distance"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
-         _robust_accuracy, _drop_witness]
+         _robust_accuracy, _drop_witness, _certified_adversarial_class, _n_states,
+         _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance]
 
 
-@pytest.mark.parametrize("edit", EDITS, ids=[e.__name__.strip("_") for e in EDITS])
-@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
-def test_one_field_edit_is_caught(saved, key, edit, tmp_path, capsys):
+def _set(field, value, robust=True, certified=False):
+    """An edit setting ``field`` of the first correct verdict with this
+    outcome to ``value(verdict)``."""
+    def edit(report, sidecar, run):
+        i = _entry(run, robust=robust, certified=certified)
+        run["verdicts"][i][field] = value(run["verdicts"][i])
+        return i, field
+    return edit
+
+
+def _rival(verdict):
+    return (verdict["label"] + 1) % 3
+
+
+# One edit per report verdict field; certified=True edits a verdict no bound
+# applies to, and the adversarial fields are set on a robust exact verdict.
+VERDICT_EDITS = {
+    "index": _set("index", lambda v: v["index"] + 1),
+    "label": _set("label", _rival),
+    "predicted": _set("predicted", _rival),
+    "correct": _set("correct", lambda v: False),
+    "margin": _set("margin", lambda v: v["margin"] + 1e-6),
+    "tie": _set("tie", lambda v: not v["tie"]),
+    "margin_certified": _margin_certified,
+    "status": _set("status", lambda v: "misclassified", certified=True),
+    "delta": _set("delta", lambda v: 0.5, certified=True),
+    "delta_unbounded": _set("delta_unbounded", lambda v: True, certified=True),
+    "robust": _robust,
+    "adversarial_class": _set("adversarial_class", _rival),
+    "adversarial_distance": _set("adversarial_distance", lambda v: 0.5),
+    "dual_shifts": _set("dual_shifts", lambda v: [
+        1.0 if k == v["label"] else w for k, w in enumerate(v["dual_shifts"])]),
+}
+
+
+def assert_caught(saved, key, edit, tmp_path, capsys) -> str:
+    """Apply ``edit`` to a copy of the saved report and sidecar: recheck must
+    exit 1 naming the field the edit returns, which is returned."""
     report, sidecar = copy.deepcopy(load(saved, key))
     run = first_run(report)
     index, field = edit(report, sidecar, run)
@@ -186,6 +264,21 @@ def test_one_field_edit_is_caught(saved, key, edit, tmp_path, capsys):
     assert code == 1
     where = "" if index is None else f" index={index}"
     assert f"eps={run['epsilon']}{where} {field}: " in out, out
+    return field
+
+
+@pytest.mark.parametrize("edit", EDITS, ids=[e.__name__.strip("_") for e in EDITS])
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_one_field_edit_is_caught(saved, key, edit, tmp_path, capsys):
+    assert_caught(saved, key, edit, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(StateVerdict)])
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_every_verdict_field_is_rechecked(saved, key, field, tmp_path, capsys):
+    # A verdict field added later fails here until recheck checks it.
+    assert field in VERDICT_EDITS, f"no edit, so no recheck, for verdict field {field}"
+    assert assert_caught(saved, key, VERDICT_EDITS[field], tmp_path, capsys) == field
 
 
 def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
@@ -199,7 +292,7 @@ def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
     assert code == 0, out
 
 
-@pytest.mark.parametrize("case", ["not_a_report", "verdict_count", "missing"])
+@pytest.mark.parametrize("case", ["not_a_report", "verdict_count", "missing", "empty_set"])
 def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
     report, sidecar = saved["mixed", "single"]
     if case == "not_a_report":
@@ -209,11 +302,19 @@ def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
         doc["verdicts"].pop()
         report = tmp_path / "r.json"
         report.write_text(json.dumps(doc))
-    else:
+    elif case == "missing":
         sidecar = tmp_path / "missing.json"
+    else:  # verify never writes a set without runs
+        report, sidecar = tmp_path / "r.json", tmp_path / "a.json"
+        report.write_text(json.dumps({"format": "qrv/1", "kind": "verification_report_set",
+                                      "runs": []}))
+        sidecar.write_text(json.dumps({"format": "qrv/1", "kind": "dataset", "states": []}))
     code = main(["recheck", saved["classifier"], saved["mixed"], str(report), str(sidecar)])
     assert code == 2
-    assert "input error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error: " in err
+    if case == "empty_set":
+        assert f"{report}:runs: " in err, err
 
 
 # ---------------------------------------------------------------------------

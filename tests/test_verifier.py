@@ -294,7 +294,7 @@ class TestVerifyDataset:
             if hi.robust:
                 assert lo.robust
 
-    def test_pure_mode_uses_pure_witnesses(self, z_classifier):
+    def test_pure_entries_get_pure_witnesses(self, z_classifier):
         report = verify_dataset(z_classifier, boundary_dataset(), 0.01)
         assert report.adversarial_count == 2
         assert all(isinstance(w.sigma, PureState) for w in report.adversarial)
