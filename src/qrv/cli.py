@@ -10,30 +10,40 @@ cannot be read or written, printed with the failing document path, or a
 malformed ``QRV_MAX_DIM``, checked before any file is read; 3 any
 other qrv error (the exact bound has no solver that can fail).
 
-Each command is one short process, so its fixed start-up cost counts.
-Unless the environment already sets ``OPENBLAS_NUM_THREADS``, this module
-sets it to 1 before numpy loads.  ``recheck`` and ``casestudy`` are
-imported only by the commands that use them (``recheck``, ``gen-qubit``,
-``encode-image``).
+Each command is one short process, so its start-up and teardown count.
+Unless already set, ``OPENBLAS_NUM_THREADS`` is 1 before numpy loads, and
+the garbage collector is off while numpy and qrv load; :func:`run`, the entry
+of ``qrv`` and ``python -m qrv.cli``, then freezes (``gc.freeze``) what they
+made and, after the command, what it left.  ``recheck`` and ``casestudy``
+load only for ``recheck``, ``gen-qubit`` and ``encode-image``.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 
 # Starting numpy's bundled OpenBLAS with a thread per core costs ~65 ms of
 # CPU per process on 2 vCPUs; a second thread gains little at dim <= 256.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_COLLECTING = gc.isenabled()
+gc.disable()  # loading numpy and qrv makes long-lived objects, no garbage
+try:
+    import argparse
+    import sys
+    import time
 
-import argparse
-import sys
-import time
-
-from .classifiers import accuracy, classify_batch
-from .config import dimension_cap
-from .errors import QrvError, SchemaError, ValidationError
-from . import formats
-from .verifier import VerifyOptions, under_robust_accuracy, verify_epsilons
+    from .classifiers import accuracy, classify_batch
+    from .config import dimension_cap
+    from .errors import QrvError, SchemaError, ValidationError
+    from . import formats
+    from .verifier import VerifyOptions, under_robust_accuracy, verify_epsilons
+finally:
+    if _COLLECTING:
+        if not gc.get_freeze_count():  # what loaded goes to the oldest generation,
+            gc.freeze()  # so no young pass (~8 ms) walks it before run() freezes
+            gc.unfreeze()  # it, as the `qrv` script allocates between the two
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_NON_ROBUST = 1
@@ -327,5 +337,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> int:
+    """Process entry: :func:`main`, with what outlives it frozen."""
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,7 +2,8 @@
 batched classification, one cached ``eigh`` per gap operator, and per exact
 verdict the dual value at each rival's recorded shift w > 0 (sound by weak
 duality), with r from a square-root factor of rho as the verifier takes it;
-the same factor measures the entry's witness, so rho is factored once.
+the least value is delta, and its rival (the first on a tie) the adversarial
+class.  The same factor measures the entry's witness, so rho is factored once.
 A null shift certifies an unbounded radius if the rival is unreachable, else 0.
 """
 
@@ -69,19 +70,21 @@ def recheck_report(
             roots[i] = _state_factor(states[i])
         return roots[i]
 
-    def certified(i, shifts) -> float:
-        """The least radius the shifts certify over the rivals of entry i."""
-        best = math.inf
+    def certified(i, shifts) -> tuple[float, int | None]:
+        """Entry i's least radius the shifts certify, and its first rival."""
+        best, rival = math.inf, None
         for k, w in enumerate(shifts):
             if k == labels[i]:
                 continue
             a, vectors = classifier.gap_spectrum(labels[i], k)
             if w is None:
-                best = min(best, math.inf if a[0] > 0.0 else 0.0)
-                continue
-            r = (np.abs(vectors.conj().T @ root(i)) ** 2).sum(axis=1)
-            best = min(best, _dual_value(w, a, r))
-        return best
+                value = math.inf if a[0] > 0.0 else 0.0
+            else:
+                r = (np.abs(vectors.conj().T @ root(i)) ** 2).sum(axis=1)
+                value = _dual_value(w, a, r)
+            if value < best:
+                best, rival = value, k
+        return best, rival
 
     for run in runs:
         eps = run["epsilon"]
@@ -123,7 +126,7 @@ def recheck_report(
                     "class, null at the label")
                 shifts = [None] * classifier.n_classes
             solves += len(shifts) - shifts.count(None)
-            value, delta = certified(i, shifts), v.get("delta")
+            (value, rival), delta = certified(i, shifts), v.get("delta")
             expect("delta_unbounded", value == math.inf)
             if value == math.inf:
                 expect("delta", None)
@@ -137,6 +140,7 @@ def recheck_report(
                 continue
 
             non_robust += 1
+            expect("adversarial_class", rival)
             j, (sigma, entry) = next(queue, (None, (None, None)))
             if j is None or entry.get("source_index") != i:
                 bad("source_index", "no sidecar witness is left" if j is None

@@ -19,7 +19,8 @@ from qrv.casestudy import (
 from qrv.cli import build_parser, main
 from qrv.errors import ValidationError
 from qrv.formats import load_state, save_classifier, save_dataset
-from qrv.classifiers import LabeledDataset
+from qrv.classifiers import LabeledDataset, classify_batch
+from qrv.sampling import random_classifier, random_density_matrix
 from qrv.states import PureState
 
 
@@ -306,9 +307,9 @@ def _run(argv, **env_set):
                           capture_output=True, text=True, timeout=120)
 
 
-def _python(code, **env_set):
-    """stdout of ``python -c code``, run as :func:`_run` runs it."""
-    result = _run(["-c", code], **env_set)
+def _python(code, *argv, **env_set):
+    """stdout of ``python -c code argv...``, run as :func:`_run` runs it."""
+    result = _run(["-c", code, *argv], **env_set)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 
@@ -379,6 +380,71 @@ def test_cli_defaults_to_one_blas_thread(user_value, expected):
     code = "import os, qrv.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     env_set = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
     assert _python(code, **env_set) == expected
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_import_and_main_leave_the_collector_as_found(case_files, collecting):
+    # Collector policy belongs to the process entry, run(); importing the
+    # module or calling main() in-process changes nothing a caller sees.
+    classifier_path, dataset_path = case_files
+    code = ("import gc, sys; gc.enable() if sys.argv[1] == 'True' else gc.disable(); "
+            "import qrv.cli; state = (gc.isenabled(), gc.get_freeze_count()); "
+            "assert qrv.cli.main(sys.argv[2:]) == 0; "
+            "print(state, (gc.isenabled(), gc.get_freeze_count()))")
+    out = _python(code, str(collecting), "verify", classifier_path, dataset_path,
+                  "--epsilon", "0.002")
+    assert out.splitlines()[-1] == f"({collecting}, 0) ({collecting}, 0)"
+
+
+def test_failed_cli_import_leaves_the_collector_on():
+    code = ("import gc, sys; sys.modules['numpy'] = None\n"
+            "try:\n    import qrv.cli\nexcept ImportError:\n    print(gc.isenabled())")
+    assert _python(code) == "True"
+
+
+def test_process_entry_freezes_and_matches_main(case_files, tmp_path):
+    classifier_path, dataset_path = case_files
+    argv = ["verify", classifier_path, dataset_path, "--epsilon", "0.002",
+            "--omit-timings", "--adversarial", str(tmp_path / "a.json")]
+    result = _run(["-m", "qrv.cli", *argv, "--report", str(tmp_path / "process.json")])
+    assert result.returncode == 0, result.stderr
+    assert main([*argv, "--report", str(tmp_path / "inprocess.json")]) == 0
+    assert ((tmp_path / "process.json").read_bytes()
+            == (tmp_path / "inprocess.json").read_bytes())
+    # The `qrv` console script as pip writes it: it allocates between importing
+    # qrv.cli and calling run(), and no collection may walk numpy's and qrv's
+    # objects there, before run() freezes them.
+    code = ("import gc, re, sys\n"
+            "early = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and 'numpy' in "
+            "sys.modules and not gc.get_freeze_count() and early.append(info))\n"
+            "from qrv.cli import run\n"
+            "sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
+            "code = run()\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count() > 0, early)")
+    assert _python(code, *argv).splitlines()[-1] == "0 True True []"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'qrv = "qrv.cli:run"' in pyproject
+
+
+def test_recheck_reads_a_binary_sidecar(tmp_path):
+    # Dim-8 density matrices have 64 entries, so their witnesses are written
+    # in the binary layout, and recheck reads them back.
+    rng = np.random.default_rng(3)
+    classifier = random_classifier(8, rng, n_classes=3, kraus_rank=2)
+    states = [random_density_matrix(8, rng, rank=2) for _ in range(12)]
+    labels = [int(k) for k in classify_batch(classifier, states).labels]
+    paths = [str(tmp_path / name) for name in ("c.json", "d.json", "r.json", "a.json")]
+    save_classifier(paths[0], classifier)
+    save_dataset(paths[1], LabeledDataset(zip(states, labels)))
+    assert main(["verify", *paths[:2], "--epsilon", "0.05",
+                 "--report", paths[2], "--adversarial", paths[3]]) == 0
+    witnesses = json.loads(Path(paths[3]).read_text())["states"]
+    assert witnesses
+    assert all(set(w["data"]) == {"dtype", "shape", "base64"} for w in witnesses)
+    result = _run(["-m", "qrv.cli", "recheck", *paths])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip().endswith("consistent")
 
 
 def test_lazy_exports_resolve():

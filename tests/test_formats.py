@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qrv.casestudy import generate_qubit_case_study
 from qrv.errors import SchemaError
 from qrv.formats import (
+    BINARY_MIN_ELEMENTS,
     FORMAT_TAG,
     emit_adversarial_sidecar,
     emit_channel,
@@ -14,6 +16,7 @@ from qrv.formats import (
     emit_dataset,
     emit_report,
     emit_state,
+    load_classifier,
     load_dataset,
     matrix_to_json,
     parse_channel,
@@ -273,3 +276,163 @@ class TestCodec:
         assert json.loads(new.read_text()) == doc
         assert emit_dataset(load_dataset(old)) == doc
         assert emit_dataset(load_dataset(new)) == doc
+
+
+def _pairs(a):
+    """``a`` in the ``[re, im]`` pairs layout, as the image_margin generator
+    in ``bench/workloads.py`` builds it."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _binary(a, shape=None):
+    raw = np.ascontiguousarray(a, dtype="<c16").tobytes()
+    return {"dtype": "<c16", "shape": list(a.shape if shape is None else shape),
+            "base64": base64.b64encode(raw).decode("ascii")}
+
+
+_VEC = _binary(np.array([0.6, 0.8j]))  # 32 bytes, 44 base64 characters
+
+
+class TestBinaryLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2 * BINARY_MIN_ELEMENTS))
+    def test_vector_round_trip_in_either_layout(self, data, n):
+        v = data.draw(_complex_array((n,)))
+        doc = round_trip(vector_to_json(v))
+        assert isinstance(doc, dict) == (n >= BINARY_MIN_ELEMENTS)
+        for layout in (doc, _pairs(v), _binary(v)):
+            assert _same_bits(parse_vector(round_trip(layout), "$"), v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 12))
+    def test_matrix_round_trip_in_either_layout(self, data, rows, cols):
+        m = data.draw(_complex_array((rows, cols)))
+        doc = round_trip(matrix_to_json(m))
+        assert isinstance(doc, dict) == (rows * cols >= BINARY_MIN_ELEMENTS)
+        for layout in (doc, _pairs(m), _binary(m)):
+            assert _same_bits(parse_matrix(round_trip(layout), "$"), m)
+
+    def test_negative_zero_and_extremes_keep_their_bits(self):
+        special = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        v = np.resize(np.array(special), 2 * BINARY_MIN_ELEMENTS).view(complex)
+        back = parse_vector(round_trip(vector_to_json(v)), "$")
+        assert _same_bits(back, v) and np.signbit(back.real[0])
+        assert back.flags.writeable and back.flags.owndata
+
+    def test_writer_keeps_small_arrays_readable(self, rng):
+        dataset = LabeledDataset([
+            (random_density_matrix(2, rng), 0),
+            (random_pure_state(16, rng), 1),
+            (random_density_matrix(16, rng), 0),
+            (random_pure_state(BINARY_MIN_ELEMENTS, rng), 1),
+        ])
+        doc = emit_dataset(dataset)
+        assert [type(e["data"]) for e in doc["states"]] == [list, list, dict, dict]
+        assert doc["states"][2]["data"]["shape"] == [16, 16]
+
+    def test_a_file_may_mix_the_layouts(self, rng, tmp_path):
+        dataset = LabeledDataset(
+            [(random_density_matrix(8, rng), 0), (random_pure_state(8, rng), 1)])
+        doc = emit_dataset(dataset)
+        assert [type(e["data"]) for e in doc["states"]] == [dict, list]
+        write_json(tmp_path / "d.json", doc)
+        back = load_dataset(tmp_path / "d.json")
+        assert _same_bits(back.entries[0][0].matrix, dataset.entries[0][0].matrix)
+        assert _same_bits(back.entries[1][0].amplitudes, dataset.entries[1][0].amplitudes)
+
+        c = random_classifier(8, rng, n_classes=2)
+        doc = emit_classifier(c)
+        ops = doc["measurement"]["operators"]
+        assert all(isinstance(m, dict) for m in ops)
+        ops[0] = _pairs(c.measurement.operators[0])
+        write_json(tmp_path / "c.json", doc)
+        back = load_classifier(tmp_path / "c.json")
+        for a, b in zip(back.measurement.operators, c.measurement.operators):
+            assert _same_bits(a, b)
+        assert _same_bits(back.dual_effects, c.dual_effects)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_pairs_files_of_any_layout_still_load(self, rng, tmp_path, indent):
+        # Compact pairs as bench/workloads.py's image_margin writes them, and
+        # the indented layout of earlier versions, at sizes now written binary.
+        c = random_classifier(16, rng, n_classes=2)
+        states = [(random_pure_state(256, rng), 0), (random_density_matrix(16, rng), 1)]
+        clf_doc = {
+            "format": FORMAT_TAG, "kind": "classifier", "labels": list(c.labels),
+            "channel": {"dim": c.dim, "kraus": [_pairs(k) for k in c.channel.kraus]},
+            "measurement": {"operators": [_pairs(m) for m in c.measurement.operators]},
+        }
+        data_doc = {"format": FORMAT_TAG, "kind": "dataset", "states": [
+            {"kind": "pure", "data": _pairs(states[0][0].amplitudes), "label": 0},
+            {"kind": "density", "data": _pairs(states[1][0].matrix), "label": 1}]}
+        separators = (",", ":") if indent is None else None
+        for name, doc in (("c.json", clf_doc), ("d.json", data_doc)):
+            (tmp_path / name).write_text(json.dumps(doc, indent=indent,
+                                                    separators=separators))
+        back = load_classifier(tmp_path / "c.json")
+        assert emit_classifier(back) == emit_classifier(c)
+        dataset = load_dataset(tmp_path / "d.json")
+        assert emit_dataset(dataset) == emit_dataset(LabeledDataset(states))
+
+    @pytest.mark.parametrize(
+        "parse, obj, message",
+        [
+            (parse_vector, {**_VEC, "order": "C"},
+             "$: binary array keys must be ['base64', 'dtype', 'shape']"),
+            (parse_vector, {k: _VEC[k] for k in ("dtype", "shape")},
+             "$: binary array keys must be ['base64', 'dtype', 'shape']"),
+            (parse_vector, {**_VEC, "dtype": "<c8"}, "$.dtype: dtype must be '<c16', got '<c8'"),
+            (parse_vector, {**_VEC, "dtype": ">c16"},
+             "$.dtype: dtype must be '<c16', got '>c16'"),
+            (parse_vector, {**_VEC, "shape": 2},
+             "$.shape: shape must be a list of positive integers of length 1"),
+            (parse_vector, {**_VEC, "shape": [1, 2]},
+             "$.shape: shape must be a list of positive integers of length 1"),
+            (parse_matrix, {**_VEC, "shape": [2]},
+             "$.shape: shape must be a list of positive integers of length 2"),
+            (parse_vector, {**_VEC, "shape": [True]},
+             "$.shape: shape must be a list of positive integers of length 1"),
+            (parse_vector, {**_VEC, "shape": [0]},
+             "$.shape: shape must be a list of positive integers of length 1"),
+            (parse_vector, {**_VEC, "shape": [-2]},
+             "$.shape: shape must be a list of positive integers of length 1"),
+            (parse_vector, {**_VEC, "shape": [2.0]},
+             "$.shape: shape must be a list of positive integers of length 1"),
+            (parse_vector, {**_VEC, "base64": "!" * 44}, "$.base64: invalid base64"),
+            (parse_vector, {**_VEC, "base64": "A=" * 22}, "$.base64: invalid base64"),
+            (parse_vector, {**_VEC, "base64": 42},
+             "$.base64: base64 must encode the 32 bytes of shape [2]"),
+            (parse_vector, {**_VEC, "shape": [3]},
+             "$.base64: base64 must encode the 48 bytes of shape [3]"),
+            (parse_matrix, {**_VEC, "shape": [1, 1]},
+             "$.base64: base64 must encode the 16 bytes of shape [1, 1]"),
+        ],
+    )
+    def test_rejections_keep_message_and_path(self, parse, obj, message):
+        with pytest.raises(SchemaError) as err:
+            parse(obj, "$")
+        assert str(err.value) == message
+
+    def test_nan_in_a_binary_density_matrix(self):
+        m = np.eye(8, dtype=complex) / 8
+        m[3, 5] = np.nan
+        doc = {"format": FORMAT_TAG, "kind": "dataset",
+               "states": [{"kind": "density", "data": _binary(m), "label": 0}]}
+        with pytest.raises(SchemaError) as err:
+            parse_dataset(round_trip(doc))
+        assert str(err.value) == "states[0].data: matrix contains NaN or Inf entries"
+
+    def test_declared_shape_above_the_cap_fails_before_decoding(self, monkeypatch):
+        monkeypatch.delenv("QRV_MAX_DIM", raising=False)
+        payload = _binary(np.array([1.0 + 0j]), shape=[2**20])  # 16 bytes
+        doc = {"format": FORMAT_TAG, "kind": "dataset",
+               "states": [{"kind": "pure", "data": payload, "label": 0}]}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decoded before the shape was checked")
+
+        monkeypatch.setattr(base64, "b64decode", forbidden)
+        with pytest.raises(SchemaError) as err:
+            parse_dataset(doc)
+        assert str(err.value) == ("states[0].data.shape: dimension 1048576 exceeds the "
+                                  "configured cap 256; raise QRV_MAX_DIM to override")

@@ -182,6 +182,17 @@ def _certified_adversarial_class(report, sidecar, run):
     return i, "adversarial_class"
 
 
+def _other_rival(report, sidecar, run):
+    # The report and its sidecar agree on a rival, but not the one whose
+    # recorded shift gives the least dual value.
+    i = _entry(run, robust=False)
+    verdict = run["verdicts"][i]
+    other = 3 - verdict["label"] - verdict["adversarial_class"]
+    verdict["adversarial_class"] = other
+    next(e for e in sidecar["states"] if e["source_index"] == i)["target_class"] = other
+    return i, "adversarial_class"
+
+
 def _n_states(report, sidecar, run):
     run["n_states"] += 1
     return None, "n_states"
@@ -215,8 +226,8 @@ def _sidecar_distance(report, sidecar, run):
 
 
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
-         _robust_accuracy, _drop_witness, _certified_adversarial_class, _n_states,
-         _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance]
+         _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
+         _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance]
 
 
 def _set(field, value, robust=True, certified=False):
