@@ -1,18 +1,17 @@
 """Channels in Kraus form and the classifier they make up.
 
-A classifier is a channel followed by a measurement family, one operator
-per class; the predicted class is the argmax of the outcome
-probabilities.  This demo wires up the single-qubit rotation classifier
-from the case-study generator, then degrades it with depolarizing noise
-to show how class margins shrink.
+A classifier is a POVM, one effect per class; the predicted class is the
+argmax of the outcome probabilities ``p_k = tr(N_k rho)``.  A channel
+followed by a measurement is the POVM of its Heisenberg-picture effects
+``N_k = channel^dag(M_k^dag M_k)``.  This demo wires up the single-qubit
+rotation classifier from the case-study generator, then degrades it with
+depolarizing noise, applied to the effects in the Heisenberg picture, to
+show how class margins shrink.
 """
-
-import numpy as np
 
 from qrv import (
     Classifier,
     classify,
-    compose,
     depolarizing,
     qubit_rotation_classifier,
     xz_plane_state,
@@ -36,11 +35,9 @@ print()
 print("appending depolarizing noise shrinks every margin:")
 state = xz_plane_state(1.0)
 for p in (0.0, 0.2, 0.5, 1.0):
-    noisy = Classifier(
-        compose(depolarizing(p), classifier.channel),
-        classifier.measurement,
-        classifier.labels,
-    )
+    noise = depolarizing(p)
+    noisy = Classifier([noise.dual_apply(n) for n in classifier.dual_effects],
+                       classifier.labels)
     out = classify(noisy, state)
     print(f"  noise strength {p:.1f}: margin = {out.margin:.4f}"
           f"{'  (tie)' if out.tie else ''}")

@@ -1,13 +1,15 @@
 """qrv: robustness verification of quantum classifiers against unknown noise.
 
-The library answers, for a classifier given as a Kraus channel plus a
-measurement family: is a correctly classified state still classified the
-same way everywhere within fidelity distance epsilon?  It computes a
-cheap margin certificate and the exact optimal robust bound from the
-two-multiplier fidelity dual (one eigendecomposition per class gap
-operator plus a one-dimensional root search per state), extracts concrete
-adversarial states (pure ones for pure inputs) when robustness
-fails, and re-checks a saved report offline without solving anything.
+A classifier is a POVM, one effect per class; a channel followed by a
+measurement is the POVM of its Heisenberg-picture effects
+(``Classifier.from_kraus``).  The library answers: is a correctly
+classified state still classified the same way everywhere within fidelity
+distance epsilon?  It computes a cheap margin certificate and the exact
+optimal robust bound from the two-multiplier fidelity dual (one
+eigendecomposition per class gap operator plus a one-dimensional root
+search per state), extracts concrete adversarial states (pure ones for
+pure inputs) when robustness fails, and re-checks a saved report offline
+without solving anything.
 
 The names below are exported lazily (PEP 562): ``import qrv`` loads no
 submodule and not numpy, and ``qrv.X`` or ``from qrv import X`` imports
@@ -29,14 +31,10 @@ _EXPORTS = {
         "DensityMatrix", "PureState", "fidelity", "matrix_sqrt_psd",
         "pure_to_density", "sqrt_fidelity", "trace_distance",
     ),
-    "channels": (
-        "KrausChannel", "compose", "depolarizing", "identity_channel",
-        "measure_and_control", "unitary_channel",
-    ),
+    "channels": ("KrausChannel", "depolarizing", "unitary_channel"),
     "classifiers": (
         "BatchClassification", "Classification", "Classifier", "LabeledDataset",
-        "Measurement", "accuracy", "classify", "classify_batch",
-        "computational_measurement",
+        "accuracy", "classify", "classify_batch",
     ),
     "verifier": (
         "AdversarialWitness", "OptimalBound", "PureBound", "RobustnessCheck",
@@ -48,7 +46,7 @@ _EXPORTS = {
     "recheck": ("recheck_report",),
     "sampling": (
         "random_classifier", "random_density_matrix", "random_kraus_channel",
-        "random_measurement", "random_pure_state", "random_unitary",
+        "random_pure_state", "random_unitary",
     ),
     "casestudy": (
         "amplitude_encode", "encode_image", "generate_qubit_case_study",

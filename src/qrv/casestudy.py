@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import unitary_channel
-from .classifiers import Classifier, LabeledDataset, computational_measurement
+from .classifiers import Classifier, LabeledDataset
 from .errors import ValidationError
 from .states import PureState
 
@@ -55,7 +55,8 @@ def qubit_rotation_classifier(
     labels: tuple[str, str] = ("a", "b"),
 ) -> Classifier:
     """R_y(theta_star) followed by the computational-basis measurement."""
-    return Classifier(unitary_channel(ry(theta_star)), computational_measurement(2), labels)
+    projectors = [np.diag(e) for e in np.eye(2)]
+    return Classifier.from_kraus(unitary_channel(ry(theta_star)), projectors, labels)
 
 
 def _sample_anchor_angles(

@@ -27,10 +27,7 @@ from .states import (
 __all__ = [
     "KrausChannel",
     "unitary_channel",
-    "identity_channel",
     "depolarizing",
-    "measure_and_control",
-    "compose",
     "isometry_defect",
 ]
 
@@ -38,8 +35,8 @@ __all__ = [
 def isometry_defect(ops: Sequence[np.ndarray]) -> float:
     """Max-norm of ``sum_k A_k^dag A_k - I``.
 
-    Zero for a trace-preserving Kraus set, a complete measurement, or a
-    single unitary; checked against ``ISOMETRY_TOL``.
+    Zero for a trace-preserving Kraus set or a single unitary; checked
+    against ``ISOMETRY_TOL``.
     """
     dim_in = ops[0].shape[1]
     acc = np.zeros((dim_in, dim_in), dtype=complex)
@@ -122,10 +119,6 @@ def unitary_channel(u) -> KrausChannel:
     return KrausChannel([u])
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel([np.eye(dim, dtype=complex)])
-
-
 def depolarizing(p: float) -> KrausChannel:
     """Single-qubit depolarizing channel with strength p in [0, 1].
 
@@ -138,46 +131,4 @@ def depolarizing(p: float) -> KrausChannel:
     if p > 0.0:
         coeff = np.sqrt(p / 4.0)
         kraus.extend([coeff * PAULI_X, coeff * PAULI_Y, coeff * PAULI_Z])
-    return KrausChannel(kraus)
-
-
-def measure_and_control(
-    measurement_operators: Sequence[np.ndarray],
-    controlled_unitaries: Sequence[np.ndarray],
-) -> KrausChannel:
-    """Measurement-controlled unitary: apply V_k when outcome k occurs.
-
-    Builds the Kraus set {V_k M_k}; trace preservation follows from the
-    measurement completeness sum_k M_k^dag M_k = I because the V_k are
-    unitary.
-    """
-    if len(measurement_operators) != len(controlled_unitaries):
-        raise ValidationError(
-            "need one controlled unitary per measurement operator, got "
-            f"{len(controlled_unitaries)} for {len(measurement_operators)}"
-        )
-    kraus = []
-    for m_k, v_k in zip(measurement_operators, controlled_unitaries):
-        m_k = as_complex_matrix(m_k, square=True)
-        v_k = as_complex_matrix(v_k, square=True)
-        defect = isometry_defect([v_k])
-        if defect > ISOMETRY_TOL:
-            raise ValidationError(
-                f"controlled operation is not unitary: defect {defect:.3e}"
-            )
-        kraus.append(v_k @ m_k)
-    return KrausChannel(kraus)
-
-
-def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Sequential composition: (outer . inner)(rho) = outer(inner(rho)).
-
-    The Kraus set is all products F_j E_k.
-    """
-    if inner.dim_out != outer.dim_in:
-        raise DimensionMismatch(
-            f"inner output dim {inner.dim_out} does not match outer input "
-            f"{outer.dim_in}"
-        )
-    kraus = [f @ e for f in outer.kraus for e in inner.kraus]
     return KrausChannel(kraus)

@@ -1,11 +1,13 @@
 """Quantum classifiers and labeled datasets.
 
-A classifier is a channel followed by a measurement family {M_k}, one
-operator per class.  Class probabilities are ``p_k = tr(M_k^dag M_k
-channel(rho))`` and the predicted label is the argmax, with ties broken
-toward the lowest index and flagged.  Classification works on a stack of
-states at once (one contraction against the stacked Heisenberg-picture
-effects); a single state is a stack of one.
+A classifier is a POVM {N_k}, one effect per class: class probabilities
+are ``p_k = tr(N_k rho)`` and the predicted label is the argmax, with
+ties broken toward the lowest index and flagged.  A channel E followed by
+a measurement {M_k} is the POVM of its Heisenberg-picture effects
+``N_k = E^dag(M_k^dag M_k)`` (:meth:`Classifier.from_kraus`), which is
+all the robust bound and the adversarial search depend on.
+Classification works on a stack of states at once (one contraction
+against the stacked effects); a single state is a stack of one.
 """
 
 from __future__ import annotations
@@ -15,13 +17,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, isometry_defect
-from .config import ISOMETRY_TOL, TIE_TOL
+from .channels import KrausChannel
+from .config import ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension
 from .errors import DimensionMismatch, ValidationError
-from .states import DensityMatrix, PureState, as_complex_matrix, state_matrix
+from .states import (
+    DensityMatrix,
+    PureState,
+    as_complex_matrix,
+    require_hermitian,
+    state_matrix,
+)
 
 __all__ = [
-    "Measurement",
     "Classifier",
     "Classification",
     "BatchClassification",
@@ -37,94 +44,62 @@ __all__ = [
 WELL_TRAINED_THRESHOLD = 0.95
 
 
-class Measurement:
-    """An ordered measurement family {M_k}, one operator per class label,
-    and its POVM effects ``effects`` = (M_k^dag M_k, ...)."""
-
-    __slots__ = ("operators", "dim", "effects")
-
-    def __init__(self, operators):
-        mats = [as_complex_matrix(m, square=True) for m in operators]
-        if len(mats) < 2:
-            raise ValidationError("a measurement needs at least two operators")
-        dim = mats[0].shape[0]
-        for m in mats:
-            if m.shape[0] != dim:
-                raise ValidationError("measurement operators have mixed dims")
-        defect = isometry_defect(mats)
-        if defect > ISOMETRY_TOL:
-            raise ValidationError(
-                f"measurement is not complete: max |sum M^dag M - I| = {defect:.3e}"
-            )
-        self.operators = tuple(mats)
-        self.dim = dim
-        self.effects = tuple(m.conj().T @ m for m in mats)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    def __repr__(self) -> str:
-        return f"Measurement(dim={self.dim}, outcomes={len(self.operators)})"
-
-
-def computational_measurement(dim: int = 2) -> Measurement:
-    """Projective measurement onto the computational basis states."""
-    ops = []
-    for k in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[k, k] = 1.0
-        ops.append(m)
-    return Measurement(ops)
-
-
 class Classifier:
-    """A channel plus a measurement, with one string label per class.
+    """A POVM on the input space, one effect per class, with one string
+    label per class.
 
-    ``dual_effects`` is the ``(n_classes, dim, dim)`` stack of
-    Heisenberg-picture effects ``N_k = channel^dag(M_k^dag M_k)``, computed
-    at construction.  With it, ``p_k = tr(N_k rho)`` costs one inner product
-    per class, and a whole dataset is classified in one contraction, which
-    is what makes margin filtering over a large dataset cheap.
+    ``dual_effects`` is the ``(n_classes, dim, dim)`` stack of effects
+    ``N_k``.  Construction validates a POVM: at least two square effects of
+    one dim, each Hermitian to ``HERM_TOL`` and with no eigenvalue below
+    ``-PSD_TOL``, summing to the identity within ``ISOMETRY_TOL``.  With the
+    stack, ``p_k = tr(N_k rho)`` costs one inner product per class, and a
+    whole dataset is classified in one contraction, which is what makes
+    margin filtering over a large dataset cheap.
     """
 
-    __slots__ = ("channel", "measurement", "labels", "dual_effects", "_gap_spectra")
+    __slots__ = ("labels", "dual_effects", "dim", "n_classes", "_gap_spectra")
 
-    def __init__(
-        self,
-        channel: KrausChannel,
-        measurement: Measurement,
-        labels: Sequence[str] | None = None,
-    ):
-        if channel.dim_out != measurement.dim:
+    def __init__(self, effects, labels: Sequence[str] | None = None):
+        mats = [require_hermitian(n, f"effect {k}") for k, n in enumerate(effects)]
+        if len(mats) < 2:
+            raise ValidationError("a classifier needs at least two effects")
+        dim = mats[0].shape[0]
+        if any(n.shape[0] != dim for n in mats):
             raise DimensionMismatch(
-                f"channel output dim {channel.dim_out} does not match "
-                f"measurement dim {measurement.dim}"
-            )
-        if channel.dim_in != channel.dim_out:
+                f"effects have mixed dims {sorted({n.shape[0] for n in mats})}")
+        check_dimension(dim)
+        for k, n in enumerate(mats):
+            lo = float(np.linalg.eigvalsh(n)[0])
+            if lo < -PSD_TOL:
+                raise ValidationError(f"effect {k} has negative eigenvalue {lo:.3e}")
+        stack = np.stack(mats)
+        defect = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
+        if defect > ISOMETRY_TOL:
             raise ValidationError(
-                "classifier channels must preserve the dimension; model "
-                "qubit-discarding pooling by measuring a subsystem instead"
-            )
+                f"effects do not sum to the identity: max |sum N - I| = {defect:.3e}")
         if labels is None:
-            labels = [str(k) for k in range(len(measurement))]
+            labels = [str(k) for k in range(len(mats))]
         labels = [str(x) for x in labels]
-        if len(labels) != len(measurement):
-            raise ValidationError(
-                f"{len(labels)} labels for {len(measurement)} measurement operators"
-            )
-        self.channel = channel
-        self.measurement = measurement
+        if len(labels) != len(mats):
+            raise ValidationError(f"{len(labels)} labels for {len(mats)} effects")
         self.labels = tuple(labels)
-        self.dual_effects = np.stack([channel.dual_apply(e) for e in measurement.effects])
+        self.dual_effects = stack
+        self.dim = dim
+        self.n_classes = len(mats)
         self._gap_spectra = {}
 
-    @property
-    def dim(self) -> int:
-        return self.channel.dim_in
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.measurement)
+    @classmethod
+    def from_kraus(
+        cls,
+        channel: KrausChannel,
+        operators,
+        labels: Sequence[str] | None = None,
+    ) -> "Classifier":
+        """The classifier ``channel`` then measurement ``{M_k}``: effects
+        ``N_k = channel^dag(M_k^dag M_k)`` on the channel's input space,
+        validated as a POVM like any other."""
+        mats = [as_complex_matrix(m) for m in operators]
+        return cls([channel.dual_apply(m.conj().T @ m) for m in mats], labels)
 
     def class_gap_operator(self, winner: int, rival: int) -> np.ndarray:
         """N_winner - N_rival; states with tr(G sigma) <= 0 lose the argmax."""

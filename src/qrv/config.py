@@ -2,7 +2,7 @@
 
 Every tolerance used by validation, bounds and verdicts is one module
 constant here, so validation and verdicts agree on what counts as a
-state, a channel and a tie (the test suite's SDP oracle,
+state, a classifier, a channel and a tie (the test suite's SDP oracle,
 ``tests/sdp_oracle.py``, takes its own solver targets).  The values are
 deliberately strict.
 """
@@ -18,7 +18,8 @@ MAX_DIM_ENV_VAR = "QRV_MAX_DIM"
 
 # Max-norm tolerance for Hermiticity checks, max |M - M^dag|.
 HERM_TOL = 1e-9
-# Eigenvalues >= -PSD_TOL count as nonnegative in a density matrix.
+# Eigenvalues >= -PSD_TOL count as nonnegative in a density matrix or an
+# effect.
 PSD_TOL = 1e-8
 # Eigenvalues below -PSD_REJECT are rejected outright; anything in
 # [-PSD_REJECT, 0) is clamped to zero before a square root is taken.
@@ -28,8 +29,8 @@ TRACE_TOL = 1e-9
 # Pure-state norm deviations above this are rejected; smaller ones are
 # renormalized away.
 NORM_REJECT = 1e-6
-# Max-norm tolerance for sum_k A_k^dag A_k = I: trace preservation of a
-# Kraus set, completeness of a measurement, unitarity.
+# Max-norm tolerance for trace preservation of a Kraus set
+# (sum_k E_k^dag E_k = I), effects summing to I, and unitarity.
 ISOMETRY_TOL = 1e-7
 # Two class probabilities within TIE_TOL count as tied.
 TIE_TOL = 1e-7

@@ -1,5 +1,4 @@
-"""Versioned JSON schemas for states, channels, classifiers, datasets and
-reports.
+"""Versioned JSON schemas for states, classifiers, datasets and reports.
 
 All documents carry ``"format": "qrv/1"``.  A complex array is nested
 ``[re, im]`` pairs (a matrix is a row-major list of rows) or, as written
@@ -26,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .channels import KrausChannel
-from .classifiers import Classifier, LabeledDataset, Measurement
+from .classifiers import Classifier, LabeledDataset
 from .config import check_dimension
 from .errors import SchemaError, ValidationError
 from .states import DensityMatrix, PureState
@@ -36,8 +35,6 @@ __all__ = [
     "FORMAT_TAG",
     "emit_state",
     "parse_state",
-    "emit_channel",
-    "parse_channel",
     "emit_classifier",
     "parse_classifier",
     "emit_dataset",
@@ -220,42 +217,7 @@ def parse_state(doc: dict):
 
 
 # ---------------------------------------------------------------------------
-# Channels, measurements, classifiers
-
-
-def emit_channel(channel: KrausChannel) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "channel",
-        "dim": channel.dim_in,
-        "kraus": [matrix_to_json(e) for e in channel.kraus],
-    }
-
-
-def _parse_channel_body(doc: dict, path: str) -> KrausChannel:
-    dim = _require_key(doc, "dim", path)
-    kraus_doc = _require_key(doc, "kraus", path)
-    if not isinstance(kraus_doc, list) or not kraus_doc:
-        raise SchemaError("kraus must be a non-empty array of matrices", f"{path}.kraus")
-    kraus = [
-        parse_matrix(m, f"{path}.kraus[{i}]") for i, m in enumerate(kraus_doc)
-    ]
-    try:
-        channel = KrausChannel(kraus)
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{path}.kraus") from exc
-    if channel.dim_in != dim:
-        raise SchemaError(
-            f"declared dim {dim} does not match Kraus matrices of dim "
-            f"{channel.dim_in}",
-            f"{path}.dim",
-        )
-    return channel
-
-
-def parse_channel(doc: dict) -> KrausChannel:
-    _check_format(doc, "channel", "$")
-    return _parse_channel_body(doc, "$")
+# Classifiers
 
 
 def emit_classifier(classifier: Classifier) -> dict:
@@ -263,37 +225,56 @@ def emit_classifier(classifier: Classifier) -> dict:
         "format": FORMAT_TAG,
         "kind": "classifier",
         "labels": list(classifier.labels),
-        "channel": {
-            "dim": classifier.channel.dim_in,
-            "kraus": [matrix_to_json(e) for e in classifier.channel.kraus],
-        },
-        "measurement": {
-            "operators": [matrix_to_json(m) for m in classifier.measurement.operators]
-        },
+        "effects": [matrix_to_json(n) for n in classifier.dual_effects],
     }
 
 
+def _matrix_list(obj: Any, path: str, least: int) -> list[np.ndarray]:
+    if not isinstance(obj, list) or len(obj) < least:
+        raise SchemaError(f"expected an array of {least} or more matrices", path)
+    return [parse_matrix(m, f"{path}[{i}]") for i, m in enumerate(obj)]
+
+
+def _parse_kraus_classifier(doc: dict, labels: list) -> Classifier:
+    """The earlier layout: ``"channel": {"dim": n, "kraus": [...]}`` and
+    ``"measurement": {"operators": [...]}``."""
+    channel_doc = _require_key(doc, "channel", "$")
+    dim = _require_key(channel_doc, "dim", "channel")
+    kraus = _matrix_list(_require_key(channel_doc, "kraus", "channel"), "channel.kraus", 1)
+    try:
+        channel = KrausChannel(kraus)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "channel.kraus") from exc
+    if channel.dim_in != dim:
+        raise SchemaError(
+            f"declared dim {dim} does not match Kraus matrices of dim {channel.dim_in}",
+            "channel.dim",
+        )
+    ops_doc = _require_key(_require_key(doc, "measurement", "$"), "operators", "measurement")
+    operators = _matrix_list(ops_doc, "measurement.operators", 2)
+    try:
+        return Classifier.from_kraus(channel, operators, labels)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "measurement") from exc
+
+
 def parse_classifier(doc: dict) -> Classifier:
+    """A classifier in the ``effects`` layout, or in the earlier
+    ``channel`` and ``measurement`` one; a document holds exactly one."""
     _check_format(doc, "classifier", "$")
     labels = _require_key(doc, "labels", "$")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("labels must be an array of strings", "labels")
-    channel = _parse_channel_body(_require_key(doc, "channel", "$"), "channel")
-    meas_doc = _require_key(doc, "measurement", "$")
-    ops_doc = _require_key(meas_doc, "operators", "measurement")
-    if not isinstance(ops_doc, list) or len(ops_doc) < 2:
+    if ("effects" in doc) == ("channel" in doc or "measurement" in doc):
         raise SchemaError(
-            "operators must be an array of at least two matrices",
-            "measurement.operators",
-        )
-    operators = [
-        parse_matrix(m, f"measurement.operators[{i}]") for i, m in enumerate(ops_doc)
-    ]
+            "a classifier holds either 'effects' or 'channel' and 'measurement'", "$")
+    if "effects" not in doc:
+        return _parse_kraus_classifier(doc, labels)
+    effects = _matrix_list(doc["effects"], "effects", 2)
     try:
-        measurement = Measurement(operators)
-        return Classifier(channel, measurement, labels)
+        return Classifier(effects, labels)
     except ValueError as exc:
-        raise SchemaError(str(exc), "measurement") from exc
+        raise SchemaError(str(exc), "effects") from exc
 
 
 # ---------------------------------------------------------------------------

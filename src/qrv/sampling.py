@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KrausChannel, unitary_channel
-from .classifiers import Classifier, Measurement
+from .classifiers import Classifier
 from .states import DensityMatrix, PureState, matrix_sqrt_psd
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "random_pure_state",
     "random_density_matrix",
     "random_kraus_channel",
-    "random_measurement",
     "random_classifier",
 ]
 
@@ -65,29 +64,22 @@ def random_kraus_channel(
     return KrausChannel(kraus)
 
 
-def random_measurement(
-    dim: int, n_outcomes: int, rng: np.random.Generator
-) -> Measurement:
-    """Random complete measurement from normalized Ginibre effects."""
-    raws = [(_ginibre(rng, dim, dim),) for _ in range(n_outcomes)]
-    gram = [g[0] @ g[0].conj().T for g in raws]
-    total = np.sum(gram, axis=0)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(np.clip(w, 1e-14, None))) @ v.conj().T
-    operators = []
-    for g in gram:
-        effect = inv_sqrt @ g @ inv_sqrt
-        operators.append(matrix_sqrt_psd(0.5 * (effect + effect.conj().T)))
-    return Measurement(operators)
-
-
 def random_classifier(
     dim: int,
     rng: np.random.Generator,
     n_classes: int = 2,
     kraus_rank: int = 1,
 ) -> Classifier:
-    """Random classifier: a channel plus a random complete measurement."""
+    """Random classifier: a channel, then a random complete measurement
+    whose effects are normalized Ginibre ones."""
     channel = random_kraus_channel(dim, rng, kraus_rank)
-    measurement = random_measurement(dim, n_classes, rng)
-    return Classifier(channel, measurement)
+    gram = [g @ g.conj().T for g in (_ginibre(rng, dim, dim) for _ in range(n_classes))]
+    w, v = np.linalg.eigh(np.sum(gram, axis=0))
+    inv_sqrt = (v / np.sqrt(np.clip(w, 1e-14, None))) @ v.conj().T
+    # M_k = sqrt(effect), squared again by from_kraus: passing the effect
+    # directly would move dual_effects in the last bits, and so the reports.
+    operators = []
+    for g in gram:
+        effect = inv_sqrt @ g @ inv_sqrt
+        operators.append(matrix_sqrt_psd(0.5 * (effect + effect.conj().T)))
+    return Classifier.from_kraus(channel, operators)

@@ -1,0 +1,50 @@
+"""The benchmark's generators still build inputs that qrv verifies.
+
+``bench/workloads.py`` calls the library to generate each workload named in
+``BENCHMARK.json``, so an API change that breaks a generator fails here
+rather than only in a benchmark run.  The module is imported from its file,
+without writing bytecode next to it.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qrv.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def generators():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module.GENERATORS
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_verifies_and_rechecks(name, generators, tmp_path):
+    workload = generators[name](0, tmp_path)
+    report, sidecar = tmp_path / "report.json", tmp_path / "adversarial.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(workload.verify_args(report, sidecar) + ["--omit-timings"]) == 0
+        assert main(["recheck", str(workload.classifier_path), str(workload.dataset_path),
+                     str(report), str(sidecar)]) == 0
+    assert out.getvalue().strip().endswith("consistent")

@@ -3,11 +3,8 @@ import pytest
 
 from qrv.channels import (
     KrausChannel,
-    compose,
     depolarizing,
-    identity_channel,
     isometry_defect,
-    measure_and_control,
     unitary_channel,
 )
 from qrv.errors import DimensionMismatch, ValidationError
@@ -17,6 +14,12 @@ from qrv.sampling import (
     random_unitary,
 )
 from qrv.states import PAULI_X, DensityMatrix, PureState, fidelity, pure_to_density
+
+
+IDENTITY = unitary_channel(np.eye(2))
+# Measure Z, then flip the outcome-1 branch: every input is reset to |0>.
+M0, M1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+RESET = KrausChannel([M0, PAULI_X @ M1])
 
 
 def kraus_sum(kraus, rho):
@@ -30,7 +33,7 @@ def kraus_sum(kraus, rho):
 class TestApply:
     def test_identity_channel(self, rng):
         rho = random_density_matrix(2, rng)
-        out = identity_channel(2).apply(rho)
+        out = IDENTITY.apply(rho)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_bit_flip(self):
@@ -55,13 +58,13 @@ class TestApply:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            identity_channel(2).apply(random_density_matrix(4, rng))
+            IDENTITY.apply(random_density_matrix(4, rng))
 
 
 class TestDualApply:
     def test_identity(self, rng):
         obs = np.diag([1.0, -1.0])
-        np.testing.assert_allclose(identity_channel(2).dual_apply(obs), obs)
+        np.testing.assert_allclose(IDENTITY.dual_apply(obs), obs)
 
     def test_unitary_conjugation(self, rng):
         u = random_unitary(3, rng)
@@ -84,44 +87,49 @@ class TestDualApply:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
-            identity_channel(2).dual_apply(np.array([[0, 1], [0, 0]]))
+            IDENTITY.dual_apply(np.array([[0, 1], [0, 0]]))
 
 
 class TestCompose:
+    # Sequential channels in the Heisenberg picture: the dual of
+    # outer . inner is inner^dag . outer^dag, as a noisy classifier's
+    # effects are built.
     def test_identity_is_neutral(self, rng):
         ch = random_kraus_channel(2, rng, kraus_rank=2)
-        combined = compose(identity_channel(2), ch)
-        for _ in range(10):
-            rho = random_density_matrix(2, rng)
-            np.testing.assert_allclose(
-                combined.apply(rho).matrix, ch.apply(rho).matrix, atol=1e-8
-            )
+        obs = np.diag([1.0, -1.0])
+        np.testing.assert_allclose(
+            ch.dual_apply(IDENTITY.dual_apply(obs)), ch.dual_apply(obs), atol=1e-12
+        )
 
     def test_double_bit_flip_is_identity(self, rng):
-        ch = compose(unitary_channel(PAULI_X), unitary_channel(PAULI_X))
-        rho = random_density_matrix(2, rng)
-        np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-12)
+        flip = unitary_channel(PAULI_X)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        obs = g + g.conj().T
+        np.testing.assert_allclose(flip.dual_apply(flip.dual_apply(obs)), obs, atol=1e-12)
 
     def test_matches_product_unitary(self, rng):
         u, v = random_unitary(2, rng), random_unitary(2, rng)
-        composed = compose(unitary_channel(u), unitary_channel(v))
         product = unitary_channel(u @ v)
         for _ in range(5):
             rho = random_density_matrix(2, rng)
-            np.testing.assert_allclose(
-                composed.apply(rho).matrix, product.apply(rho).matrix, atol=1e-9
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            obs = g + g.conj().T
+            sequential = unitary_channel(v).dual_apply(unitary_channel(u).dual_apply(obs))
+            np.testing.assert_allclose(sequential, product.dual_apply(obs), atol=1e-9)
+            assert np.trace(sequential @ rho.matrix) == pytest.approx(
+                np.trace(obs @ product.apply(rho).matrix), abs=1e-9
             )
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            compose(identity_channel(2), identity_channel(4))
+            IDENTITY.dual_apply(unitary_channel(np.eye(4)).dual_apply(np.eye(4)))
 
 
 class TestIsometryDefect:
     # The trace-preservation defect max |sum E^dag E - I| that every
     # Kraus set, measurement and unitary is checked against.
     def test_identity_has_zero_defect(self):
-        assert isometry_defect(identity_channel(2).kraus) == pytest.approx(0.0, abs=1e-14)
+        assert isometry_defect(IDENTITY.kraus) == pytest.approx(0.0, abs=1e-14)
 
     def test_scaled_identity_flagged(self):
         assert isometry_defect([0.5 * np.eye(2)]) == pytest.approx(0.75, abs=1e-12)
@@ -129,10 +137,11 @@ class TestIsometryDefect:
             KrausChannel([0.5 * np.eye(2)])
 
     def test_measurement_controlled_circuit(self):
-        m0 = np.diag([1.0, 0.0]).astype(complex)
-        m1 = np.diag([0.0, 1.0]).astype(complex)
-        ch = measure_and_control([m0, m1], [np.eye(2), PAULI_X])
-        assert isometry_defect(ch.kraus) <= 1e-7
+        assert isometry_defect(RESET.kraus) <= 1e-7
+        out = RESET.apply(pure_to_density(PureState([0, 1])))
+        expected = kraus_sum([M0, PAULI_X @ M1], np.diag([0.0, 1.0]).astype(complex))
+        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(out.matrix, [[1, 0], [0, 0]], atol=1e-12)
 
 
 class TestConstructors:
@@ -146,24 +155,9 @@ class TestConstructors:
         rho = random_density_matrix(2, rng)
         np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-12)
 
-    def test_measure_and_control_resets_excited_state(self):
-        m0 = np.diag([1.0, 0.0]).astype(complex)
-        m1 = np.diag([0.0, 1.0]).astype(complex)
-        ch = measure_and_control([m0, m1], [np.eye(2), PAULI_X])
-        out = ch.apply(pure_to_density(PureState([0, 1])))
-        expected = kraus_sum([m0, PAULI_X @ m1], np.diag([0.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
-        np.testing.assert_allclose(out.matrix, [[1, 0], [0, 0]], atol=1e-12)
-
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             unitary_channel(np.diag([1.0, 0.5]))
-
-    def test_measure_and_control_rejects_non_unitary(self):
-        m0 = np.diag([1.0, 0.0]).astype(complex)
-        m1 = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(ValidationError, match="controlled operation is not"):
-            measure_and_control([m0, m1], [np.eye(2), np.diag([1.0, 0.5])])
 
     def test_rejects_bad_strength(self):
         with pytest.raises(ValidationError):
@@ -179,10 +173,7 @@ class TestFidelityMonotonicity:
         lambda rng: depolarizing(0.3),
         lambda rng: unitary_channel(random_unitary(2, rng)),
         lambda rng: random_kraus_channel(2, rng, kraus_rank=2),
-        lambda rng: measure_and_control(
-            [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
-            [np.eye(2), PAULI_X],
-        ),
+        lambda rng: RESET,
     ])
     def test_channels_never_decrease_fidelity(self, rng, builder):
         ch = builder(rng)

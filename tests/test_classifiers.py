@@ -2,24 +2,27 @@ import numpy as np
 import pytest
 
 from qrv.casestudy import qubit_rotation_classifier, ry, xz_plane_state
-from qrv.channels import identity_channel
+from qrv.channels import KrausChannel, unitary_channel
 from qrv.classifiers import (
     Classifier,
     LabeledDataset,
-    Measurement,
     accuracy,
     classify,
     classify_batch,
-    computational_measurement,
 )
 from qrv.errors import DimensionMismatch, ValidationError
+from qrv.formats import emit_report
 from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, pure_to_density
+from qrv.verifier import verify_dataset
+
+
+Z_EFFECTS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
 
 @pytest.fixture
 def z_classifier():
-    return Classifier(identity_channel(2), computational_measurement(2), ["zero", "one"])
+    return Classifier(Z_EFFECTS, ["zero", "one"])
 
 
 class TestClassProbabilities:
@@ -127,17 +130,37 @@ class TestAccuracy:
 class TestValidation:
     def test_incomplete_measurement_rejected(self):
         half = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValidationError):
-            Measurement([half, 0.5 * (np.eye(2) - half)])
+        operators = [half, 0.5 * (np.eye(2) - half)]
+        with pytest.raises(ValidationError, match="do not sum to the identity"):
+            Classifier.from_kraus(unitary_channel(np.eye(2)), operators)
 
     def test_single_operator_rejected(self):
         with pytest.raises(ValidationError):
-            Measurement([np.eye(2)])
+            Classifier([np.eye(2)])
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValidationError):
-            Classifier(identity_channel(2), computational_measurement(2), ["only-one"])
+            Classifier(Z_EFFECTS, ["only-one"])
 
     def test_channel_measurement_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            Classifier(identity_channel(4), computational_measurement(2))
+            Classifier.from_kraus(unitary_channel(np.eye(4)), Z_EFFECTS)
+
+
+class TestPoolingChannel:
+    # Tracing out the second qubit of two (4 -> 2, Kraus I (x) <j|), then
+    # measuring the first: the effects live on the input space.
+    def test_partial_trace_then_measurement(self, rng):
+        trace_out = KrausChannel([np.kron(np.eye(2), e[None, :]) for e in np.eye(2)])
+        pooled = Classifier.from_kraus(trace_out, Z_EFFECTS, ["zero", "one"])
+        assert (pooled.dim, trace_out.dim_out) == (4, 2)
+        direct = Classifier([np.kron(n, np.eye(2)) for n in Z_EFFECTS], ["zero", "one"])
+        np.testing.assert_allclose(pooled.dual_effects, direct.dual_effects, atol=1e-15)
+        states = [random_density_matrix(4, rng) for _ in range(6)]
+        states += [random_pure_state(4, rng) for _ in range(6)]
+        dataset = LabeledDataset(
+            (s, int(label)) for s, label in zip(states, classify_batch(direct, states).labels)
+        )
+        reports = [emit_report(verify_dataset(c, dataset, 0.05), include_timings=False)
+                   for c in (pooled, direct)]
+        assert reports[0] == reports[1]

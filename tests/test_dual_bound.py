@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import qrv.verifier
 from conftest import classified_instance
-from qrv.channels import identity_channel, unitary_channel
-from qrv.classifiers import Classifier, Measurement, classify
+from qrv.channels import unitary_channel
+from qrv.classifiers import Classifier, classify
 from qrv.sampling import (
     random_classifier,
     random_density_matrix,
@@ -59,10 +59,8 @@ def shared_block_classifier(dim, n_classes, rng):
     u = random_unitary(dim, rng)
     blocks = np.array_split(np.arange(dim), n_classes + 1)
     shared = u[:, blocks[-1]] @ u[:, blocks[-1]].conj().T
-    operators = [
-        u[:, b] @ u[:, b].conj().T + shared / np.sqrt(n_classes) for b in blocks[:-1]
-    ]
-    return Classifier(identity_channel(dim), Measurement(operators)), u, blocks
+    effects = [u[:, b] @ u[:, b].conj().T + shared / n_classes for b in blocks[:-1]]
+    return Classifier(effects), u, blocks
 
 
 def draw_state(kind, dim, rng, support=None):
@@ -164,9 +162,7 @@ def test_singular_basis_state_needs_kernel_component():
     # |0> under a Z measurement: no weight on the -1 eigenvector of the
     # gap operator Z, so the optimum sits at mu = -lambda a_min.  The
     # witness is the even mixture, half of it on the kernel.
-    classifier = Classifier(identity_channel(2), Measurement(
-        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    ))
+    classifier = Classifier([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     zero = PureState([1, 0])
     bound = check_against_oracle(classifier, pure_to_density(zero))
     assert bound.delta == pytest.approx(0.5, abs=1e-9)
@@ -183,9 +179,9 @@ def test_zero_minimum_eigenvalue_gap():
     # attains this dual optimum (lambda -> infinity) and the interior-point
     # SDP does not converge on it, so the oracle is the closed form; the
     # other rival sits at margin^2 / 2 (a qubit measured projectively).
-    measurement = Measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+    measurement = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]
     u = random_unitary(2, np.random.default_rng(7))
-    classifier = Classifier(unitary_channel(u), measurement)
+    classifier = Classifier.from_kraus(unitary_channel(u), measurement)
     rho = DensityMatrix(u.conj().T @ np.diag([0.8, 0.2]) @ u)
     bound = compute_optimal_bound(classifier, rho, 0)
     assert bound.per_class[2] == pytest.approx(0.8, abs=1e-9)
@@ -230,9 +226,63 @@ def test_one_root_per_rival_and_one_witness_per_bound(monkeypatch):
     assert calls == {"_dual_ratio": 3, "_witness_factor": 1}
 
     # Every rival unreachable (N_0 - N_1 = 0.6 I): no root and no witness.
-    dominant = Classifier(identity_channel(2), Measurement(
-        [np.sqrt(0.8) * np.eye(2), np.sqrt(0.2) * np.eye(2)]))
+    dominant = Classifier([0.8 * np.eye(2), 0.2 * np.eye(2)])
     zero = PureState([1, 0])
     for state in (zero, pure_to_density(zero)):
         assert compute_optimal_bound(dominant, state, 0).unbounded
     assert calls == {"_dual_ratio": 3, "_witness_factor": 1}
+
+
+def two_level_delta(r_plus, a_minus, a_plus):
+    """Closed-form delta for a gap operator with the two eigenvalues
+    ``a_minus < 0 < a_plus`` and rho's weight ``r_plus`` on the ``a_plus``
+    eigenspace: ``1 - (sqrt(R t) + sqrt((1 - R)(1 - t)))^2`` with
+    ``t = -a_minus / (a_plus - a_minus)``, or 0 when ``R <= t``."""
+    t = -a_minus / (a_plus - a_minus)
+    if r_plus <= t:
+        return 0.0
+    return 1.0 - (np.sqrt(r_plus * t) + np.sqrt((1.0 - r_plus) * (1.0 - t))) ** 2
+
+
+_eigenvalue = st.floats(0.01, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+    # delta has a square-root singularity at R = 0 and R = 1, where a
+    # rounding of 1e-16 in the state moves it by 1e-8.
+    r_plus=st.floats(1e-6, 1.0 - 1e-6), tied=st.booleans(),
+    a_minus=st.one_of(st.just(1.0), _eigenvalue).map(lambda x: -x),
+    a_plus=st.one_of(st.just(1.0), _eigenvalue), mixed=st.booleans(),
+)
+def test_two_level_gap_matches_closed_form(dim, seed, r_plus, tied, a_minus, a_plus,
+                                           mixed):
+    # N_0 = (I + A)/2 and N_1 = (I - A)/2 make A the gap operator.  rho is
+    # one or two pure states, each with weight r_plus on the a_plus
+    # eigenspace; a tied state has r_plus = t.
+    if tied:
+        r_plus = -a_minus / (a_plus - a_minus)
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, rng)
+    split = int(rng.integers(1, dim))
+    a = np.where(np.arange(dim) < split, a_plus, a_minus)
+    gap = (u * a) @ u.conj().T
+    classifier = Classifier([(np.eye(dim) + gap) / 2, (np.eye(dim) - gap) / 2])
+
+    def spread(block):
+        c = block @ (rng.normal(size=block.shape[1]) + 1j * rng.normal(size=block.shape[1]))
+        return c / np.linalg.norm(c)
+
+    vectors = [np.sqrt(r_plus) * spread(u[:, :split]) + np.sqrt(1.0 - r_plus)
+               * spread(u[:, split:]) for _ in range(1 + mixed)]
+    state = (DensityMatrix(sum(np.outer(v, v.conj()) for v in vectors) / 2) if mixed
+             else PureState(vectors[0]))
+    outcome = classify(classifier, state)
+    bound = compute_optimal_bound(classifier, state)
+    expected = (two_level_delta(r_plus, a_minus, a_plus) if outcome.label_index == 0
+                else two_level_delta(1.0 - r_plus, -a_plus, -a_minus))
+    assert bound.delta == pytest.approx(expected, abs=1e-12)
+    if (a_minus, a_plus) == (-1.0, 1.0):  # projective: the margin certificate is exact
+        margin = np.sqrt(r_plus) - np.sqrt(1.0 - r_plus)
+        assert bound.delta == pytest.approx(margin ** 2 / 2, abs=1e-12)

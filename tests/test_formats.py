@@ -11,7 +11,6 @@ from qrv.formats import (
     BINARY_MIN_ELEMENTS,
     FORMAT_TAG,
     emit_adversarial_sidecar,
-    emit_channel,
     emit_classifier,
     emit_dataset,
     emit_report,
@@ -19,21 +18,24 @@ from qrv.formats import (
     load_classifier,
     load_dataset,
     matrix_to_json,
-    parse_channel,
     parse_classifier,
     parse_dataset,
     parse_matrix,
     parse_state,
     parse_vector,
+    save_dataset,
     vector_to_json,
     write_json,
 )
-from qrv.classifiers import LabeledDataset, classify
+from qrv.classifiers import Classifier, LabeledDataset, classify
+from qrv.cli import main
+from qrv.config import PSD_TOL
 from qrv.sampling import (
     random_classifier,
     random_density_matrix,
     random_kraus_channel,
     random_pure_state,
+    random_unitary,
 )
 from qrv.states import DensityMatrix, PureState
 from qrv.verifier import verify_dataset
@@ -41,6 +43,30 @@ from qrv.verifier import verify_dataset
 
 def round_trip(doc):
     return json.loads(json.dumps(doc))
+
+
+def _pairs(a):
+    """``a`` in the ``[re, im]`` pairs layout, as the image_margin generator
+    in ``bench/workloads.py`` builds it."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _kraus_doc(kraus, operators, labels=("0", "1")):
+    """A classifier in the earlier channel-plus-measurement layout, built
+    from arrays as pairs."""
+    return {
+        "format": FORMAT_TAG, "kind": "classifier", "labels": list(labels),
+        "channel": {"dim": kraus[0].shape[1], "kraus": [_pairs(k) for k in kraus]},
+        "measurement": {"operators": [_pairs(m) for m in operators]},
+    }
+
+
+def _effects_doc(effects, labels=("0", "1")):
+    return {"format": FORMAT_TAG, "kind": "classifier", "labels": list(labels),
+            "effects": [_pairs(np.asarray(n, dtype=complex)) for n in effects]}
+
+
+_Z = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
 
 class TestStateRoundTrip:
@@ -58,21 +84,13 @@ class TestStateRoundTrip:
 
 
 class TestChannelClassifierRoundTrip:
-    def test_channel_bit_exact(self, rng):
-        ch = random_kraus_channel(2, rng, kraus_rank=3)
-        back = parse_channel(round_trip(emit_channel(ch)))
-        assert len(back.kraus) == 3
-        for a, b in zip(back.kraus, ch.kraus):
-            np.testing.assert_array_equal(a, b)
-
     def test_classifier_bit_exact(self, rng):
         c = random_classifier(2, rng, n_classes=3)
-        back = parse_classifier(round_trip(emit_classifier(c)))
+        doc = emit_classifier(c)
+        assert list(doc) == ["format", "kind", "labels", "effects"]
+        back = parse_classifier(round_trip(doc))
         assert back.labels == c.labels
-        for a, b in zip(back.measurement.operators, c.measurement.operators):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(back.channel.kraus, c.channel.kraus):
-            np.testing.assert_array_equal(a, b)
+        assert back.dual_effects.tobytes() == c.dual_effects.tobytes()
 
 
 class TestDatasetRoundTrip:
@@ -140,21 +158,61 @@ class TestSchemaErrors:
             parse_dataset(doc)
 
     def test_ragged_matrix_rejected(self):
-        doc = {
-            "format": FORMAT_TAG,
-            "kind": "channel",
-            "dim": 2,
-            "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]],
-        }
-        with pytest.raises(SchemaError):
-            parse_channel(doc)
+        doc = _kraus_doc([np.eye(2)], _Z)
+        doc["channel"]["kraus"] = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]
+        with pytest.raises(SchemaError) as err:
+            parse_classifier(doc)
+        assert str(err.value) == "channel.kraus[0][1]: row has 1 entries, expected 2"
 
     def test_dim_mismatch_rejected(self):
-        eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-        doc = {"format": FORMAT_TAG, "kind": "channel", "dim": 4, "kraus": [eye]}
+        doc = _kraus_doc([np.eye(2)], _Z)
+        doc["channel"]["dim"] = 4
         with pytest.raises(SchemaError) as err:
-            parse_channel(doc)
-        assert "dim" in str(err.value)
+            parse_classifier(doc)
+        assert err.value.path == "channel.dim"
+
+
+_LOW = 10 * PSD_TOL
+_BAD_CLASSIFIERS = {
+    "non-Hermitian effect": (
+        _effects_doc([[[1.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+        "effects: effect 0 is not Hermitian"),
+    "eigenvalue below -PSD_TOL": (
+        _effects_doc([np.diag([1.0 + _LOW, -_LOW]), np.diag([-_LOW, 1.0 + _LOW])]),
+        "effects: effect 0 has negative eigenvalue"),
+    "effects not summing to I": (
+        _effects_doc([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]),
+        "effects: effects do not sum to the identity"),
+    "single effect": (
+        _effects_doc([np.eye(2)], labels=["all"]),
+        "effects: expected an array of 2 or more matrices"),
+    "mixed dims": (
+        _effects_doc([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 1.0, 1.0])]),
+        "effects: effects have mixed dims"),
+    "label count": (
+        _effects_doc(_Z, labels=["a", "b", "c"]), "effects: 3 labels for 2 effects"),
+    "both layouts": (
+        {**_kraus_doc([np.eye(2)], _Z), "effects": _effects_doc(_Z)["effects"]},
+        "$: a classifier holds either 'effects' or 'channel' and 'measurement'"),
+    "neither layout": (
+        {"format": FORMAT_TAG, "kind": "classifier", "labels": ["0", "1"]},
+        "$: a classifier holds either 'effects' or 'channel' and 'measurement'"),
+}
+
+
+class TestEffectsLayout:
+    @pytest.mark.parametrize("case", list(_BAD_CLASSIFIERS))
+    def test_bad_classifier_is_a_schema_error(self, case, tmp_path):
+        doc, message = _BAD_CLASSIFIERS[case]
+        with pytest.raises(SchemaError) as err:
+            parse_classifier(round_trip(doc))
+        assert str(err.value).startswith(message)
+        write_json(tmp_path / "c.json", doc)
+        dataset = LabeledDataset([(PureState([1, 0]), 0)])
+        save_dataset(tmp_path / "d.json", dataset)
+        argv = ["verify", str(tmp_path / "c.json"), str(tmp_path / "d.json"),
+                "--epsilon", "0.01"]
+        assert main(argv) == 2
 
 
 class TestReportEmission:
@@ -278,12 +336,6 @@ class TestCodec:
         assert emit_dataset(load_dataset(new)) == doc
 
 
-def _pairs(a):
-    """``a`` in the ``[re, im]`` pairs layout, as the image_margin generator
-    in ``bench/workloads.py`` builds it."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
 def _binary(a, shape=None):
     raw = np.ascontiguousarray(a, dtype="<c16").tobytes()
     return {"dtype": "<c16", "shape": list(a.shape if shape is None else shape),
@@ -342,26 +394,22 @@ class TestBinaryLayout:
 
         c = random_classifier(8, rng, n_classes=2)
         doc = emit_classifier(c)
-        ops = doc["measurement"]["operators"]
-        assert all(isinstance(m, dict) for m in ops)
-        ops[0] = _pairs(c.measurement.operators[0])
+        assert all(isinstance(n, dict) for n in doc["effects"])
+        doc["effects"][0] = _pairs(c.dual_effects[0])
         write_json(tmp_path / "c.json", doc)
         back = load_classifier(tmp_path / "c.json")
-        for a, b in zip(back.measurement.operators, c.measurement.operators):
-            assert _same_bits(a, b)
         assert _same_bits(back.dual_effects, c.dual_effects)
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_pairs_files_of_any_layout_still_load(self, rng, tmp_path, indent):
         # Compact pairs as bench/workloads.py's image_margin writes them, and
         # the indented layout of earlier versions, at sizes now written binary.
-        c = random_classifier(16, rng, n_classes=2)
+        channel = random_kraus_channel(16, rng, kraus_rank=2)
+        u = random_unitary(16, rng)
+        operators = [u[:, :8] @ u[:, :8].conj().T, u[:, 8:] @ u[:, 8:].conj().T]
+        c = Classifier.from_kraus(channel, operators)
         states = [(random_pure_state(256, rng), 0), (random_density_matrix(16, rng), 1)]
-        clf_doc = {
-            "format": FORMAT_TAG, "kind": "classifier", "labels": list(c.labels),
-            "channel": {"dim": c.dim, "kraus": [_pairs(k) for k in c.channel.kraus]},
-            "measurement": {"operators": [_pairs(m) for m in c.measurement.operators]},
-        }
+        clf_doc = _kraus_doc(channel.kraus, operators)
         data_doc = {"format": FORMAT_TAG, "kind": "dataset", "states": [
             {"kind": "pure", "data": _pairs(states[0][0].amplitudes), "label": 0},
             {"kind": "density", "data": _pairs(states[1][0].matrix), "label": 1}]}

@@ -10,8 +10,7 @@ from grid_oracle import (
     qubit_fidelity_closed_form,
     random_neighborhood_probe,
 )
-from qrv.channels import identity_channel
-from qrv.classifiers import Classifier, classify, computational_measurement
+from qrv.classifiers import Classifier, classify
 from qrv.errors import DimensionMismatch, ValidationError
 from qrv.sampling import random_density_matrix
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
@@ -20,7 +19,7 @@ from qrv.verifier import compute_optimal_bound
 
 @pytest.fixture
 def z_classifier():
-    return Classifier(identity_channel(2), computational_measurement(2))
+    return Classifier([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 class TestClosedFormFidelity:

@@ -4,12 +4,10 @@ import pytest
 
 from conftest import classified_instance, max_tied_overlap
 from qrv.casestudy import generate_qubit_case_study
-from qrv.channels import identity_channel
 from qrv.classifiers import (
     Classifier,
     LabeledDataset,
     classify,
-    computational_measurement,
 )
 from qrv.errors import MisclassifiedInput, ValidationError
 from grid_oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
@@ -43,7 +41,7 @@ def mp_fidelity(rho, sigma):
 
 @pytest.fixture
 def z_classifier():
-    return Classifier(identity_channel(2), computational_measurement(2), ["zero", "one"])
+    return Classifier([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ["zero", "one"])
 
 
 def diag_state(p0):
