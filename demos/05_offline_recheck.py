@@ -3,9 +3,11 @@
 Each exact verdict records, per rival class, the shift at which the
 verifier evaluated its dual bound.  Any positive shift gives a sound lower
 bound by weak duality, so ``qrv recheck`` needs only the classifier, the
-dataset, the report and the adversarial sidecar: it reclassifies the
-dataset, evaluates the dual at the recorded shifts, re-measures every
-witness and recounts the totals.  Editing a single delta makes it fail.
+dataset, the report and the adversarial sidecar.  It reclassifies the
+dataset, takes each exact verdict's bound from the dual at its recorded
+shifts and rebuilds every run with the verifier's own assembly; each field
+and total of the rebuilt run must equal the saved one, and every witness is
+measured again.  Editing a single delta makes it fail.
 """
 
 import json

@@ -1,23 +1,30 @@
-"""Offline re-check of a saved verification report, solving nothing: one
-batched classification, one cached ``eigh`` per gap operator, and per exact
-verdict the dual value at each rival's recorded shift w > 0 (sound by weak
-duality), with r from a square-root factor of rho as the verifier takes it;
-the least value is delta, and its rival (the first on a tie) the adversarial
-class.  The same factor measures the entry's witness, so rho is factored once.
-A null shift certifies an unbounded radius if the rival is unreachable, else 0.
+"""Offline re-check of a saved verification report, solving nothing.
+
+Each run is rebuilt by the verifier's own ``assemble_reports`` from one
+batched classification and, per exact verdict, the bound its recorded
+shifts certify (``bound_at``: the dual value at each w > 0, sound by weak
+duality).  A recorded delta or margin within ``DELTA_TOL`` of its
+recomputation, or a witness distance within ``DISTANCE_TOL``, is kept; then
+every key of the rebuilt document must equal the recorded one.  Each
+non-robust verdict takes the next sidecar witness, which must be for its
+entry, target the rival that sets delta, carry its label and distance, lie
+within ``eps + WITNESS_BUDGET`` and change the class.  The bound and the
+witness distance read one factor of rho.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .classifiers import Classifier, LabeledDataset, classify_batch
 from .errors import SchemaError
-from .formats import FORMAT_TAG
+from .formats import FORMAT_TAG, emit_report
 from .states import _factor_sqrt_fidelity, _state_factor
-from .verifier import WITNESS_BUDGET, _dual_value
+from .verifier import WITNESS_BUDGET, OptimalBound, assemble_reports, bound_at
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
 
@@ -29,19 +36,27 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _same(got, value, tol=None) -> bool:
-    """Equal and of one type or, given ``tol``, numbers within it."""
-    return (got == value and type(got) is type(value) if tol is None
-            else _number(got) and abs(got - value) <= tol)
+def _kept(recorded, value, tol):
+    """The recorded figure where it lies within ``tol`` of ``value``, its
+    recomputation; else ``value``."""
+    return recorded if _number(recorded) and abs(recorded - value) <= tol else value
+
+
+def _mismatches(where: str, rebuilt: dict, recorded: dict) -> list[str]:
+    """One line per key of ``rebuilt`` whose recorded value differs in value
+    or type, the key prefixed by ``where``."""
+    return [f"{where}{key}: recorded {got!r}, recomputed {value!r}"
+            for key, value in rebuilt.items()
+            if (got := recorded.get(key)) != value or type(got) is not type(value)]
 
 
 def recheck_report(
     classifier: Classifier, dataset: LabeledDataset, report: dict, witnesses
 ) -> tuple[list[str], str]:
     """One line per mismatch between ``report`` (a parsed verification
-    report or report set) and its recomputation, and a summary.  Each
-    non-robust verdict takes the next of the sidecar's ``witnesses``,
-    ``(state, entry)`` pairs in file order."""
+    report or report set) and its rebuild, and a summary.  Each non-robust
+    verdict takes the next of the sidecar's ``witnesses``, ``(state, entry)``
+    pairs in file order."""
     n = len(dataset)
     kind = report.get("kind") if isinstance(report, dict) else None
     runs = report.get("runs") if kind == "verification_report_set" else [report]
@@ -57,115 +72,67 @@ def recheck_report(
             raise SchemaError(f"expected {n} verdict objects", f"runs[{j}].verdicts")
         if not (_number(run.get("epsilon")) and 0.0 < run["epsilon"] < 1.0):
             raise SchemaError("epsilon must be a number in (0, 1)", f"runs[{j}].epsilon")
+        if type(run.get("seed")) is not int:
+            raise SchemaError("seed must be an integer", f"runs[{j}].seed")
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
-    correct = batch.labels == labels
-    n_correct = int(np.count_nonzero(correct))
     wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
     queue = iter(enumerate(witnesses))
-    roots, problems = {}, []
-
-    def root(i) -> np.ndarray:
-        if i not in roots:  # one factor of rho per entry, not per rival or witness
-            roots[i] = _state_factor(states[i])
-        return roots[i]
-
-    def certified(i, shifts) -> tuple[float, int | None]:
-        """Entry i's least radius the shifts certify, and its first rival."""
-        best, rival = math.inf, None
-        for k, w in enumerate(shifts):
-            if k == labels[i]:
-                continue
-            a, vectors = classifier.gap_spectrum(labels[i], k)
-            if w is None:
-                value = math.inf if a[0] > 0.0 else 0.0
-            else:
-                r = (np.abs(vectors.conj().T @ root(i)) ** 2).sum(axis=1)
-                value = _dual_value(w, a, r)
-            if value < best:
-                best, rival = value, k
-        return best, rival
+    root = functools.cache(lambda i: _state_factor(states[i]))  # one factor per entry
+    problems = []
 
     for run in runs:
-        eps = run["epsilon"]
-        by_margin = batch.margins > np.sqrt(2.0 * eps)
-        non_robust = solves = 0
-        for i, v in enumerate(run["verdicts"]):
-            def bad(field, message):
-                problems.append(f"eps={eps} index={i} {field}: {message}")
+        eps, verdicts = run["epsilon"], run["verdicts"]
 
-            def expect(field, value, tol=None, got=None) -> bool:
-                got = v.get(field) if got is None else got
-                same = _same(got, value, tol)
-                if not same:
-                    bad(field, f"recorded {got!r}, recomputed {value!r}")
-                return same
+        def bad(i, field, message):
+            problems.append(f"eps={eps} index={i} {field}: {message}")
 
-            ok = bool(correct[i])
-            expect("index", i)
-            expect("label", labels[i])
-            expect("status", "ok" if ok else "misclassified")
-            expect("predicted", int(batch.labels[i]))
-            expect("correct", ok)
-            expect("tie", bool(batch.ties[i]))
-            expect("margin", float(batch.margins[i]), DELTA_TOL)
-            expect("margin_certified", ok and bool(by_margin[i]))
-            if not ok or by_margin[i]:  # no bound, so no bound or witness field
-                expect("robust", True if ok else None)
-                expect("delta_unbounded", False)
-                for field in ("delta", "dual_shifts", "adversarial_class",
-                              "adversarial_distance"):
-                    expect(field, None)
-                continue
-
+        def recorded_bound(i) -> tuple[OptimalBound, float]:
+            """Entry i's bound as its recorded shifts certify it, and its
+            witness, the next in the sidecar, if it is not robust."""
+            v, label = verdicts[i], labels[i]
             shifts = v.get("dual_shifts")
             if not (isinstance(shifts, list) and len(shifts) == classifier.n_classes
                     and all(w is None or _number(w) and w > 0.0 for w in shifts)
-                    and shifts[labels[i]] is None):
-                bad("dual_shifts", f"{shifts!r} is not a null or positive shift per "
+                    and shifts[label] is None):
+                bad(i, "dual_shifts", f"{shifts!r} is not a null or positive shift per "
                     "class, null at the label")
                 shifts = [None] * classifier.n_classes
-            solves += len(shifts) - shifts.count(None)
-            (value, rival), delta = certified(i, shifts), v.get("delta")
-            expect("delta_unbounded", value == math.inf)
-            if value == math.inf:
-                expect("delta", None)
-            elif not expect("delta", value, DELTA_TOL):
-                delta = value
-            robust = value == math.inf or eps <= delta
-            expect("robust", robust)
-            if robust:
-                expect("adversarial_class", None)
-                expect("adversarial_distance", None)
-                continue
-
-            non_robust += 1
-            expect("adversarial_class", rival)
+            solved = shifts.count(None) < len(shifts)  # else rho is not read
+            radii, rival = bound_at(classifier, root(i) if solved else None, label, shifts)
+            delta = None if rival is None else _kept(v.get("delta"), radii[rival], DELTA_TOL)
+            bound = OptimalBound(delta=delta, unbounded=rival is None, argmin_class=rival,
+                                 witness=None, per_class=radii, shifts=dict(enumerate(shifts)))
+            if bound.robust_at(eps):
+                return bound, 0.0
+            distance = v.get("adversarial_distance")  # kept unchecked with no witness
             j, (sigma, entry) = next(queue, (None, (None, None)))
             if j is None or entry.get("source_index") != i:
-                bad("source_index", "no sidecar witness is left" if j is None
+                bad(i, "source_index", "no sidecar witness is left" if j is None
                     else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
-                continue
-            expect("adversarial_class", entry.get("target_class"))
-            distance = 1.0 - _factor_sqrt_fidelity(root(i), _state_factor(sigma)) ** 2
-            expect("adversarial_distance", distance, DISTANCE_TOL)
-            expect(f"sidecar[{j}].label", labels[i], got=entry["label"])
-            expect(f"sidecar[{j}].distance", distance, DISTANCE_TOL, entry.get("distance"))
-            if distance > eps + WITNESS_BUDGET:
-                bad("adversarial_distance", f"sidecar entry {j} lies at {distance!r}, "
+                return dataclasses.replace(bound, witness_distance=distance), 0.0
+            measured = 1.0 - _factor_sqrt_fidelity(root(i), _state_factor(sigma)) ** 2
+            problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
+                "label": label, "target_class": rival,
+                "distance": _kept(entry.get("distance"), measured, DISTANCE_TOL),
+            }, entry))
+            if measured > eps + WITNESS_BUDGET:
+                bad(i, "adversarial_distance", f"sidecar entry {j} lies at {measured!r}, "
                     f"beyond eps + {WITNESS_BUDGET}")
-            if wbatch.labels[j] == labels[i] and not wbatch.ties[j]:
-                bad("adversarial_class", f"sidecar entry {j} keeps label {labels[i]}")
+            if wbatch.labels[j] == label and not wbatch.ties[j]:
+                bad(i, "adversarial_class", f"sidecar entry {j} keeps label {label}")
+            distance = _kept(distance, measured, DISTANCE_TOL)
+            return dataclasses.replace(bound, witness=sigma, witness_distance=distance), 0.0
 
-        ura = 1.0 - (n - int(np.count_nonzero(by_margin))) / n
-        for field, value in (("n_states", n), ("n_correct", n_correct),
-                             ("accuracy", n_correct / n), ("adversarial_count", non_robust),
-                             ("robust_accuracy", 1.0 - non_robust / n),
-                             ("under_approx_robust_accuracy", ura),
-                             ("solver_stats", {"sdp_solves": solves})):
-            if not _same(run.get(field), value):
-                problems.append(f"eps={eps} {field}: recorded {run.get(field)!r}, "
-                                f"recomputed {value!r}")
+        margins = [_kept(v.get("margin"), m, DELTA_TOL)
+                   for v, m in zip(verdicts, batch.margins.tolist())]
+        [rebuilt] = assemble_reports(
+            classifier, dataclasses.replace(batch, margins=np.array(margins)), labels,
+            [eps], recorded_bound, 0.0, run["seed"])
+        doc = emit_report(rebuilt, include_timings=False)
+        for i, (verdict, recorded) in enumerate(zip(doc.pop("verdicts"), verdicts)):
+            problems.extend(_mismatches(f"eps={eps} index={i} ", verdict, recorded))
+        problems.extend(_mismatches(f"eps={eps} ", doc, run))
     left = sum(1 for _ in queue)
     if left:
         problems.append(f"sidecar: {left} witness(es) no verdict refers to")

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import (
+    BatchClassification,
     Classifier,
     LabeledDataset,
     WELL_TRAINED_THRESHOLD,
@@ -67,10 +68,12 @@ __all__ = [
     "StateVerdict",
     "VerificationReport",
     "margin_robust_bound",
+    "bound_at",
     "compute_optimal_bound",
     "check_epsilon_robust",
     "pure_state_optimal_bound",
     "verify_epsilons",
+    "assemble_reports",
     "verify_dataset",
     "under_robust_accuracy",
 ]
@@ -272,6 +275,27 @@ def _witness_factor(
     return np.hstack([x, kernel])
 
 
+def bound_at(classifier: Classifier, root, label: int, shifts) -> tuple[dict, int | None]:
+    """Each rival's radius at its shift in ``shifts`` (one per class; the
+    label's is ignored), and the rival that sets delta (the lowest on a tie,
+    None if every radius is unbounded).  A shift w > 0 gives the dual value
+    at w for the state with factor ``root``, read for nothing else; a null
+    shift gives None (unbounded) for an unreachable rival, else 0 (tied)."""
+    per_class, rival = {}, None
+    for k, w in enumerate(shifts):
+        if k == label:
+            continue
+        a, vectors = classifier.gap_spectrum(label, k)
+        if w is None:
+            per_class[k] = None if a[0] > 0.0 else 0.0
+        else:
+            r = (np.abs(vectors.conj().T @ root) ** 2).sum(axis=1)
+            per_class[k] = _dual_value(w, a, r)
+        if per_class[k] is not None and (rival is None or per_class[k] < per_class[rival]):
+            rival = k
+    return per_class, rival
+
+
 def compute_optimal_bound(
     classifier: Classifier, state, label: int | None = None
 ) -> OptimalBound:
@@ -289,40 +313,37 @@ def compute_optimal_bound(
     root = _state_factor(state)
     label = _label_for(classifier, state, label)
 
-    per_class: dict = {}
-    shifts: dict = {}
-    best = None  # (delta_k, k, gap eigenpairs, rho's factor and r in them, w)
+    shifts = [None] * classifier.n_classes  # None: unreachable or tied rival
+    rotated = {}  # rival -> r and rho's factor in its gap eigenbasis
     for k in range(classifier.n_classes):
         if k == label:
             continue
         a, vectors = classifier.gap_spectrum(label, k)
         if a[0] > 0.0:
-            per_class[k] = shifts[k] = None  # class unreachable by any state
-            continue
+            continue  # class unreachable by any state
         factor = vectors.conj().T @ root  # V^dag rho V = factor factor^dag
         r = (np.abs(factor) ** 2).sum(axis=1)
-        w = shifts[k] = None if float(a @ r) <= 0.0 else _dual_ratio(a, r)
-        per_class[k] = 0.0 if w is None else _dual_value(w, a, r)
-        if best is None or per_class[k] < best[0]:
-            best = (per_class[k], k, a, vectors, factor, r, w)
+        rotated[k] = r, factor
+        if float(a @ r) > 0.0:
+            shifts[k] = _dual_ratio(a, r)
+    per_class, k_star = bound_at(classifier, root, label, shifts)
+    shifts = {k: shifts[k] for k in per_class}
 
-    if best is None:
-        return OptimalBound(
-            delta=None, unbounded=True, argmin_class=None, witness=None,
-            per_class=per_class, shifts=shifts,
-        )
-    delta, k_star, a, vectors, factor, r, w = best
-    factor = vectors @ _witness_factor(a, r, factor, w, delta)  # sigma* = F F^dag
+    if k_star is None:
+        return OptimalBound(delta=None, unbounded=True, argmin_class=None, witness=None,
+                            per_class=per_class, shifts=shifts)
+    delta = per_class[k_star]
+    a, vectors = classifier.gap_spectrum(label, k_star)
+    r, factor = rotated[k_star]
+    factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
     if isinstance(state, PureState):
         witness = PureState(factor.sum(axis=1))  # unit norm already
         factor = witness.amplitudes[:, None]
     else:
         witness = DensityMatrix(factor @ factor.conj().T)
     distance = 1.0 - _factor_sqrt_fidelity(root, factor) ** 2
-    return OptimalBound(
-        delta=delta, unbounded=False, argmin_class=k_star, witness=witness,
-        per_class=per_class, witness_distance=distance, shifts=shifts,
-    )
+    return OptimalBound(delta=delta, unbounded=False, argmin_class=k_star, witness=witness,
+                        per_class=per_class, witness_distance=distance, shifts=shifts)
 
 
 def check_epsilon_robust(
@@ -467,15 +488,32 @@ def verify_epsilons(
     dataset.check_compatible(classifier)
 
     t_start = time.perf_counter()
-    thresholds = [np.sqrt(2.0 * eps) for eps in epsilons]
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
-    correct = batch.labels == labels
-    n = len(dataset)
-    n_correct = int(np.count_nonzero(correct))
-    accuracy_value = n_correct / n
     t_margin = time.perf_counter() - t_start
 
+    exact = {}  # index -> (bound, seconds spent)
+    undecided = (batch.labels == labels) & ~(batch.margins > np.sqrt(2.0 * max(epsilons)))
+    for i in np.flatnonzero(undecided).tolist():
+        t0 = time.perf_counter()
+        bound = compute_optimal_bound(classifier, states[i], labels[i])
+        exact[i] = (bound, time.perf_counter() - t0)
+    return assemble_reports(classifier, batch, labels, epsilons, exact.__getitem__,
+                            t_margin, opts.seed)
+
+
+def assemble_reports(classifier: Classifier, batch: BatchClassification, labels, epsilons,
+                     exact, t_margin: float, seed: int) -> list[VerificationReport]:
+    """The reports of :func:`verify_epsilons`, one per radius in
+    ``epsilons``, from the classification ``batch`` of a dataset with
+    ``labels``: its verdicts, totals and warnings.  ``exact(i)`` gives entry
+    i's :class:`OptimalBound` and the seconds it took; it is asked only for
+    the correct entries the margin leaves undecided at some radius.
+    """
+    correct = batch.labels == labels
+    n = len(labels)
+    n_correct = int(np.count_nonzero(correct))
+    accuracy_value = n_correct / n
     warnings_list = []
     if accuracy_value < WELL_TRAINED_THRESHOLD:
         warnings_list.append(
@@ -484,13 +522,6 @@ def verify_epsilons(
             "still exact but the classifier may be undertrained"
         )
 
-    exact = {}  # index -> (bound, seconds spent)
-    undecided = correct & ~(batch.margins > max(thresholds))
-    for i in np.flatnonzero(undecided).tolist():
-        t0 = time.perf_counter()
-        bound = compute_optimal_bound(classifier, states[i], labels[i])
-        exact[i] = (bound, time.perf_counter() - t0)
-
     bases = [
         dict(index=i, label=label, predicted=int(batch.labels[i]),
              correct=bool(correct[i]), margin=float(batch.margins[i]),
@@ -498,8 +529,8 @@ def verify_epsilons(
         for i, label in enumerate(labels)
     ]
     reports = []
-    for eps, threshold in zip(epsilons, thresholds):
-        certified = batch.margins > threshold
+    for eps in epsilons:
+        certified = batch.margins > np.sqrt(2.0 * eps)
         verdicts, adversarial = [], []
         # "sdp_solves" counts dual bound solves; the key name is kept for
         # readers of saved reports.
@@ -513,7 +544,7 @@ def verify_epsilons(
                 verdicts.append(StateVerdict(
                     margin_certified=True, status="ok", robust=True, **base))
                 continue
-            bound, seconds = exact[i]
+            bound, seconds = exact(i)
             shifts = list(map(bound.shifts.get, range(classifier.n_classes)))
             solves += len(shifts) - shifts.count(None)  # a null shift took no solve
             t_exact += seconds
@@ -546,7 +577,7 @@ def verify_epsilons(
             },
             solver_stats={"sdp_solves": solves},
             warnings=list(warnings_list),
-            seed=opts.seed,
+            seed=seed,
         ))
     return reports
 

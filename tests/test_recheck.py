@@ -18,7 +18,7 @@ import qrv.states
 import qrv.verifier
 from conftest import classified_instance
 from qrv.cli import main
-from qrv.classifiers import LabeledDataset, classify_batch
+from qrv.classifiers import Classifier, LabeledDataset, classify_batch
 from qrv.formats import save_classifier, save_dataset
 from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, _state_factor
@@ -225,9 +225,15 @@ def _sidecar_distance(report, sidecar, run):
     return entry["source_index"], "sidecar[0].distance"
 
 
+def _warnings(report, sidecar, run):
+    run["warnings"].append("classifier accuracy is fine")
+    return None, "warnings"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
          _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
-         _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance]
+         _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance,
+         _warnings]
 
 
 def _set(field, value, robust=True, certified=False):
@@ -303,14 +309,18 @@ def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
     assert code == 0, out
 
 
-@pytest.mark.parametrize("case", ["not_a_report", "verdict_count", "missing", "empty_set"])
+@pytest.mark.parametrize("case", ["not_a_report", "verdict_count", "missing", "empty_set",
+                                  "seed"])
 def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
     report, sidecar = saved["mixed", "single"]
     if case == "not_a_report":
         report = saved["mixed"]
-    elif case == "verdict_count":
+    elif case in ("verdict_count", "seed"):
         doc = json.loads(report.read_text())
-        doc["verdicts"].pop()
+        if case == "seed":  # the rebuilt run copies it, so it must be an integer
+            doc["seed"] = "x"
+        else:
+            doc["verdicts"].pop()
         report = tmp_path / "r.json"
         report.write_text(json.dumps(doc))
     elif case == "missing":
@@ -326,6 +336,80 @@ def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
     assert "input error: " in err
     if case == "empty_set":
         assert f"{report}:runs: " in err, err
+    if case == "seed":
+        assert f"{report}:runs[0].seed: " in err, err
+
+
+# ---------------------------------------------------------------------------
+# Degenerate verdicts: null shifts of unreachable and of tied rivals
+
+
+# name -> (diagonal effects, epsilon).  "unbounded": label 0 outweighs both
+# rivals on every basis vector, so no state reaches them.  "tied": |2> gives
+# classes 1 and 2 probability .35 each, so delta is 0 with no solve, while
+# class 0 is reachable with a shift; |0> has no tie.
+DEGENERATE = {
+    "unbounded": ([[.5, .4], [.3, .3], [.2, .3]], 0.5),
+    "tied": ([[.6, .5, .3, .3], [.3, .1, .35, .3], [.1, .4, .35, .4]], 0.3),
+}
+
+
+@pytest.fixture(scope="module")
+def degenerate(tmp_path_factory):
+    """Per case of ``DEGENERATE``, the saved classifier and a dataset of
+    random and basis states, verified once; paths keyed as in ``saved``."""
+    root = tmp_path_factory.mktemp("degenerate")
+    rng = np.random.default_rng(11)
+    cases = {}
+    for name, (diagonals, eps) in DEGENERATE.items():
+        classifier = Classifier([np.diag(d) for d in diagonals])
+        dim = len(diagonals[0])
+        basis = np.eye(dim)[2 % dim]
+        states = [PureState(basis), DensityMatrix(np.outer(basis, basis)),
+                  PureState(np.eye(dim)[0]), random_pure_state(dim, rng),
+                  random_density_matrix(dim, rng, rank=2)]
+        labels = classify_batch(classifier, states).labels
+        paths = cases[name] = {"classifier": str(root / f"{name}_c.json"),
+                               name: str(root / f"{name}_d.json")}
+        save_classifier(paths["classifier"], classifier)
+        save_dataset(paths[name], LabeledDataset(zip(states, labels)))
+        paths["run"] = root / f"{name}_r.json", root / f"{name}_a.json"
+        assert main(["verify", paths["classifier"], paths[name], "--epsilon", str(eps),
+                     "--omit-timings", "--report", str(paths["run"][0]),
+                     "--adversarial", str(paths["run"][1])]) == 0
+    return cases
+
+
+def test_unbounded_verdicts_recheck(degenerate, tmp_path, capsys):
+    report, sidecar = load(degenerate["unbounded"], "run")
+    for v in report["verdicts"]:
+        assert (v["label"], v["margin_certified"], v["delta_unbounded"]) == (0, False, True)
+        assert (v["delta"], v["dual_shifts"], v["robust"]) == (None, [None] * 3, True)
+    code, out = recheck(degenerate["unbounded"], "unbounded", report, sidecar,
+                        tmp_path, capsys)
+    assert code == 0, out
+
+
+def test_tied_verdicts_recheck(degenerate, tmp_path, capsys):
+    report, sidecar = load(degenerate["tied"], "run")
+    for v in report["verdicts"][:2]:  # |2>, pure and as a density matrix
+        assert (v["label"], v["tie"], v["delta"], v["robust"]) == (1, True, 0.0, False)
+        assert v["dual_shifts"][0] > 0.0 and v["dual_shifts"][1:] == [None, None]
+        assert v["adversarial_class"] == 2
+    assert report["verdicts"][2]["tie"] is False
+    assert [e["source_index"] for e in sidecar["states"]][:2] == [0, 1]
+    code, out = recheck(degenerate["tied"], "tied", report, sidecar, tmp_path, capsys)
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("name, field, value", [("unbounded", "delta_unbounded", False),
+                                                ("tied", "delta", 1e-6)])
+def test_degenerate_edit_is_caught(degenerate, name, field, value, tmp_path, capsys):
+    report, sidecar = load(degenerate[name], "run")
+    report["verdicts"][0][field] = value
+    code, out = recheck(degenerate[name], name, report, sidecar, tmp_path, capsys)
+    assert code == 1
+    assert f"eps={report['epsilon']} index=0 {field}: " in out, out
 
 
 # ---------------------------------------------------------------------------
