@@ -7,11 +7,17 @@ from ``BINARY_MIN_ELEMENTS`` elements up, ``{"dtype": "<c16", "shape": [...],
 keys, dtype, shape (no dimension above ``dimension_cap()``) and byte count
 check out.  Both are read anywhere; parse(emit(x)) == x bit for bit.
 
-Pairs are converted whole: parsing builds one float array and views it as
-complex once a C-level scan has found only int and float in the pairs and
-the shape is regular.  Anything else falls back to a per-element walk, which
-reports the first bad element with its path.  :func:`write_json` writes
-compact JSON (CPython's C encoder); any layout is read, indented included.
+One reader, :func:`parse_array`, takes either layout at one or two dims,
+and one writer, :func:`array_to_json`, picks the layout by size.  Pairs are
+converted whole: a C-level scan must find only int and float in them, and
+one ``np.array(..., dtype=float)`` of the right shape is viewed as complex.
+Only when that fails does a locator walk the array, building nothing, to
+name the first bad element with its path: row by row, each row's shape,
+then its pairs, where a number outside the float range is bad too.  A file
+that is not UTF-8 or not JSON, or is nested too deeply, is a
+:class:`SchemaError` at ``$``, as is a constructor's ValueError at the path
+of what it was built from.  :func:`write_json` writes compact JSON
+(CPython's C encoder); any layout is read, indented included.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from itertools import chain
 from typing import Any
 
@@ -27,7 +34,7 @@ import numpy as np
 from .channels import KrausChannel
 from .classifiers import Classifier, LabeledDataset
 from .config import check_dimension
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError
 from .states import DensityMatrix, PureState
 from .verifier import AdversarialWitness, VerificationReport
 
@@ -62,19 +69,22 @@ _BINARY_KEYS = frozenset({"dtype", "shape", "base64"})
 # Low-level encoding
 
 
-def _array_to_json(a: np.ndarray) -> list | dict:
+def array_to_json(a: np.ndarray) -> list | dict:
+    """A complex array as pairs, or as a binary payload from
+    ``BINARY_MIN_ELEMENTS`` elements up."""
+    a = np.ascontiguousarray(a, dtype=complex)
     if a.size < BINARY_MIN_ELEMENTS:
         return a.view(float).reshape(*a.shape, 2).tolist()
     raw = base64.b64encode(a.astype("<c16", copy=False).tobytes()).decode("ascii")
     return {"dtype": "<c16", "shape": list(a.shape), "base64": raw}
 
 
-def vector_to_json(v: np.ndarray) -> list | dict:
-    return _array_to_json(np.ascontiguousarray(v, dtype=complex).ravel())
-
-
-def matrix_to_json(m: np.ndarray) -> list | dict:
-    return _array_to_json(np.ascontiguousarray(m, dtype=complex))
+def _built(make, *args, path: str):
+    """``make(*args)``, its ValueError raised as a SchemaError at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
 
 
 def _binary_array(obj: dict, ndim: int, path: str) -> np.ndarray:
@@ -89,10 +99,7 @@ def _binary_array(obj: dict, ndim: int, path: str) -> np.ndarray:
             and all(type(n) is int and n > 0 for n in shape)):
         raise SchemaError(f"shape must be a list of positive integers of length {ndim}",
                           f"{path}.shape")
-    try:
-        check_dimension(max(shape))
-    except ValidationError as exc:
-        raise SchemaError(str(exc), f"{path}.shape") from exc
+    _built(check_dimension, max(shape), path=f"{path}.shape")
     nbytes = 16 * math.prod(shape)
     sized = isinstance(text, str) and len(text) == 4 * -(-nbytes // 3)
     try:
@@ -105,64 +112,47 @@ def _binary_array(obj: dict, ndim: int, path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
 
 
-def _fast_complex(pairs, obj: list, ndim: int) -> np.ndarray | None:
-    """``obj`` as a complex array of ``ndim`` dims when ``pairs`` (its
-    flattened [re, im] pairs) hold only int and float and the shape is
-    regular; None otherwise, so the caller's walk reports what is wrong."""
+def _is_pair(x: Any) -> bool:
+    """``[re, im]`` of floats, or of ints in the float range."""
+    return (isinstance(x, (list, tuple)) and len(x) == 2
+            and all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+                   for v in x))
+
+
+def _first_bad(obj: list, ndim: int, path: str) -> SchemaError:
+    """The error for the first element of ``obj`` that keeps it from being
+    ``ndim`` dims of pairs: row by row, each row's shape, then its pairs."""
+    rows = [(path, obj)] if ndim == 1 else [(f"{path}[{i}]", row) for i, row in enumerate(obj)]
+    for where, row in rows:
+        if ndim == 2:
+            if not isinstance(row, list) or not row:
+                return SchemaError("matrix rows must be non-empty arrays", where)
+            if len(row) != len(obj[0]):
+                return SchemaError(f"row has {len(row)} entries, expected {len(obj[0])}",
+                                   where)
+        for j, pair in enumerate(row):
+            if not _is_pair(pair):
+                return SchemaError("complex numbers must be [re, im] number pairs",
+                                   f"{where}[{j}]")
+    raise AssertionError(f"{path}: an array that did not convert has no bad element")
+
+
+def parse_array(obj: Any, ndim: int, path: str) -> np.ndarray:
+    """A complex vector (``ndim`` 1) or matrix (2) in either layout."""
+    if isinstance(obj, dict) and obj.keys() & _BINARY_KEYS:
+        return _binary_array(obj, ndim, path)
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("expected a non-empty array of [re, im] pairs" if ndim == 1
+                          else "expected a non-empty array of rows", path)
+    pairs = obj if ndim == 1 else chain.from_iterable(obj)
     try:
-        if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
-            return None
-        a = np.array(obj, dtype=float)
+        if set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+            a = np.array(obj, dtype=float)
+            if a.shape[ndim:] == (2,):
+                return a.view(complex).reshape(a.shape[:-1])
     except (TypeError, ValueError, OverflowError):
-        return None
-    if a.ndim != ndim + 1 or a.shape[-1] != 2:
-        return None
-    return a.view(complex).reshape(a.shape[:-1])
-
-
-def _parse_pair(obj: Any, path: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        raise SchemaError("complex numbers must be [re, im] number pairs", path)
-    return complex(obj[0], obj[1])
-
-
-def parse_vector(obj: Any, path: str) -> np.ndarray:
-    if isinstance(obj, dict) and obj.keys() & _BINARY_KEYS:
-        return _binary_array(obj, 1, path)
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("expected a non-empty array of [re, im] pairs", path)
-    fast = _fast_complex(obj, obj, 1)
-    if fast is not None:
-        return fast
-    return np.array([_parse_pair(x, f"{path}[{i}]") for i, x in enumerate(obj)])
-
-
-def parse_matrix(obj: Any, path: str) -> np.ndarray:
-    if isinstance(obj, dict) and obj.keys() & _BINARY_KEYS:
-        return _binary_array(obj, 2, path)
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("expected a non-empty array of rows", path)
-    if set(map(type, obj)) == {list}:
-        fast = _fast_complex(chain.from_iterable(obj), obj, 2)
-        if fast is not None:
-            return fast
-    rows = []
-    width = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
-            raise SchemaError("matrix rows must be non-empty arrays", f"{path}[{i}]")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError(
-                f"row has {len(row)} entries, expected {width}", f"{path}[{i}]"
-            )
-        rows.append([_parse_pair(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(rows)
+        pass
+    raise _first_bad(obj, ndim, path)
 
 
 def _require_key(doc: dict, key: str, path: str) -> Any:
@@ -188,8 +178,8 @@ def _check_format(doc: dict, kind: str, path: str) -> None:
 
 def _state_entry(state) -> dict:
     if isinstance(state, PureState):
-        return {"kind": "pure", "data": vector_to_json(state.amplitudes)}
-    return {"kind": "density", "data": matrix_to_json(state.matrix)}
+        return {"kind": "pure", "data": array_to_json(state.amplitudes)}
+    return {"kind": "density", "data": array_to_json(state.matrix)}
 
 
 def _parse_state_entry(obj: Any, path: str):
@@ -197,14 +187,8 @@ def _parse_state_entry(obj: Any, path: str):
     data = _require_key(obj, "data", path)
     if kind not in ("pure", "density"):
         raise SchemaError(f"state kind must be 'pure' or 'density', got {kind!r}", path)
-    try:
-        if kind == "pure":
-            return PureState(parse_vector(data, f"{path}.data"))
-        return DensityMatrix(parse_matrix(data, f"{path}.data"))
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{path}.data") from exc
+    ndim, make = (1, PureState) if kind == "pure" else (2, DensityMatrix)
+    return _built(make, parse_array(data, ndim, f"{path}.data"), path=f"{path}.data")
 
 
 def emit_state(state) -> dict:
@@ -225,14 +209,14 @@ def emit_classifier(classifier: Classifier) -> dict:
         "format": FORMAT_TAG,
         "kind": "classifier",
         "labels": list(classifier.labels),
-        "effects": [matrix_to_json(n) for n in classifier.dual_effects],
+        "effects": [array_to_json(n) for n in classifier.dual_effects],
     }
 
 
 def _matrix_list(obj: Any, path: str, least: int) -> list[np.ndarray]:
     if not isinstance(obj, list) or len(obj) < least:
         raise SchemaError(f"expected an array of {least} or more matrices", path)
-    return [parse_matrix(m, f"{path}[{i}]") for i, m in enumerate(obj)]
+    return [parse_array(m, 2, f"{path}[{i}]") for i, m in enumerate(obj)]
 
 
 def _parse_kraus_classifier(doc: dict, labels: list) -> Classifier:
@@ -241,10 +225,7 @@ def _parse_kraus_classifier(doc: dict, labels: list) -> Classifier:
     channel_doc = _require_key(doc, "channel", "$")
     dim = _require_key(channel_doc, "dim", "channel")
     kraus = _matrix_list(_require_key(channel_doc, "kraus", "channel"), "channel.kraus", 1)
-    try:
-        channel = KrausChannel(kraus)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "channel.kraus") from exc
+    channel = _built(KrausChannel, kraus, path="channel.kraus")
     if channel.dim_in != dim:
         raise SchemaError(
             f"declared dim {dim} does not match Kraus matrices of dim {channel.dim_in}",
@@ -252,10 +233,7 @@ def _parse_kraus_classifier(doc: dict, labels: list) -> Classifier:
         )
     ops_doc = _require_key(_require_key(doc, "measurement", "$"), "operators", "measurement")
     operators = _matrix_list(ops_doc, "measurement.operators", 2)
-    try:
-        return Classifier.from_kraus(channel, operators, labels)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "measurement") from exc
+    return _built(Classifier.from_kraus, channel, operators, labels, path="measurement")
 
 
 def parse_classifier(doc: dict) -> Classifier:
@@ -270,11 +248,8 @@ def parse_classifier(doc: dict) -> Classifier:
             "a classifier holds either 'effects' or 'channel' and 'measurement'", "$")
     if "effects" not in doc:
         return _parse_kraus_classifier(doc, labels)
-    effects = _matrix_list(doc["effects"], "effects", 2)
-    try:
-        return Classifier(effects, labels)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "effects") from exc
+    return _built(Classifier, _matrix_list(doc["effects"], "effects", 2), labels,
+                  path="effects")
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +337,10 @@ def read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", "$") from exc
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError, so caught first
             raise SchemaError(f"not UTF-8 text: {exc}", "$") from exc
+        except (ValueError, RecursionError) as exc:  # bad syntax, digits or depth
+            raise SchemaError(f"invalid JSON: {exc}", "$") from exc
 
 
 def load_classifier(path) -> Classifier:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import sys
 
 import numpy as np
 
@@ -33,7 +33,9 @@ DISTANCE_TOL = 1e-9  # recorded witness distances against 1 - F recomputed
 
 
 def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite float, or an int in its range; ``x`` is not converted."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _kept(recorded, value, tol):

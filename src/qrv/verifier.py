@@ -42,6 +42,7 @@ full dataset size.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -492,14 +493,13 @@ def verify_epsilons(
     batch = classify_batch(classifier, states)
     t_margin = time.perf_counter() - t_start
 
-    exact = {}  # index -> (bound, seconds spent)
-    undecided = (batch.labels == labels) & ~(batch.margins > np.sqrt(2.0 * max(epsilons)))
-    for i in np.flatnonzero(undecided).tolist():
+    @functools.cache
+    def exact(i: int) -> tuple[OptimalBound, float]:
         t0 = time.perf_counter()
         bound = compute_optimal_bound(classifier, states[i], labels[i])
-        exact[i] = (bound, time.perf_counter() - t0)
-    return assemble_reports(classifier, batch, labels, epsilons, exact.__getitem__,
-                            t_margin, opts.seed)
+        return bound, time.perf_counter() - t0
+
+    return assemble_reports(classifier, batch, labels, epsilons, exact, t_margin, opts.seed)
 
 
 def assemble_reports(classifier: Classifier, batch: BatchClassification, labels, epsilons,

@@ -314,8 +314,16 @@ def _python(code, *argv, **env_set):
     return result.stdout.strip()
 
 
+def _one_pure_entry(data: str, label: str) -> str:
+    """A dataset document of one pure entry, with ``data`` and ``label`` as
+    written, so that they may hold what ``json.dumps`` cannot write."""
+    return ('{"format": "qrv/1", "kind": "dataset", "states": '
+            f'[{{"kind": "pure", "data": {data}, "label": {label}}}]}}')
+
+
 @pytest.mark.parametrize("case", ["directory", "not_utf8", "report_dir", "image",
-                                  "out_prefix"])
+                                  "out_prefix", "deep_nesting", "long_integer",
+                                  "pair_out_of_range"])
 def test_unusable_path_exits_2(case, case_files, tmp_path):
     # Run as a process: an uncaught error would print a traceback and exit
     # 1, which is the --strict "non-robust" code.
@@ -323,9 +331,17 @@ def test_unusable_path_exits_2(case, case_files, tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     missing_dir = tmp_path / "no_such_dir"
+    bad, bad_datasets = tmp_path / "bad.json", {
+        "deep_nesting": "[" * 200_000 + "]" * 200_000,
+        "long_integer": _one_pure_entry("[[1, 0], [0, 0]]", "9" * 5000),
+        "pair_out_of_range": _one_pure_entry(f"[[{10**400}, 0], [0, 0]]", "0"),
+    }
+    if case in bad_datasets:
+        bad.write_text(bad_datasets[case])
     argv, path = {
         "directory": (["verify", str(tmp_path), dataset_path], tmp_path),
         "not_utf8": (["verify", str(binary), dataset_path], binary),
+        **{name: (["verify", classifier_path, str(bad)], bad) for name in bad_datasets},
         "report_dir": (["verify", classifier_path, dataset_path,
                         "--report", str(missing_dir / "r.json")], missing_dir / "r.json"),
         "image": (["encode-image", str(tmp_path / "missing.pgm")], tmp_path / "missing.pgm"),

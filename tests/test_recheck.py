@@ -230,10 +230,16 @@ def _warnings(report, sidecar, run):
     return None, "warnings"
 
 
+def _huge_margin(report, sidecar, run):  # an int past the float range: a mismatch
+    i = _entry(run, robust=True)
+    run["verdicts"][i]["margin"] = 10**400
+    return i, "margin"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
          _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
          _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance,
-         _warnings]
+         _warnings, _huge_margin]
 
 
 def _set(field, value, robust=True, certified=False):
@@ -310,15 +316,17 @@ def test_empty_sidecar_is_valid(saved, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["not_a_report", "verdict_count", "missing", "empty_set",
-                                  "seed"])
+                                  "seed", "huge_epsilon"])
 def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
     report, sidecar = saved["mixed", "single"]
     if case == "not_a_report":
         report = saved["mixed"]
-    elif case in ("verdict_count", "seed"):
+    elif case in ("verdict_count", "seed", "huge_epsilon"):
         doc = json.loads(report.read_text())
         if case == "seed":  # the rebuilt run copies it, so it must be an integer
             doc["seed"] = "x"
+        elif case == "huge_epsilon":  # an int past the float range
+            doc["epsilon"] = 10**400
         else:
             doc["verdicts"].pop()
         report = tmp_path / "r.json"
@@ -338,6 +346,8 @@ def test_malformed_input_exits_2(saved, case, tmp_path, capsys):
         assert f"{report}:runs: " in err, err
     if case == "seed":
         assert f"{report}:runs[0].seed: " in err, err
+    if case == "huge_epsilon":
+        assert f"{report}:runs[0].epsilon: " in err, err
 
 
 # ---------------------------------------------------------------------------
