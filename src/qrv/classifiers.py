@@ -12,12 +12,10 @@ against the stacked effects); a single state is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel
 from .config import ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension
 from .errors import DimensionMismatch, ValidationError
 from .states import (
@@ -91,13 +89,13 @@ class Classifier:
     @classmethod
     def from_kraus(
         cls,
-        channel: KrausChannel,
+        channel,
         operators,
         labels: Sequence[str] | None = None,
     ) -> "Classifier":
-        """The classifier ``channel`` then measurement ``{M_k}``: effects
-        ``N_k = channel^dag(M_k^dag M_k)`` on the channel's input space,
-        validated as a POVM like any other."""
+        """The classifier ``channel`` (a :class:`~qrv.channels.KrausChannel`)
+        then measurement ``{M_k}``: effects ``N_k = channel^dag(M_k^dag M_k)``
+        on the channel's input space, validated as a POVM like any other."""
         mats = [as_complex_matrix(m) for m in operators]
         return cls([channel.dual_apply(m.conj().T @ m) for m in mats], labels)
 
@@ -120,8 +118,7 @@ class Classifier:
         return f"Classifier(dim={self.dim}, labels={list(self.labels)})"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Argmax outcome for one state."""
 
     label_index: int
@@ -130,8 +127,7 @@ class Classification:
     tie: bool
 
 
-@dataclass(frozen=True)
-class BatchClassification:
+class BatchClassification(NamedTuple):
     """Argmax outcomes for a stack of states, one entry per state."""
 
     labels: np.ndarray  # (n,) predicted class indices

@@ -15,7 +15,9 @@ Unless already set, ``OPENBLAS_NUM_THREADS`` is 1 before numpy loads, and
 the garbage collector is off while numpy and qrv load; :func:`run`, the entry
 of ``qrv`` and ``python -m qrv.cli``, then freezes (``gc.freeze``) what they
 made and, after the command, what it left.  ``recheck`` and ``casestudy``
-load only for ``recheck``, ``gen-qubit`` and ``encode-image``.
+load only for ``recheck``, ``gen-qubit`` and ``encode-image``, and
+``channels`` only for a classifier in the legacy layout (a channel then a
+measurement).
 """
 
 from __future__ import annotations
@@ -126,7 +128,10 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
     for path in filter(None, (args.report, args.adversarial)):
+        existed = os.path.exists(path)
         open(path, "a").close()  # an unwritable output fails before any work
+        if not existed:
+            os.remove(path)  # and a command that fails later leaves no empty file
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)

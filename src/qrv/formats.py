@@ -31,12 +31,10 @@ from typing import Any
 
 import numpy as np
 
-from .channels import KrausChannel
 from .classifiers import Classifier, LabeledDataset
 from .config import check_dimension
 from .errors import SchemaError
 from .states import DensityMatrix, PureState
-from .verifier import AdversarialWitness, VerificationReport
 
 __all__ = [
     "FORMAT_TAG",
@@ -222,6 +220,8 @@ def _matrix_list(obj: Any, path: str, least: int) -> list[np.ndarray]:
 def _parse_kraus_classifier(doc: dict, labels: list) -> Classifier:
     """The earlier layout: ``"channel": {"dim": n, "kraus": [...]}`` and
     ``"measurement": {"operators": [...]}``."""
+    from .channels import KrausChannel  # so only this layout loads channels
+
     channel_doc = _require_key(doc, "channel", "$")
     dim = _require_key(channel_doc, "dim", "channel")
     kraus = _matrix_list(_require_key(channel_doc, "kraus", "channel"), "channel.kraus", 1)
@@ -281,11 +281,10 @@ def parse_dataset(doc: dict) -> LabeledDataset:
     return LabeledDataset(entries)
 
 
-def emit_adversarial_sidecar(
-    witnesses: list[AdversarialWitness], dataset: LabeledDataset
-) -> dict:
-    """Adversarial examples in the dataset schema, labeled with the true
-    label of their source entry and annotated with the source index."""
+def emit_adversarial_sidecar(witnesses: list, dataset: LabeledDataset) -> dict:
+    """Adversarial examples (``AdversarialWitness`` records) in the dataset
+    schema, labeled with the true label of their source entry and annotated
+    with the source index."""
     states = []
     for w in witnesses:
         entry = _state_entry(w.sigma)
@@ -301,9 +300,9 @@ def emit_adversarial_sidecar(
 # Reports
 
 
-def emit_report(report: VerificationReport, *, include_timings: bool = True) -> dict:
-    """Report document; timings are wall-clock and can be omitted when a
-    byte-reproducible document is needed."""
+def emit_report(report, *, include_timings: bool = True) -> dict:
+    """A ``VerificationReport``'s document; timings are wall-clock and can be
+    omitted when a byte-reproducible document is needed."""
     doc = {
         "format": FORMAT_TAG,
         "kind": "verification_report",
@@ -315,7 +314,7 @@ def emit_report(report: VerificationReport, *, include_timings: bool = True) -> 
         "robust_accuracy": report.robust_accuracy,
         "under_approx_robust_accuracy": report.under_approx_robust_accuracy,
         "adversarial_count": report.adversarial_count,
-        "verdicts": [dict(vars(v)) for v in report.verdicts],
+        "verdicts": [v._asdict() for v in report.verdicts],
         "solver_stats": dict(report.solver_stats),
         "warnings": list(report.warnings),
     }

@@ -14,7 +14,6 @@ witness distance read one factor of rho.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import sys
 
@@ -112,7 +111,7 @@ def recheck_report(
             if j is None or entry.get("source_index") != i:
                 bad(i, "source_index", "no sidecar witness is left" if j is None
                     else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
-                return dataclasses.replace(bound, witness_distance=distance), 0.0
+                return bound._replace(witness_distance=distance), 0.0
             measured = 1.0 - _factor_sqrt_fidelity(root(i), _state_factor(sigma)) ** 2
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
                 "label": label, "target_class": rival,
@@ -124,12 +123,12 @@ def recheck_report(
             if wbatch.labels[j] == label and not wbatch.ties[j]:
                 bad(i, "adversarial_class", f"sidecar entry {j} keeps label {label}")
             distance = _kept(distance, measured, DISTANCE_TOL)
-            return dataclasses.replace(bound, witness=sigma, witness_distance=distance), 0.0
+            return bound._replace(witness=sigma, witness_distance=distance), 0.0
 
         margins = [_kept(v.get("margin"), m, DELTA_TOL)
                    for v, m in zip(verdicts, batch.margins.tolist())]
         [rebuilt] = assemble_reports(
-            classifier, dataclasses.replace(batch, margins=np.array(margins)), labels,
+            classifier, batch._replace(margins=np.array(margins)), labels,
             [eps], recorded_bound, 0.0, run["seed"])
         doc = emit_report(rebuilt, include_timings=False)
         for i, (verdict, recorded) in enumerate(zip(doc.pop("verdicts"), verdicts)):

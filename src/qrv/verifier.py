@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,15 +88,13 @@ def _require_epsilon(eps: float) -> float:
     return eps
 
 
-@dataclass(frozen=True)
-class VerifyOptions:
+class VerifyOptions(NamedTuple):
     """Settings of the dataset driver :func:`verify_epsilons`."""
 
     seed: int = 0  # recorded in reports; no computation draws on it
 
 
-@dataclass(frozen=True)
-class AdversarialWitness:
+class AdversarialWitness(NamedTuple):
     """An extracted adversarial example."""
 
     sigma: DensityMatrix | PureState
@@ -103,8 +103,7 @@ class AdversarialWitness:
     source_index: int | None = None
 
 
-@dataclass(frozen=True)
-class OptimalBound:
+class OptimalBound(NamedTuple):
     """Largest radius with no adversarial example, plus its witness.
 
     ``delta`` is the dual value, a lower bound on the true radius;
@@ -120,20 +119,18 @@ class OptimalBound:
     witness: PureState | DensityMatrix | None
     per_class: dict
     witness_distance: float | None = None
-    shifts: dict = field(default_factory=dict)  # rival -> w of its dual value or None
+    shifts: Mapping = MappingProxyType({})  # rival -> w of its dual value or None
 
     def robust_at(self, eps: float) -> bool:
         return self.unbounded or eps <= self.delta
 
 
-@dataclass(frozen=True)
-class RobustnessCheck:
+class RobustnessCheck(NamedTuple):
     robust: bool
     witness: AdversarialWitness | None
 
 
-@dataclass(frozen=True)
-class PureBound:
+class PureBound(NamedTuple):
     """Optimal robust bound against pure-state adversaries.
 
     ``delta`` equals the mixed-state bound and ``phi_star`` is a pure
@@ -397,10 +394,10 @@ def pure_state_optimal_bound(
 # Dataset drivers
 
 
-@dataclass(frozen=True)
-class StateVerdict:
+class StateVerdict(NamedTuple):
     """Outcome of verifying one dataset entry; its fields, in this order,
-    are the keys of a report verdict."""
+    are the keys of a report verdict.  The field ``index`` hides
+    ``tuple.index``."""
 
     index: int
     label: int
@@ -418,8 +415,7 @@ class StateVerdict:
     dual_shifts: list | None = None  # per class, for exact verdicts only
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     epsilon: float
     n_states: int
     n_correct: int
@@ -430,7 +426,7 @@ class VerificationReport:
     adversarial: list
     timings: dict
     solver_stats: dict
-    warnings: list = field(default_factory=list)
+    warnings: list | tuple = ()  # of strings
     seed: int = 0
 
     @property

@@ -164,6 +164,22 @@ class TestVerifyCommand:
         assert captured.out == "" and calls == []
         assert f"input error: {out}" in captured.err
 
+    @pytest.mark.parametrize("cause", ["missing_input", "unwritable_sidecar"])
+    def test_failed_verify_leaves_the_outputs_as_found(self, case_files, tmp_path, cause):
+        # The early writability check removes each output file it created,
+        # so a failed command leaves none, and keeps one that was there.
+        classifier_path, dataset_path = case_files
+        report, sidecar = tmp_path / "r.json", tmp_path / "a.json"
+        if cause == "missing_input":
+            sidecar.write_text("old")
+            classifier_path = dataset_path = str(tmp_path / "missing.json")
+        else:
+            sidecar = tmp_path / "no_such_dir" / "a.json"
+        assert main(["verify", classifier_path, dataset_path, "--epsilon", "0.1",
+                     "--report", str(report), "--adversarial", str(sidecar)]) == 2
+        assert not report.exists()
+        assert cause != "missing_input" or sidecar.read_text() == "old"
+
     def test_omit_timings_is_byte_reproducible(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -370,13 +386,14 @@ def test_no_module_loads_scipy():
 def test_cli_import_does_not_load_scipy(case_files, tmp_path):
     # The verify and recheck paths need only numpy, as does every qrv
     # module.  Nor do they load the samplers or the case study, which only
-    # some subcommands and the tests use.
+    # some subcommands and the tests use, the channels, which only the
+    # legacy classifier layout reads, or dataclasses: results are NamedTuples.
     classifier_path, dataset_path = case_files
     report, sidecar = str(tmp_path / "r.json"), str(tmp_path / "a.json")
     code = ("import sys, qrv.cli; "
             "assert qrv.cli.main(sys.argv[1:]) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m in ('qrv.sampling', 'qrv.casestudy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+            "('qrv.sampling', 'qrv.casestudy', 'qrv.channels', 'dataclasses')))")
     for argv in (["verify", classifier_path, dataset_path, "--epsilon", "0.002",
                   "--report", report, "--adversarial", sidecar],
                  ["recheck", classifier_path, dataset_path, report, sidecar]):

@@ -6,7 +6,6 @@ must make the re-check fail naming the entry.
 """
 
 import copy
-import dataclasses
 import json
 
 import mpmath
@@ -296,7 +295,7 @@ def test_one_field_edit_is_caught(saved, key, edit, tmp_path, capsys):
     assert_caught(saved, key, edit, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(StateVerdict)])
+@pytest.mark.parametrize("field", StateVerdict._fields)
 @pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
 def test_every_verdict_field_is_rechecked(saved, key, field, tmp_path, capsys):
     # A verdict field added later fails here until recheck checks it.

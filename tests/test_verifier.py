@@ -1,3 +1,5 @@
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from conftest import classified_instance, max_tied_overlap
 from qrv.casestudy import generate_qubit_case_study
 from qrv.classifiers import (
+    BatchClassification,
+    Classification,
     Classifier,
     LabeledDataset,
     classify,
@@ -14,6 +18,12 @@ from grid_oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_dis
 from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
 from qrv.verifier import (
+    AdversarialWitness,
+    OptimalBound,
+    PureBound,
+    RobustnessCheck,
+    StateVerdict,
+    VerificationReport,
     VerifyOptions,
     check_epsilon_robust,
     compute_optimal_bound,
@@ -447,3 +457,15 @@ class TestUnderRobustAccuracy:
     def test_invalid_epsilon(self, z_classifier):
         with pytest.raises(ValidationError):
             under_robust_accuracy(z_classifier, margin_one_dataset(), 1.0)
+
+
+@pytest.mark.parametrize("record", [
+    VerifyOptions, AdversarialWitness, OptimalBound, RobustnessCheck, PureBound,
+    StateVerdict, VerificationReport, Classification, BatchClassification,
+], ids=lambda record: record.__name__)
+def test_records_are_immutable(record):
+    fields = list(inspect.signature(record).parameters)
+    value = record(*[None] * len(fields))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
