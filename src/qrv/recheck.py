@@ -23,7 +23,7 @@ from .classifiers import Classifier, LabeledDataset, classify_batch
 from .errors import SchemaError
 from .formats import FORMAT_TAG, emit_report
 from .states import _factor_sqrt_fidelity, _state_factor
-from .verifier import WITNESS_BUDGET, OptimalBound, assemble_reports, bound_at
+from .verifier import WITNESS_BUDGET, OptimalBound, _rotate, assemble_reports, bound_at
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
 
@@ -99,11 +99,11 @@ def recheck_report(
                 bad(i, "dual_shifts", f"{shifts!r} is not a null or positive shift per "
                     "class, null at the label")
                 shifts = [None] * classifier.n_classes
-            solved = shifts.count(None) < len(shifts)  # else rho is not read
-            radii, rival = bound_at(classifier, root(i) if solved else None, label, shifts)
+            radii, rival = bound_at(
+                classifier, lambda k: _rotate(classifier, root(i), label, k)[1], label, shifts)
             delta = None if rival is None else _kept(v.get("delta"), radii[rival], DELTA_TOL)
             bound = OptimalBound(delta=delta, unbounded=rival is None, argmin_class=rival,
-                                 witness=None, per_class=radii, shifts=dict(enumerate(shifts)))
+                                 witness=None, per_class=radii, shifts=shifts)
             if bound.robust_at(eps):
                 return bound, 0.0
             distance = v.get("adversarial_distance")  # kept unchecked with no witness
@@ -127,9 +127,8 @@ def recheck_report(
 
         margins = [_kept(v.get("margin"), m, DELTA_TOL)
                    for v, m in zip(verdicts, batch.margins.tolist())]
-        [rebuilt] = assemble_reports(
-            classifier, batch._replace(margins=np.array(margins)), labels,
-            [eps], recorded_bound, 0.0, run["seed"])
+        [rebuilt] = assemble_reports(batch._replace(margins=np.array(margins)), labels,
+                                     [eps], recorded_bound, 0.0, run["seed"])
         doc = emit_report(rebuilt, include_timings=False)
         for i, (verdict, recorded) in enumerate(zip(doc.pop("verdicts"), verdicts)):
             problems.extend(_mismatches(f"eps={eps} index={i} ", verdict, recorded))

@@ -44,8 +44,6 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Mapping
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +117,7 @@ class OptimalBound(NamedTuple):
     witness: PureState | DensityMatrix | None
     per_class: dict
     witness_distance: float | None = None
-    shifts: Mapping = MappingProxyType({})  # rival -> w of its dual value or None
+    shifts: list | tuple = ()  # per class: w of its dual value, or None
 
     def robust_at(self, eps: float) -> bool:
         return self.unbounded or eps <= self.delta
@@ -152,19 +150,6 @@ def margin_robust_bound(classifier: Classifier, state, eps: float) -> bool:
     eps = _require_epsilon(eps)
     outcome = classify(classifier, state)
     return outcome.margin > np.sqrt(2.0 * eps)
-
-
-def _label_for(classifier: Classifier, state, label: int | None) -> int:
-    """The predicted label, checked against ``label`` when one is stated."""
-    predicted = classify(classifier, state).label_index
-    if label is None:
-        return predicted
-    if predicted != label:
-        raise MisclassifiedInput(
-            f"state is classified as {predicted}, not the stated "
-            f"label {label}; robustness of a misclassified state is undefined"
-        )
-    return int(label)
 
 
 def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
@@ -273,22 +258,29 @@ def _witness_factor(
     return np.hstack([x, kernel])
 
 
-def bound_at(classifier: Classifier, root, label: int, shifts) -> tuple[dict, int | None]:
+def _rotate(classifier: Classifier, root: np.ndarray, label: int, k: int):
+    """rho's factor ``F = V^dag root`` in the gap eigenbasis of rival ``k``
+    (``V^dag rho V = F F^dag``) and the weights ``r_i = <v_i|rho|v_i>``."""
+    factor = classifier.gap_spectrum(label, k)[1].conj().T @ root
+    return factor, (np.abs(factor) ** 2).sum(axis=1)
+
+
+def bound_at(classifier: Classifier, weights, label: int, shifts) -> tuple[dict, int | None]:
     """Each rival's radius at its shift in ``shifts`` (one per class; the
     label's is ignored), and the rival that sets delta (the lowest on a tie,
     None if every radius is unbounded).  A shift w > 0 gives the dual value
-    at w for the state with factor ``root``, read for nothing else; a null
-    shift gives None (unbounded) for an unreachable rival, else 0 (tied)."""
+    at w for the weights ``weights(k)`` (see :func:`_rotate`), asked for
+    nothing else; a null shift gives None (unbounded) for an unreachable
+    rival, else 0 (tied)."""
     per_class, rival = {}, None
     for k, w in enumerate(shifts):
         if k == label:
             continue
-        a, vectors = classifier.gap_spectrum(label, k)
+        a = classifier.gap_spectrum(label, k)[0]
         if w is None:
             per_class[k] = None if a[0] > 0.0 else 0.0
         else:
-            r = (np.abs(vectors.conj().T @ root) ** 2).sum(axis=1)
-            per_class[k] = _dual_value(w, a, r)
+            per_class[k] = _dual_value(w, a, weights(k))
         if per_class[k] is not None and (rival is None or per_class[k] < per_class[rival]):
             rival = k
     return per_class, rival
@@ -306,33 +298,40 @@ def compute_optimal_bound(
     tied at rho contributes delta 0 with no solve.  The witness is the
     pure state ``phi*`` for a pure input and ``sigma*`` for a mixed one, and
     its distance ``1 - F`` is measured on its square-root factor, the one
-    the dual built.
+    the dual built.  With no ``label`` the state is classified; a rival
+    ahead of a stated one (``tr(A rho) = p_label - p_k < 0``) by more than
+    ``TIE_TOL`` raises :class:`MisclassifiedInput`, and one ahead by less
+    is tied, as batch classification flags it.
     """
     root = _state_factor(state)
-    label = _label_for(classifier, state, label)
+    n = classifier.n_classes
+    if label is None:
+        label = classify(classifier, state).label_index
+    elif not 0 <= label < n:
+        raise ValidationError(f"label {label} is not a class of a {n}-class classifier")
 
-    shifts = [None] * classifier.n_classes  # None: unreachable or tied rival
-    rotated = {}  # rival -> r and rho's factor in its gap eigenbasis
-    for k in range(classifier.n_classes):
+    shifts = [None] * n  # None: the label, an unreachable or a tied rival
+    rotated = {}  # rival -> rho's factor in its gap eigenbasis, and r
+    for k in range(n):
         if k == label:
             continue
-        a, vectors = classifier.gap_spectrum(label, k)
+        a = classifier.gap_spectrum(label, k)[0]
         if a[0] > 0.0:
             continue  # class unreachable by any state
-        factor = vectors.conj().T @ root  # V^dag rho V = factor factor^dag
-        r = (np.abs(factor) ** 2).sum(axis=1)
-        rotated[k] = r, factor
-        if float(a @ r) > 0.0:
+        _, r = rotated[k] = _rotate(classifier, root, label, k)
+        if (gap := float(a @ r)) < -TIE_TOL:
+            raise MisclassifiedInput(f"class {k} is ahead of the stated label {label} by "
+                                     f"{-gap:.3e}; a misclassified state has no radius")
+        if gap > 0.0:
             shifts[k] = _dual_ratio(a, r)
-    per_class, k_star = bound_at(classifier, root, label, shifts)
-    shifts = {k: shifts[k] for k in per_class}
+    per_class, k_star = bound_at(classifier, lambda k: rotated[k][1], label, shifts)
 
     if k_star is None:
         return OptimalBound(delta=None, unbounded=True, argmin_class=None, witness=None,
                             per_class=per_class, shifts=shifts)
     delta = per_class[k_star]
     a, vectors = classifier.gap_spectrum(label, k_star)
-    r, factor = rotated[k_star]
+    factor, r = rotated[k_star]
     factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
     if isinstance(state, PureState):
         witness = PureState(factor.sum(axis=1))  # unit norm already
@@ -495,11 +494,11 @@ def verify_epsilons(
         bound = compute_optimal_bound(classifier, states[i], labels[i])
         return bound, time.perf_counter() - t0
 
-    return assemble_reports(classifier, batch, labels, epsilons, exact, t_margin, opts.seed)
+    return assemble_reports(batch, labels, epsilons, exact, t_margin, opts.seed)
 
 
-def assemble_reports(classifier: Classifier, batch: BatchClassification, labels, epsilons,
-                     exact, t_margin: float, seed: int) -> list[VerificationReport]:
+def assemble_reports(batch: BatchClassification, labels, epsilons, exact, t_margin: float,
+                     seed: int) -> list[VerificationReport]:
     """The reports of :func:`verify_epsilons`, one per radius in
     ``epsilons``, from the classification ``batch`` of a dataset with
     ``labels``: its verdicts, totals and warnings.  ``exact(i)`` gives entry
@@ -541,8 +540,7 @@ def assemble_reports(classifier: Classifier, batch: BatchClassification, labels,
                     margin_certified=True, status="ok", robust=True, **base))
                 continue
             bound, seconds = exact(i)
-            shifts = list(map(bound.shifts.get, range(classifier.n_classes)))
-            solves += len(shifts) - shifts.count(None)  # a null shift took no solve
+            solves += len(bound.shifts) - bound.shifts.count(None)  # null: no solve
             t_exact += seconds
             robust = bound.robust_at(eps)
             if not robust:
@@ -554,7 +552,7 @@ def assemble_reports(classifier: Classifier, batch: BatchClassification, labels,
                 delta_unbounded=bound.unbounded, robust=robust,
                 adversarial_class=None if robust else bound.argmin_class,
                 adversarial_distance=None if robust else bound.witness_distance,
-                dual_shifts=shifts,
+                dual_shifts=bound.shifts,
                 **base,
             ))
         reports.append(VerificationReport(

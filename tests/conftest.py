@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qrv.classifiers import classify
+from qrv.classifiers import LabeledDataset, classify, classify_batch
 from qrv.sampling import (
     random_classifier,
     random_density_matrix,
     random_pure_state,
 )
+from qrv.states import PureState
 
 
 @pytest.fixture
@@ -32,6 +33,26 @@ def classified_instance(rng, dim=2, n_classes=2, kraus_rank=1, pure=False,
         if not outcome.tie and outcome.margin > min_margin:
             return classifier, state, outcome.label_index
     raise AssertionError("could not draw a confidently classified instance")
+
+
+def tied_dataset():
+    """(classifier, dataset): 40 dim-16 pure states on the decision boundary
+    of a 2-class classifier, each labelled by batch classification.  Each
+    is ``sqrt(t) v_i + sqrt(1 - t) e^{i phi} v_k`` for gap eigenpairs with
+    ``a_i < 0 < a_k`` and ``t = a_k / (a_k - a_i)``: ``tr(A rho) = 0`` in
+    exact arithmetic, so which class wins is decided by rounding."""
+    classifier = random_classifier(16, np.random.default_rng(1), n_classes=2,
+                                   kraus_rank=2)
+    a, v = classifier.gap_spectrum(0, 1)
+    below, above = np.flatnonzero(a < 0.0), np.flatnonzero(a > 0.0)
+    states = []
+    for j in range(40):
+        i, k = below[j % len(below)], above[j // len(below) % len(above)]
+        t = a[k] / (a[k] - a[i])
+        phase = np.exp(2j * np.pi * j / 40)
+        states.append(PureState(np.sqrt(t) * v[:, i] + np.sqrt(1.0 - t) * phase * v[:, k]))
+    labels = classify_batch(classifier, states).labels.tolist()
+    return classifier, LabeledDataset(zip(states, labels))
 
 
 def max_tied_overlap(p_sorted: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tied_dataset
 from qrv.casestudy import (
     amplitude_encode,
     downscale_area,
@@ -117,6 +118,19 @@ class TestVerifyCommand:
             "--epsilon", "0.002", "--strict",
         ])
         assert strict_code == (1 if doc["adversarial_count"] > 0 else 0)
+
+    def test_boundary_entries_verify_and_recheck(self, tmp_path):
+        # Entries tied up to rounding keep the label the batch gave them, and
+        # recheck agrees with what verify wrote.
+        classifier, dataset = tied_dataset()
+        paths = [str(tmp_path / name) for name in ("c.json", "d.json", "r.json", "a.json")]
+        save_classifier(paths[0], classifier)
+        save_dataset(paths[1], dataset)
+        verify = _run(["-m", "qrv.cli", "verify", *paths[:2], "--epsilon", "0.01",
+                       "--report", paths[2], "--adversarial", paths[3]])
+        assert verify.returncode == 0, verify.stderr
+        recheck = _run(["-m", "qrv.cli", "recheck", *paths])
+        assert recheck.returncode == 0, recheck.stdout
 
     def test_multi_epsilon_table(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
@@ -384,22 +398,29 @@ def test_no_module_loads_scipy():
 
 
 def test_cli_import_does_not_load_scipy(case_files, tmp_path):
-    # The verify and recheck paths need only numpy, as does every qrv
-    # module.  Nor do they load the samplers or the case study, which only
-    # some subcommands and the tests use, the channels, which only the
-    # legacy classifier layout reads, or dataclasses: results are NamedTuples.
+    # Every subcommand needs only numpy, as does every qrv module.  Those that
+    # read a classifier and a dataset load neither the samplers nor the case
+    # study, which only gen-qubit, encode-image and the tests use, nor the
+    # channels, which only the legacy classifier layout reads, nor
+    # dataclasses: results are NamedTuples.
     classifier_path, dataset_path = case_files
     report, sidecar = str(tmp_path / "r.json"), str(tmp_path / "a.json")
-    code = ("import sys, qrv.cli; "
-            "assert qrv.cli.main(sys.argv[1:]) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
-            "('qrv.sampling', 'qrv.casestudy', 'qrv.channels', 'dataclasses')))")
-    for argv in (["verify", classifier_path, dataset_path, "--epsilon", "0.002",
-                  "--report", report, "--adversarial", sidecar],
-                 ["recheck", classifier_path, dataset_path, report, sidecar]):
-        result = _run(["-c", code, *argv])
+    code = ("import sys, qrv.cli; forbidden = set(sys.argv[1].split()); "
+            "assert qrv.cli.main(sys.argv[2:]) == 0; "
+            "print(sorted(m for m in sys.modules if {m, m.split('.')[0]} & forbidden))")
+    readers = "scipy qrv.sampling qrv.casestudy qrv.channels dataclasses"
+    inputs = [classifier_path, dataset_path]
+    for forbidden, argv in [
+            (readers, ["verify", *inputs, "--epsilon", "0.002",
+                       "--report", report, "--adversarial", sidecar]),
+            (readers, ["recheck", *inputs, report, sidecar]),
+            (readers, ["classify", *inputs]),
+            (readers, ["bound", *inputs, "--epsilon", "0.002"]),
+            ("scipy", ["gen-qubit", "--n-train", "8", "--n-val", "2",
+                       "--out-prefix", str(tmp_path / "q")])]:
+        result = _run(["-c", code, forbidden, *argv])
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().splitlines()[-1] == "[]"
+        assert result.stdout.strip().splitlines()[-1] == "[]", argv[0]
 
 
 def test_package_import_is_lazy():

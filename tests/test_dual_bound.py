@@ -222,7 +222,7 @@ def test_one_root_per_rival_and_one_witness_per_bound(monkeypatch):
         r = (np.abs(vectors.conj().T @ _state_factor(rho)) ** 2).sum(axis=1)
         assert a[0] < -2.0 * TIE_TOL and a @ r > 0.0  # reachable and untied
     bound = compute_optimal_bound(classifier, rho, label)
-    assert None not in bound.shifts.values()
+    assert [w is None for w in bound.shifts] == [k == label for k in range(3)]
     assert calls == {"_dual_ratio": 3, "_witness_factor": 1}
 
     # Every rival unreachable (N_0 - N_1 = 0.6 I): no root and no witness.

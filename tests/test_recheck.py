@@ -473,7 +473,7 @@ def test_recorded_shift_certifies_delta_at_40_digits(kind, dim):
             rng, dim=dim, n_classes=2 if dim == 2 else 3, kraus_rank=2,
             pure=kind == "pure", min_margin=0.02)
     bound = compute_optimal_bound(classifier, state, label)
-    shifted = [k for k, w in bound.shifts.items() if w is not None]
+    shifted = [k for k, w in enumerate(bound.shifts) if w is not None]
     assert shifted
     for k in shifted:
         a, vectors = classifier.gap_spectrum(label, k)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import classified_instance, max_tied_overlap
+from conftest import classified_instance, max_tied_overlap, tied_dataset
 from qrv.casestudy import generate_qubit_case_study
 from qrv.classifiers import (
     BatchClassification,
@@ -143,6 +143,17 @@ class TestOptimalBound:
     def test_rejects_misclassified_input(self, z_classifier):
         with pytest.raises(MisclassifiedInput):
             compute_optimal_bound(z_classifier, diag_state(0.9), label=1)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_rejects_a_label_outside_the_classes(self, z_classifier, label):
+        with pytest.raises(ValidationError, match=f"label {label} "):
+            compute_optimal_bound(z_classifier, diag_state(0.9), label=label)
+
+    def test_rival_ahead_within_tie_tolerance_is_tied(self, z_classifier):
+        # Class 1 leads by 2e-9 < TIE_TOL: stated label 0 is a tie, delta 0.
+        bound = compute_optimal_bound(z_classifier, diag_state(0.5 - 1e-9), label=0)
+        assert bound.delta == 0.0 and bound.argmin_class == 1
+        assert bound.shifts == [None, None]
 
 
 class TestEpsilonCheck:
@@ -359,6 +370,15 @@ class TestVerifyDataset:
     def test_empty_dataset_rejected(self, z_classifier):
         with pytest.raises(ValidationError):
             verify_dataset(z_classifier, LabeledDataset([]), 0.1)
+
+    def test_boundary_entries_keep_their_batch_label(self):
+        # A batch and a batch of one round differently, so an entry the batch
+        # labels correctly must not be classified again by its own bound.
+        classifier, dataset = tied_dataset()
+        [report] = verify_epsilons(classifier, dataset, [0.01])
+        assert report.n_correct == len(dataset)
+        for v in report.verdicts:
+            assert v.status == "ok" and not v.robust and 0.0 <= v.delta <= 1e-12
 
 
 def mixed_dataset(rng):
