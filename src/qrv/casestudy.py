@@ -9,6 +9,8 @@ measurement.  Image inputs: plain/raw PGM grayscale images downscaled to
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .channels import unitary_channel
@@ -141,51 +143,34 @@ def amplitude_encode(values) -> PureState:
     return PureState(arr / norm)
 
 
+_PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> np.ndarray:
-    """Read a plain (P2) or raw (P5) PGM grayscale image as floats."""
+    """Read a plain (P2) or raw (P5) PGM grayscale image as floats.  Width, height
+    and maxval (1..65535) follow the magic, each after whitespace or ``#`` comments,
+    then one whitespace byte; raw samples above maxval 255 are big-endian 16-bit."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] not in (b"P2", b"P5"):
         raise ValidationError("not a PGM file (magic must be P2 or P5)")
-    magic = data[:2].decode()
-
-    # Header tokens: magic, width, height, maxval, with # comments allowed.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValidationError("truncated PGM header")
-        tokens.append(data[start:pos])
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ValidationError("malformed PGM header") from exc
-    if width < 1 or height < 1 or maxval < 1:
-        raise ValidationError("PGM dimensions and maxval must be positive")
-
-    if magic == "P2":
+    if (header := _PGM_HEADER.match(data)) is None:
+        raise ValidationError("malformed PGM header")
+    width, height, maxval = map(int, header.groups()[1:])
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ValidationError("PGM dimensions must be positive and maxval in 1..65535")
+    n, raster = width * height, data[header.end():]
+    if header[1] == b"P2":
         try:
-            pixels = np.array(data[pos:].split(), dtype=float)
+            pixels = np.array(raster.split(), dtype=float)
         except ValueError as exc:
             raise ValidationError("malformed PGM pixel data") from exc
     else:
-        pos += 1  # single whitespace byte after maxval
-        dtype = ">u2" if maxval > 255 else np.uint8
-        pixels = np.frombuffer(data, dtype=dtype, offset=pos).astype(float)
-    if pixels.size < width * height:
-        raise ValidationError(
-            f"PGM has {pixels.size} pixels, expected {width * height}"
-        )
-    return pixels[: width * height].reshape(height, width)
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        pixels = np.frombuffer(raster, dtype, min(n, len(raster) // dtype.itemsize))
+    if pixels.size < n:
+        raise ValidationError(f"PGM has {pixels.size} pixels, expected {n}")
+    return pixels[:n].astype(float).reshape(height, width)
 
 
 def downscale_area(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -194,13 +179,11 @@ def downscale_area(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     in_h, in_w = img.shape
 
     def weights(n_in: int, n_out: int) -> np.ndarray:
+        # Weight +0.0 where cell i misses pixel j (np.maximum could keep a -0.0).
         scale = n_in / n_out
-        w = np.zeros((n_out, n_in))
-        for i in range(n_out):
-            lo, hi = i * scale, (i + 1) * scale
-            for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_in)):
-                w[i, j] = min(hi, j + 1) - max(lo, j)
-        return w / scale
+        i, j = np.arange(n_out)[:, None], np.arange(n_in)
+        overlap = np.minimum((i + 1) * scale, j + 1) - np.maximum(i * scale, j)
+        return np.where(overlap > 0.0, overlap, 0.0) / scale
 
     return weights(in_h, out_h) @ img @ weights(in_w, out_w).T
 

@@ -1,10 +1,10 @@
 """Quantum classifiers and labeled datasets.
 
 A classifier is a POVM {N_k}, one effect per class: class probabilities
-are ``p_k = tr(N_k rho)`` and the predicted label is the argmax, with
-ties broken toward the lowest index and flagged.  A channel E followed by
-a measurement {M_k} is the POVM of its Heisenberg-picture effects
-``N_k = E^dag(M_k^dag M_k)`` (:meth:`Classifier.from_kraus`), which is
+are ``p_k = tr(N_k rho)`` and the predicted label is the argmax (the lowest
+index only on an exact tie), flagged when the runner-up is within ``TIE_TOL``.
+A channel E then a measurement {M_k} is the POVM of its Heisenberg-picture
+effects ``N_k = E^dag(M_k^dag M_k)`` (:meth:`Classifier.from_kraus`), which is
 all the robust bound and the adversarial search depend on.
 Classification works on a stack of states at once (one contraction
 against the stacked effects); a single state is a stack of one.
@@ -173,9 +173,9 @@ def _probability_rows(classifier: Classifier, states) -> np.ndarray:
 def classify_batch(classifier: Classifier, states) -> BatchClassification:
     """Argmax classification of every state in ``states`` at once.
 
-    The margin is sqrt(p_1) - sqrt(p_2) where p_1 >= p_2 are the two
-    largest outcome probabilities; a tie (within ``TIE_TOL``) is
-    broken toward the lowest index and flagged.
+    The margin is sqrt(p_1) - sqrt(p_2) where p_1 >= p_2 are the two largest
+    outcome probabilities; p_1 - p_2 <= ``TIE_TOL`` is flagged as a tie, and
+    only an exact one goes to the lowest index (a near one, to p_1).
     """
     probs = _probability_rows(classifier, states)
     order = np.argsort(-probs, axis=1, kind="stable")

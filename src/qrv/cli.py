@@ -79,6 +79,29 @@ def _parse_epsilons(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _run_inputs(args, *outputs: str):
+    """The run's classifier and dataset, checked against each other.  Before
+    any file is read, an output ``--<name>`` that names an input or another
+    output, or cannot be written, is refused; every file is left as found."""
+    taken = {os.path.realpath(args.classifier): "the classifier",
+             os.path.realpath(args.dataset): "the dataset"}
+    for name in outputs:
+        if path := getattr(args, name):
+            real = os.path.realpath(path)
+            if real in taken:
+                raise ValidationError(
+                    f"{path}: --{name} names the same file as {taken[real]}")
+            taken[real] = f"--{name}"
+            existed = os.path.exists(path)
+            open(path, "a").close()  # an unwritable output fails before any work
+            if not existed:
+                os.remove(path)  # and a command that fails later leaves no empty file
+    classifier = _load(formats.load_classifier, args.classifier)
+    dataset = _load(formats.load_dataset, args.dataset)
+    dataset.check_compatible(classifier)
+    return classifier, dataset
+
+
 def _load(loader, path):
     try:
         return loader(path)
@@ -91,9 +114,7 @@ def _load(loader, path):
 
 
 def _cmd_classify(args) -> int:
-    classifier = _load(formats.load_classifier, args.classifier)
-    dataset = _load(formats.load_dataset, args.dataset)
-    dataset.check_compatible(classifier)
+    classifier, dataset = _run_inputs(args, "report")
     batch = classify_batch(classifier, [state for state, _ in dataset])
     rows = [
         (i, label, int(pred), float(margin), bool(tie), int(pred) == label)
@@ -127,14 +148,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
-    for path in filter(None, (args.report, args.adversarial)):
-        existed = os.path.exists(path)
-        open(path, "a").close()  # an unwritable output fails before any work
-        if not existed:
-            os.remove(path)  # and a command that fails later leaves no empty file
-    classifier = _load(formats.load_classifier, args.classifier)
-    dataset = _load(formats.load_dataset, args.dataset)
-    dataset.check_compatible(classifier)
+    classifier, dataset = _run_inputs(args, "report", "adversarial")
 
     options = VerifyOptions(seed=args.seed)
     reports = verify_epsilons(classifier, dataset, epsilons, options=options)
@@ -185,10 +199,8 @@ def _cmd_verify(args) -> int:
 def _cmd_recheck(args) -> int:
     from .recheck import recheck_report
 
-    classifier = _load(formats.load_classifier, args.classifier)
-    dataset = _load(formats.load_dataset, args.dataset)
-    dataset.check_compatible(classifier)
-    witnesses = _load(formats.load_sidecar, args.adversarial)
+    classifier, dataset = _run_inputs(args)
+    witnesses = _load(lambda p: formats.load_sidecar(p, classifier.dim), args.adversarial)
     problems, summary = _load(
         lambda p: recheck_report(classifier, dataset, formats.read_json(p), witnesses),
         args.report,
@@ -199,9 +211,7 @@ def _cmd_recheck(args) -> int:
 
 def _cmd_bound(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
-    classifier = _load(formats.load_classifier, args.classifier)
-    dataset = _load(formats.load_dataset, args.dataset)
-    dataset.check_compatible(classifier)
+    classifier, dataset = _run_inputs(args, "report")
     rows = []
     for eps in epsilons:
         t0 = time.perf_counter()

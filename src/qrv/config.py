@@ -1,10 +1,10 @@
 """Numeric tolerances and global limits.
 
-Every tolerance used by validation, bounds and verdicts is one module
-constant here, so validation and verdicts agree on what counts as a
-state, a classifier, a channel and a tie (the test suite's SDP oracle,
-``tests/sdp_oracle.py``, takes its own solver targets).  The values are
-deliberately strict.
+Every tolerance of validation and classification is one constant here, so
+both agree on what counts as a state, a classifier, a channel and a tie;
+``verifier.WITNESS_BUDGET``, ``recheck.DELTA_TOL`` and ``recheck.DISTANCE_TOL``
+live where they are used.  The test suite's SDP oracle, ``tests/sdp_oracle.py``,
+takes its own solver targets.  The values are deliberately strict.
 """
 
 from __future__ import annotations

@@ -350,12 +350,17 @@ def load_dataset(path) -> LabeledDataset:
     return parse_dataset(read_json(path))
 
 
-def load_sidecar(path) -> list:
-    """A sidecar's ``(state, raw entry)`` pairs; unlike a dataset it may be empty."""
+def load_sidecar(path, dim: int) -> list:
+    """A sidecar's ``(state, raw entry)`` pairs, states of dim ``dim``; it may be empty."""
     doc = read_json(path)
     _check_format(doc, "dataset", "$")
     empty = _require_key(doc, "states", "$") == []
-    return [] if empty else list(zip((s for s, _ in parse_dataset(doc)), doc["states"]))
+    pairs = [] if empty else list(zip((s for s, _ in parse_dataset(doc)), doc["states"]))
+    for j, (state, _) in enumerate(pairs):
+        if state.dim != dim:
+            raise SchemaError(f"state dim {state.dim} does not match classifier dim {dim}",
+                              f"states[{j}]")
+    return pairs
 
 
 def load_state(path):

@@ -9,7 +9,7 @@ every key of the rebuilt document must equal the recorded one.  Each
 non-robust verdict takes the next sidecar witness, which must be for its
 entry, target the rival that sets delta, carry its label and distance, lie
 within ``eps + WITNESS_BUDGET`` and change the class.  The bound and the
-witness distance read one factor of rho.
+witness distance read one factor of rho, rotated once per rival for all runs.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def recheck_report(
     batch = classify_batch(classifier, states)
     wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
     queue = iter(enumerate(witnesses))
-    root = functools.cache(lambda i: _state_factor(states[i]))  # one factor per entry
+    root = functools.cache(lambda i: _state_factor(states[i]))
+    weights = functools.cache(lambda i, k: _rotate(classifier, root(i), labels[i], k)[1])
     problems = []
 
     for run in runs:
@@ -99,8 +100,7 @@ def recheck_report(
                 bad(i, "dual_shifts", f"{shifts!r} is not a null or positive shift per "
                     "class, null at the label")
                 shifts = [None] * classifier.n_classes
-            radii, rival = bound_at(
-                classifier, lambda k: _rotate(classifier, root(i), label, k)[1], label, shifts)
+            radii, rival = bound_at(classifier, lambda k: weights(i, k), label, shifts)
             delta = None if rival is None else _kept(v.get("delta"), radii[rival], DELTA_TOL)
             bound = OptimalBound(delta=delta, unbounded=rival is None, argmin_class=rival,
                                  witness=None, per_class=radii, shifts=shifts)

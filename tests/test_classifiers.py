@@ -63,6 +63,15 @@ class TestClassify:
         assert out.tie
         assert out.margin == pytest.approx(0.0, abs=1e-12)
 
+    def test_near_tie_goes_to_the_larger_probability(self):
+        # Within TIE_TOL but not exact: flagged, and not broken toward the
+        # lowest index.
+        d = 1e-9
+        classifier = Classifier([np.diag([0.5 - d, 0.5 + d]), np.diag([0.5 + d, 0.5 - d])])
+        out = classify(classifier, PureState([1, 0]))
+        assert out.label_index == 1
+        assert out.tie
+
     def test_rotation_classifier_matches_direct_evaluation(self):
         # Rotating the Bloch angle by theta_star turns the outcome
         # probability into cos^2((angle + theta_star) / 2).

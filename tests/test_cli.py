@@ -194,6 +194,38 @@ class TestVerifyCommand:
         assert not report.exists()
         assert cause != "missing_input" or sidecar.read_text() == "old"
 
+    @pytest.mark.parametrize("case", ["one_path_twice", "one_path_two_spellings",
+                                      "report_is_dataset", "sidecar_is_classifier",
+                                      "classify_report_is_dataset",
+                                      "bound_report_is_dataset"])
+    def test_output_naming_another_file_of_the_run_exits_2(
+            self, case_files, tmp_path, capsys, monkeypatch, case):
+        # Refused before anything is read or written: every file is left as found.
+        import qrv.cli
+
+        monkeypatch.setattr(qrv.cli, "verify_epsilons", lambda *a, **k: 1 / 0)
+        monkeypatch.chdir(tmp_path)
+        classifier_path, dataset_path = case_files
+        verify = ["verify", classifier_path, dataset_path, "--epsilon", "0.002"]
+        argv = {
+            "one_path_twice": verify + ["--report", "x.json", "--adversarial", "x.json"],
+            "one_path_two_spellings": verify + ["--report", "x.json",
+                                                "--adversarial", "./x.json"],
+            "report_is_dataset": verify + ["--report", dataset_path],
+            "sidecar_is_classifier": verify + ["--report", "r.json",
+                                               "--adversarial", classifier_path],
+            "classify_report_is_dataset": ["classify", classifier_path, dataset_path,
+                                           "--report", dataset_path],
+            "bound_report_is_dataset": ["bound", classifier_path, dataset_path,
+                                        "--epsilon", "0.002", "--report", dataset_path],
+        }[case]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: " in captured.err and " names the same file as " in captured.err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_omit_timings_is_byte_reproducible(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -323,6 +355,54 @@ class TestEncodeImage:
         img = rng.uniform(size=(28, 28))
         small = downscale_area(img, 16, 16)
         assert small.mean() == pytest.approx(img.mean(), abs=1e-12)
+
+    def test_16bit_binary_pgm_matches_plain(self, tmp_path, rng):
+        img = rng.integers(0, 65536, size=(16, 17))
+        img[0, 0] = 65535
+        write_pgm_p2(tmp_path / "plain.pgm", img, maxval=65535)
+        raw = b"P5\n17 16\n65535\n" + img.astype(">u2").tobytes()
+        (tmp_path / "raw.pgm").write_bytes(raw)
+        # As in an 8-bit raster, bytes past the image are not read.
+        (tmp_path / "trailing.pgm").write_bytes(raw + b"\0")
+        plain = read_pgm(tmp_path / "plain.pgm")
+        np.testing.assert_array_equal(plain, img)
+        np.testing.assert_array_equal(read_pgm(tmp_path / "raw.pgm"), plain)
+        np.testing.assert_array_equal(read_pgm(tmp_path / "trailing.pgm"), plain)
+
+    def test_comments_in_every_header_gap(self, tmp_path, rng):
+        img = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
+        plain, commented = b"P5\n16 16\n255\n", b"P5# a\n16#c\n # b\n#\r\n16\t#d 1\n255\n"
+        for name, header in (("plain.pgm", plain), ("commented.pgm", commented)):
+            (tmp_path / name).write_bytes(header + img.tobytes())
+        np.testing.assert_array_equal(read_pgm(tmp_path / "commented.pgm"),
+                                      read_pgm(tmp_path / "plain.pgm"))
+
+    @pytest.mark.parametrize("case", ["16bit_one_byte_short", "16bit_one_odd_byte",
+                                      "maxval_65536", "maxval_0", "bad_magic"])
+    def test_bad_pgm_exits_2(self, tmp_path, capsys, case):
+        pixels = np.full(256, 7, dtype=">u2").tobytes()
+        data = {
+            "16bit_one_byte_short": b"P5\n16 16\n65535\n" + pixels[:-1],
+            "16bit_one_odd_byte": b"P5\n16 16\n65535\n\x07",
+            "maxval_65536": b"P5\n16 16\n65536\n" + pixels,
+            "maxval_0": b"P2\n16 16\n0\n" + b"0 " * 256,
+            "bad_magic": b"P6\n16 16\n255\n" + bytes(768),
+        }[case]
+        (tmp_path / "bad.pgm").write_bytes(data)
+        out = tmp_path / "out.json"
+        assert main(["encode-image", str(tmp_path / "bad.pgm"), "--out", str(out)]) == 2
+        assert "input error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_in, n_out", [(28, 16), (7, 3), (5, 4)])
+    def test_area_average_matches_block_oracle(self, rng, n_in, n_out):
+        # Repeating each pixel n_out times along each axis makes every output
+        # cell an n_in x n_in block of equal-area samples: its plain mean.
+        img = rng.uniform(size=(n_in, n_in))
+        fine = np.repeat(np.repeat(img, n_out, axis=0), n_out, axis=1)
+        oracle = fine.reshape(n_out, n_in, n_out, n_in).mean(axis=(1, 3))
+        np.testing.assert_allclose(downscale_area(img, n_out, n_out), oracle,
+                                   rtol=0, atol=1e-12)
 
 
 def _run(argv, **env_set):

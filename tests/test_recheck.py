@@ -114,6 +114,37 @@ def test_one_state_factor_per_exact_entry(saved, tmp_path, capsys, monkeypatch):
     assert len(calls) == sum(n > 0 for n in solved) + len(sidecar["states"])
 
 
+def test_one_rotation_per_rival_across_runs(saved, tmp_path, capsys, monkeypatch):
+    # A report set rotates rho into a rival's gap eigenbasis once per (entry,
+    # rival with a shift), however many runs solved that entry.
+    calls = []
+
+    def counting(classifier, root, label, k):
+        calls.append((label, k))
+        return qrv.verifier._rotate(classifier, root, label, k)
+
+    monkeypatch.setattr(qrv.recheck, "_rotate", counting)
+    report, sidecar = load(saved, ("mixed", "set"))
+    per_run = [(i, k) for run in report["runs"] for i, v in enumerate(run["verdicts"])
+               for k, w in enumerate(v["dual_shifts"] or ()) if w is not None]
+    assert len(per_run) > len(set(per_run))  # some entry is solved in both runs
+    code, out = recheck(saved, "mixed", report, sidecar, tmp_path, capsys)
+    assert code == 0, out
+    assert len(calls) == len(set(per_run))
+
+
+def test_sidecar_of_the_wrong_dim_names_its_entry(saved, tmp_path, capsys):
+    _, sidecar = load(saved, ("mixed", "single"))
+    j = len(sidecar["states"]) - 1
+    sidecar["states"][j].update(kind="pure", data=[[1, 0], [0, 0]])
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(sidecar))
+    assert main(["recheck", saved["classifier"], saved["mixed"],
+                 str(saved["mixed", "single"][0]), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}:states[{j}]: " in err, err
+
+
 def _entry(run, *, robust, certified=False):
     """Index of the first correct verdict with this outcome."""
     return next(v["index"] for v in run["verdicts"] if v["status"] == "ok"
