@@ -15,9 +15,9 @@ Unless already set, ``OPENBLAS_NUM_THREADS`` is 1 before numpy loads, and
 the garbage collector is off while numpy and qrv load; :func:`run`, the entry
 of ``qrv`` and ``python -m qrv.cli``, then freezes (``gc.freeze``) what they
 made and, after the command, what it left.  ``recheck`` and ``casestudy``
-load only for ``recheck``, ``gen-qubit`` and ``encode-image``, and
-``channels`` only for a classifier in the legacy layout (a channel then a
-measurement).
+load only for ``recheck``, ``gen-qubit`` and ``encode-image``; a command
+that reads a classifier reads its POVM ``effects`` and never loads
+``channels``.  No output may name an input or another output of its command.
 """
 
 from __future__ import annotations
@@ -79,12 +79,11 @@ def _parse_epsilons(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _run_inputs(args, *outputs: str):
-    """The run's classifier and dataset, checked against each other.  Before
-    any file is read, an output ``--<name>`` that names an input or another
-    output, or cannot be written, is refused; every file is left as found."""
-    taken = {os.path.realpath(args.classifier): "the classifier",
-             os.path.realpath(args.dataset): "the dataset"}
+def _claim_outputs(args, inputs: dict, *outputs: str) -> None:
+    """Before any file is read, refuse an output ``--<name>`` that names one
+    of ``inputs`` (a description per path) or another output, or cannot be
+    written; every file is left as found."""
+    taken = {os.path.realpath(path): what for what, path in inputs.items()}
     for name in outputs:
         if path := getattr(args, name):
             real = os.path.realpath(path)
@@ -96,6 +95,13 @@ def _run_inputs(args, *outputs: str):
             open(path, "a").close()  # an unwritable output fails before any work
             if not existed:
                 os.remove(path)  # and a command that fails later leaves no empty file
+
+
+def _run_inputs(args, *outputs: str):
+    """The run's classifier and dataset, checked against each other, once
+    its outputs are claimed."""
+    _claim_outputs(args, {"the classifier": args.classifier,
+                          "the dataset": args.dataset}, *outputs)
     classifier = _load(formats.load_classifier, args.classifier)
     dataset = _load(formats.load_dataset, args.dataset)
     dataset.check_compatible(classifier)
@@ -261,6 +267,7 @@ def _cmd_gen_qubit(args) -> int:
 
 
 def _cmd_encode_image(args) -> int:
+    _claim_outputs(args, {"the image": args.image}, "out")
     from . import casestudy
 
     state = casestudy.encode_image(args.image)

@@ -18,6 +18,9 @@ that is not UTF-8 or not JSON, or is nested too deeply, is a
 :class:`SchemaError` at ``$``, as is a constructor's ValueError at the path
 of what it was built from.  :func:`write_json` writes compact JSON
 (CPython's C encoder); any layout is read, indented included.
+
+A classifier is read and written as its POVM ``effects`` only, so reading
+a file never loads ``channels``.
 """
 
 from __future__ import annotations
@@ -211,45 +214,21 @@ def emit_classifier(classifier: Classifier) -> dict:
     }
 
 
-def _matrix_list(obj: Any, path: str, least: int) -> list[np.ndarray]:
-    if not isinstance(obj, list) or len(obj) < least:
-        raise SchemaError(f"expected an array of {least} or more matrices", path)
-    return [parse_array(m, 2, f"{path}[{i}]") for i, m in enumerate(obj)]
-
-
-def _parse_kraus_classifier(doc: dict, labels: list) -> Classifier:
-    """The earlier layout: ``"channel": {"dim": n, "kraus": [...]}`` and
-    ``"measurement": {"operators": [...]}``."""
-    from .channels import KrausChannel  # so only this layout loads channels
-
-    channel_doc = _require_key(doc, "channel", "$")
-    dim = _require_key(channel_doc, "dim", "channel")
-    kraus = _matrix_list(_require_key(channel_doc, "kraus", "channel"), "channel.kraus", 1)
-    channel = _built(KrausChannel, kraus, path="channel.kraus")
-    if channel.dim_in != dim:
-        raise SchemaError(
-            f"declared dim {dim} does not match Kraus matrices of dim {channel.dim_in}",
-            "channel.dim",
-        )
-    ops_doc = _require_key(_require_key(doc, "measurement", "$"), "operators", "measurement")
-    operators = _matrix_list(ops_doc, "measurement.operators", 2)
-    return _built(Classifier.from_kraus, channel, operators, labels, path="measurement")
-
-
 def parse_classifier(doc: dict) -> Classifier:
-    """A classifier in the ``effects`` layout, or in the earlier
-    ``channel`` and ``measurement`` one; a document holds exactly one."""
+    """A classifier in the ``effects`` layout, its POVM; a document in the
+    earlier ``channel`` and ``measurement`` layout is a schema error at ``$``."""
     _check_format(doc, "classifier", "$")
     labels = _require_key(doc, "labels", "$")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("labels must be an array of strings", "labels")
-    if ("effects" in doc) == ("channel" in doc or "measurement" in doc):
-        raise SchemaError(
-            "a classifier holds either 'effects' or 'channel' and 'measurement'", "$")
-    if "effects" not in doc:
-        return _parse_kraus_classifier(doc, labels)
-    return _built(Classifier, _matrix_list(doc["effects"], "effects", 2), labels,
-                  path="effects")
+    if "channel" in doc or "measurement" in doc:
+        raise SchemaError("the 'channel' and 'measurement' layout is no longer read; "
+                          "a classifier holds its POVM as 'effects'", "$")
+    effects = _require_key(doc, "effects", "$")
+    if not isinstance(effects, list) or len(effects) < 2:
+        raise SchemaError("expected an array of 2 or more matrices", "effects")
+    return _built(Classifier, [parse_array(m, 2, f"effects[{i}]")
+                               for i, m in enumerate(effects)], labels, path="effects")
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,21 @@ class TestEncodeImage:
         assert "input error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", ["digit.pgm", "./digit.pgm"])
+    def test_output_naming_the_image_exits_2(self, tmp_path, capsys, monkeypatch,
+                                             spelling):
+        # Refused before the image is read: it is left as found.
+        monkeypatch.chdir(tmp_path)
+        image = b"P5\n16 16\n255\n" + bytes(range(256))
+        (tmp_path / "digit.pgm").write_bytes(image)
+        assert main(["encode-image", "digit.pgm", "--out", spelling]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: {spelling}: --out names the same file "
+                                "as the image\n")
+        assert (tmp_path / "digit.pgm").read_bytes() == image
+        assert [path.name for path in tmp_path.iterdir()] == ["digit.pgm"]
+
     @pytest.mark.parametrize("n_in, n_out", [(28, 16), (7, 3), (5, 4)])
     def test_area_average_matches_block_oracle(self, rng, n_in, n_out):
         # Repeating each pixel n_out times along each axis makes every output
@@ -454,7 +469,8 @@ def test_unusable_path_exits_2(case, case_files, tmp_path):
         **{name: (["verify", classifier_path, str(bad)], bad) for name in bad_datasets},
         "report_dir": (["verify", classifier_path, dataset_path,
                         "--report", str(missing_dir / "r.json")], missing_dir / "r.json"),
-        "image": (["encode-image", str(tmp_path / "missing.pgm")], tmp_path / "missing.pgm"),
+        "image": (["encode-image", str(tmp_path / "missing.pgm"),
+                   "--out", str(tmp_path / "state.json")], tmp_path / "missing.pgm"),
         "out_prefix": (["gen-qubit", "--n-train", "4", "--n-val", "2",
                         "--out-prefix", str(missing_dir / "x")],
                        missing_dir / "x_classifier.json"),
@@ -481,7 +497,7 @@ def test_cli_import_does_not_load_scipy(case_files, tmp_path):
     # Every subcommand needs only numpy, as does every qrv module.  Those that
     # read a classifier and a dataset load neither the samplers nor the case
     # study, which only gen-qubit, encode-image and the tests use, nor the
-    # channels, which only the legacy classifier layout reads, nor
+    # channels, as a classifier is read as its POVM effects, nor
     # dataclasses: results are NamedTuples.
     classifier_path, dataset_path = case_files
     report, sidecar = str(tmp_path / "r.json"), str(tmp_path / "a.json")
@@ -501,6 +517,54 @@ def test_cli_import_does_not_load_scipy(case_files, tmp_path):
         result = _run(["-c", code, forbidden, *argv])
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]", argv[0]
+
+
+def _earlier_layout(classifier_path, path):
+    """The case-study classifier at ``classifier_path`` rewritten in the
+    earlier layout, which is no longer read: an identity channel, then its
+    effects, which are projectors, as the measurement operators."""
+    doc = json.loads(Path(classifier_path).read_text())
+    doc["measurement"] = {"operators": doc.pop("effects")}
+    doc["channel"] = {"dim": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("layout", ["effects", "channel_measurement"])
+def test_reading_a_classifier_never_loads_channels(case_files, tmp_path, layout):
+    # Each reading command runs in one fresh process, in turn: with the
+    # effects layout it succeeds, and the earlier layout is one input error
+    # that names effects; neither loads the channels.
+    classifier_path, dataset_path = case_files
+    report, sidecar = str(tmp_path / "r.json"), str(tmp_path / "a.json")
+    assert main(["verify", classifier_path, dataset_path, "--epsilon", "0.002",
+                 "--report", report, "--adversarial", sidecar]) == 0
+    if layout != "effects":
+        classifier_path = _earlier_layout(classifier_path, tmp_path / "earlier.json")
+    inputs = [classifier_path, dataset_path]
+    commands = [["verify", *inputs, "--epsilon", "0.002",
+                 "--report", report, "--adversarial", sidecar],
+                ["recheck", *inputs, report, sidecar],
+                ["classify", *inputs],
+                ["bound", *inputs, "--epsilon", "0.002"]]
+    code = ("import contextlib, io, json, sys, qrv.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(err):\n"
+            "        code = qrv.cli.main(argv)\n"
+            "    print(json.dumps([code, err.getvalue(), 'qrv.channels' in sys.modules]))")
+    lines = _python(code, json.dumps(commands)).splitlines()
+    assert len(lines) == len(commands)
+    for argv, line in zip(commands, lines):
+        code, err, loaded = json.loads(line)
+        assert not loaded, argv[0]
+        if layout == "effects":
+            assert (code, err) == (0, ""), argv[0]
+        else:
+            assert code == 2, argv[0]
+            assert err.startswith(f"input error: {classifier_path}:$: "), argv[0]
+            assert err.count("\n") == 1 and "'effects'" in err, argv[0]
 
 
 def test_package_import_is_lazy():

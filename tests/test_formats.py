@@ -44,14 +44,13 @@ def round_trip(doc):
 
 
 def _pairs(a):
-    """``a`` in the ``[re, im]`` pairs layout, as the image_margin generator
-    in ``bench/workloads.py`` builds it."""
+    """``a`` in the ``[re, im]`` pairs layout."""
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _kraus_doc(kraus, operators, labels=("0", "1")):
-    """A classifier in the earlier channel-plus-measurement layout, built
-    from arrays as pairs."""
+    """A classifier in the earlier channel-plus-measurement layout, which is
+    no longer read, built from arrays as pairs."""
     return {
         "format": FORMAT_TAG, "kind": "classifier", "labels": list(labels),
         "channel": {"dim": kraus[0].shape[1], "kraus": [_pairs(k) for k in kraus]},
@@ -156,21 +155,16 @@ class TestSchemaErrors:
             parse_dataset(doc)
 
     def test_ragged_matrix_rejected(self):
-        doc = _kraus_doc([np.eye(2)], _Z)
-        doc["channel"]["kraus"] = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]
+        doc = _effects_doc(_Z)
+        doc["effects"][0] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
         with pytest.raises(SchemaError) as err:
             parse_classifier(doc)
-        assert str(err.value) == "channel.kraus[0][1]: row has 1 entries, expected 2"
-
-    def test_dim_mismatch_rejected(self):
-        doc = _kraus_doc([np.eye(2)], _Z)
-        doc["channel"]["dim"] = 4
-        with pytest.raises(SchemaError) as err:
-            parse_classifier(doc)
-        assert err.value.path == "channel.dim"
+        assert str(err.value) == "effects[0][1]: row has 1 entries, expected 2"
 
 
 _LOW = 10 * PSD_TOL
+_EARLIER_LAYOUT = ("$: the 'channel' and 'measurement' layout is no longer read; "
+                   "a classifier holds its POVM as 'effects'")
 _BAD_CLASSIFIERS = {
     "non-Hermitian effect": (
         _effects_doc([[[1.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
@@ -189,12 +183,14 @@ _BAD_CLASSIFIERS = {
         "effects: effects have mixed dims"),
     "label count": (
         _effects_doc(_Z, labels=["a", "b", "c"]), "effects: 3 labels for 2 effects"),
+    "earlier layout": (_kraus_doc([np.eye(2)], _Z), _EARLIER_LAYOUT),
     "both layouts": (
         {**_kraus_doc([np.eye(2)], _Z), "effects": _effects_doc(_Z)["effects"]},
-        "$: a classifier holds either 'effects' or 'channel' and 'measurement'"),
+        _EARLIER_LAYOUT),
+    "measurement only": ({**_effects_doc(_Z), "measurement": {}}, _EARLIER_LAYOUT),
     "neither layout": (
         {"format": FORMAT_TAG, "kind": "classifier", "labels": ["0", "1"]},
-        "$: a classifier holds either 'effects' or 'channel' and 'measurement'"),
+        "$: missing required key 'effects'"),
 }
 
 
@@ -411,14 +407,14 @@ class TestBinaryLayout:
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_pairs_files_of_any_layout_still_load(self, rng, tmp_path, indent):
-        # Compact pairs as bench/workloads.py's image_margin writes them, and
-        # the indented layout of earlier versions, at sizes now written binary.
+        # Compact pairs, and the indented layout of earlier versions, at sizes
+        # now written binary.
         channel = random_kraus_channel(16, rng, kraus_rank=2)
         u = random_unitary(16, rng)
         operators = [u[:, :8] @ u[:, :8].conj().T, u[:, 8:] @ u[:, 8:].conj().T]
         c = Classifier.from_kraus(channel, operators)
         states = [(random_pure_state(256, rng), 0), (random_density_matrix(16, rng), 1)]
-        clf_doc = _kraus_doc(channel.kraus, operators)
+        clf_doc = _effects_doc(c.dual_effects)
         data_doc = {"format": FORMAT_TAG, "kind": "dataset", "states": [
             {"kind": "pure", "data": _pairs(states[0][0].amplitudes), "label": 0},
             {"kind": "density", "data": _pairs(states[1][0].matrix), "label": 1}]}
