@@ -8,7 +8,9 @@ Exit codes: 0 success; 1 verification found non-robust states and
 or ``recheck`` found a mismatch; 2 input/schema error or a file that
 cannot be read or written, printed with the failing document path, or a
 malformed ``QRV_MAX_DIM``, checked before any file is read; 3 any
-other qrv error (the exact bound has no solver that can fail).
+other qrv error (the exact bound has no solver that can fail); 141, printing
+nothing, a pipe the command wrote to was closed (128 + SIGPIPE): its files
+are written before it prints, but one that is itself a pipe may be cut short.
 
 Each command is one short process, so its start-up and teardown count.
 Unless already set, ``OPENBLAS_NUM_THREADS`` is 1 before numpy loads, and
@@ -17,7 +19,8 @@ of ``qrv`` and ``python -m qrv.cli``, then freezes (``gc.freeze``) what they
 made and, after the command, what it left.  ``recheck`` and ``casestudy``
 load only for ``recheck``, ``gen-qubit`` and ``encode-image``; a command
 that reads a classifier reads its POVM ``effects`` and never loads
-``channels``.  No output may name an input or another output of its command.
+``channels``.  No output may name an input or another output of its command;
+``verify`` writes its runs as :func:`qrv.formats.emit_reports` does for a library.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ EXIT_NON_ROBUST = 1
 EXIT_MISMATCH = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _sig4(x: float) -> str:
@@ -130,13 +134,6 @@ def _cmd_classify(args) -> int:
     ]
     hits = sum(ok for *_, ok in rows)
     acc = hits / len(dataset)
-    print(f"accuracy: {_sig4(acc)}  ({hits}/{len(dataset)})")
-    print(f"{'index':>5}  {'label':>5}  {'predicted':>9}  {'margin':>10}  tie  correct")
-    for i, label, pred, margin, tie, ok in rows:
-        print(
-            f"{i:>5}  {classifier.labels[label]:>5}  {classifier.labels[pred]:>9}  "
-            f"{_sig4(margin):>10}  {'y' if tie else 'n':>3}  {'y' if ok else 'n'}"
-        )
     if args.report:
         doc = {
             "format": formats.FORMAT_TAG,
@@ -149,6 +146,13 @@ def _cmd_classify(args) -> int:
             ],
         }
         formats.write_json(args.report, doc)
+    print(f"accuracy: {_sig4(acc)}  ({hits}/{len(dataset)})")
+    print(f"{'index':>5}  {'label':>5}  {'predicted':>9}  {'margin':>10}  tie  correct")
+    for i, label, pred, margin, tie, ok in rows:
+        print(
+            f"{i:>5}  {classifier.labels[label]:>5}  {classifier.labels[pred]:>9}  "
+            f"{_sig4(margin):>10}  {'y' if tie else 'n':>3}  {'y' if ok else 'n'}"
+        )
     return EXIT_OK
 
 
@@ -158,14 +162,14 @@ def _cmd_verify(args) -> int:
 
     options = VerifyOptions(seed=args.seed)
     reports = verify_epsilons(classifier, dataset, epsilons, options=options)
-    docs = []
-    for report in reports:
-        doc = formats.emit_report(report, include_timings=not args.omit_timings)
-        doc["under_approx_seconds"] = (
-            None if args.omit_timings else report.timings["margin_seconds"])
-        docs.append(doc)
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+    if args.report:
+        formats.write_json(args.report, formats.emit_reports(
+            reports, include_timings=not args.omit_timings))
+    if args.adversarial:
+        formats.write_json(args.adversarial, formats.emit_adversarial_sidecar(
+            [w for r in reports for w in r.adversarial], dataset))
+    for warning in reports[0].warnings:  # every run has the same warnings
+        print(f"warning: {warning}", file=sys.stderr)
 
     _row("Robust Accuracy (%)", [f"eps={_sig4(r.epsilon):>10}" for r in reports])
     _row("  margin bound (under-approx)",
@@ -179,22 +183,6 @@ def _cmd_verify(args) -> int:
         print(
             f"eps={_sig4(report.epsilon)}: {report.adversarial_count} adversarial "
             f"example(s), {report.n_states - report.n_correct} misclassified"
-        )
-
-    if args.report:
-        if len(docs) == 1:
-            formats.write_json(args.report, docs[0])
-        else:
-            formats.write_json(
-                args.report,
-                {"format": formats.FORMAT_TAG, "kind": "verification_report_set",
-                 "runs": docs},
-            )
-    if args.adversarial:
-        formats.write_json(
-            args.adversarial,
-            formats.emit_adversarial_sidecar(
-                [w for r in reports for w in r.adversarial], dataset),
         )
 
     if args.strict and any(r.adversarial_count for r in reports):
@@ -223,9 +211,6 @@ def _cmd_bound(args) -> int:
         t0 = time.perf_counter()
         ura = under_robust_accuracy(classifier, dataset, eps)
         rows.append((eps, ura, time.perf_counter() - t0))
-    _row("Robust Accuracy (%)", [f"eps={_sig4(eps):>10}" for eps, *_ in rows])
-    _row("  margin bound (under-approx)", [f"{100 * ura:.2f}" for _, ura, _ in rows])
-    _row("Time (s)", [_sig4(t) for *_, t in rows])
     if args.report:
         formats.write_json(
             args.report,
@@ -238,6 +223,9 @@ def _cmd_bound(args) -> int:
                 ],
             },
         )
+    _row("Robust Accuracy (%)", [f"eps={_sig4(eps):>10}" for eps, *_ in rows])
+    _row("  margin bound (under-approx)", [f"{100 * ura:.2f}" for _, ura, _ in rows])
+    _row("Time (s)", [_sig4(t) for *_, t in rows])
     return EXIT_OK
 
 
@@ -346,7 +334,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         dimension_cap()  # a malformed QRV_MAX_DIM is not blamed on the first file read
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left; each command wrote its files first
+        return EXIT_BROKEN_PIPE
     except ValidationError as exc:  # SchemaError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -363,6 +355,8 @@ def run() -> int:
     """Process entry: :func:`main`, with what outlives it frozen."""
     gc.freeze()
     code = main()
+    if code == EXIT_BROKEN_PIPE:  # what stdout still holds is flushed nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     return code
 

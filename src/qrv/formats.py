@@ -20,7 +20,8 @@ of what it was built from.  :func:`write_json` writes compact JSON
 (CPython's C encoder); any layout is read, indented included.
 
 A classifier is read and written as its POVM ``effects`` only, so reading
-a file never loads ``channels``.
+a file never loads ``channels``.  :func:`emit_reports` writes a verification
+run, for ``qrv verify`` and library callers alike, as ``qrv recheck`` reads it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "emit_dataset",
     "parse_dataset",
     "emit_report",
+    "emit_reports",
     "emit_adversarial_sidecar",
     "write_json",
     "read_json",
@@ -281,7 +283,7 @@ def emit_adversarial_sidecar(witnesses: list, dataset: LabeledDataset) -> dict:
 
 def emit_report(report, *, include_timings: bool = True) -> dict:
     """A ``VerificationReport``'s document; timings are wall-clock and can be
-    omitted when a byte-reproducible document is needed."""
+    omitted (``under_approx_seconds`` null) for a byte-reproducible document."""
     doc = {
         "format": FORMAT_TAG,
         "kind": "verification_report",
@@ -299,7 +301,16 @@ def emit_report(report, *, include_timings: bool = True) -> dict:
     }
     if include_timings:
         doc["timings"] = dict(report.timings)
+    doc["under_approx_seconds"] = report.timings["margin_seconds"] if include_timings else None
     return doc
+
+
+def emit_reports(reports, *, include_timings: bool = True) -> dict:
+    """A ``verify_epsilons`` run's document: its one report's, or a
+    ``verification_report_set`` of its ``runs`` in order."""
+    docs = [emit_report(r, include_timings=include_timings) for r in reports]
+    return docs[0] if len(docs) == 1 else {
+        "format": FORMAT_TAG, "kind": "verification_report_set", "runs": docs}
 
 
 # ---------------------------------------------------------------------------

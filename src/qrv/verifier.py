@@ -258,10 +258,19 @@ def _witness_factor(
     return np.hstack([x, kernel])
 
 
+def _gap(classifier: Classifier, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rival ``k``'s gap eigenpairs as the bound reads them: a least eigenvalue
+    in (0, ``TIE_TOL``], where :func:`classify_batch` calls a gap a tie, is
+    lowered to 0, so the rival is reachable; the lower operator widens the
+    flip set, and delta stays a sound lower bound."""
+    a, vectors = classifier.gap_spectrum(label, k)
+    return (a - a[0] if 0.0 < a[0] <= TIE_TOL else a), vectors
+
+
 def _rotate(classifier: Classifier, root: np.ndarray, label: int, k: int):
     """rho's factor ``F = V^dag root`` in the gap eigenbasis of rival ``k``
     (``V^dag rho V = F F^dag``) and the weights ``r_i = <v_i|rho|v_i>``."""
-    factor = classifier.gap_spectrum(label, k)[1].conj().T @ root
+    factor = _gap(classifier, label, k)[1].conj().T @ root
     return factor, (np.abs(factor) ** 2).sum(axis=1)
 
 
@@ -276,7 +285,7 @@ def bound_at(classifier: Classifier, weights, label: int, shifts) -> tuple[dict,
     for k, w in enumerate(shifts):
         if k == label:
             continue
-        a = classifier.gap_spectrum(label, k)[0]
+        a = _gap(classifier, label, k)[0]
         if w is None:
             per_class[k] = None if a[0] > 0.0 else 0.0
         else:
@@ -293,7 +302,7 @@ def compute_optimal_bound(
     distance, each from the two-multiplier fidelity dual.
 
     A rival class whose flip constraint is infeasible (its gap operator is
-    positive definite) contributes an unbounded radius; when every rival is
+    positive definite past ``TIE_TOL``) has an unbounded radius; when every rival is
     unreachable the state is robust at every eps < 1.  A rival already
     tied at rho contributes delta 0 with no solve.  The witness is the
     pure state ``phi*`` for a pure input and ``sigma*`` for a mixed one, and
@@ -315,7 +324,7 @@ def compute_optimal_bound(
     for k in range(n):
         if k == label:
             continue
-        a = classifier.gap_spectrum(label, k)[0]
+        a = _gap(classifier, label, k)[0]
         if a[0] > 0.0:
             continue  # class unreachable by any state
         _, r = rotated[k] = _rotate(classifier, root, label, k)
@@ -330,7 +339,7 @@ def compute_optimal_bound(
         return OptimalBound(delta=None, unbounded=True, argmin_class=None, witness=None,
                             per_class=per_class, shifts=shifts)
     delta = per_class[k_star]
-    a, vectors = classifier.gap_spectrum(label, k_star)
+    a, vectors = _gap(classifier, label, k_star)
     factor, r = rotated[k_star]
     factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
     if isinstance(state, PureState):

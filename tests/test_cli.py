@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import re
@@ -19,10 +21,19 @@ from qrv.casestudy import (
 )
 from qrv.cli import build_parser, main
 from qrv.errors import ValidationError
-from qrv.formats import load_state, save_classifier, save_dataset
+from qrv.formats import (
+    emit_reports,
+    load_classifier,
+    load_dataset,
+    load_state,
+    save_classifier,
+    save_dataset,
+    write_json,
+)
 from qrv.classifiers import LabeledDataset, classify_batch
 from qrv.sampling import random_classifier, random_density_matrix
 from qrv.states import PureState
+from qrv.verifier import verify_epsilons
 
 
 @pytest.fixture
@@ -226,6 +237,28 @@ class TestVerifyCommand:
         assert "input error: " in captured.err and " names the same file as " in captured.err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("epsilons", [(0.002,), (0.004, 0.001, 0.002, 0.008)])
+    def test_library_run_writes_the_cli_document(self, case_files, tmp_path, epsilons):
+        classifier_path, dataset_path = case_files
+        cli, library = tmp_path / "cli.json", tmp_path / "library.json"
+        assert main(["verify", classifier_path, dataset_path, "--omit-timings",
+                     "--epsilon", ",".join(map(str, epsilons)), "--report", str(cli)]) == 0
+        reports = verify_epsilons(load_classifier(classifier_path),
+                                  load_dataset(dataset_path), epsilons)
+        write_json(library, emit_reports(reports, include_timings=False))
+        assert library.read_bytes() == cli.read_bytes()
+
+    def test_prints_each_warning_once(self, tmp_path, capsys):
+        # Every run of a table carries the accuracy warning; it is printed once.
+        prefix = str(tmp_path / "undertrained")
+        assert main(["gen-qubit", "--theta-star", "0.9", "--n-train", "40", "--n-val", "4",
+                     "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        assert main(["verify", f"{prefix}_classifier.json", f"{prefix}_train.json",
+                     "--epsilon", "0.001,0.002,0.003"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: classifier accuracy 0.5250 ") == 1, err
+
     def test_omit_timings_is_byte_reproducible(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -420,15 +453,20 @@ class TestEncodeImage:
                                    rtol=0, atol=1e-12)
 
 
-def _run(argv, **env_set):
-    """``python argv`` with src on the path, no inherited
-    OPENBLAS_NUM_THREADS, and ``env_set`` added to the environment."""
+def _env(**env_set):
+    """The environment with src on the path, no inherited
+    OPENBLAS_NUM_THREADS, and ``env_set`` added."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     env.update(env_set)
-    return subprocess.run([sys.executable, *argv], env=env,
+    return env
+
+
+def _run(argv, **env_set):
+    """``python argv`` in :func:`_env`."""
+    return subprocess.run([sys.executable, *argv], env=_env(**env_set),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -623,6 +661,43 @@ def test_process_entry_freezes_and_matches_main(case_files, tmp_path):
     assert _python(code, *argv).splitlines()[-1] == "0 True True []"
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'qrv = "qrv.cli:run"' in pyproject
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["verify", "--epsilon", "0.002,0.004",
+                                                 "--omit-timings"],
+                                  ["bound", "--epsilon", "0.002,0.004"]])
+def test_closed_stdout_exits_141_after_writing_the_report(case_files, tmp_path, capsys,
+                                                          monkeypatch, argv):
+    command = [argv[0], *case_files, *argv[1:], "--report"]
+    assert main([*command, str(tmp_path / "unpiped.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main([*command, str(tmp_path / "piped.json")]) == 141
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "piped.json").read_bytes()
+            == (tmp_path / "unpiped.json").read_bytes())
+
+
+def test_closed_pipe_exits_141_with_nothing_on_stderr(tmp_path):
+    # 4000 rows overfill a 64 KiB pipe, so the command is still writing
+    # when its reader leaves after one line.
+    classifier, train, _ = generate_qubit_case_study(n_train=4000, n_val=2, seed=0)
+    paths = [str(tmp_path / name) for name in ("c.json", "d.json", "r.json")]
+    save_classifier(paths[0], classifier)
+    save_dataset(paths[1], train)
+    proc = subprocess.Popen([sys.executable, "-m", "qrv.cli", "classify", *paths[:2],
+                             "--report", paths[2]], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"accuracy: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+    assert json.loads(Path(paths[2]).read_text())["kind"] == "classification_report"
 
 
 def test_recheck_reads_a_binary_sidecar(tmp_path):

@@ -190,6 +190,22 @@ def test_zero_minimum_eigenvalue_gap():
     check_witness(classifier, rho, 0, bound)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_singular_gap_rounded_positive_stays_reachable(seed):
+    # The gap U^dag diag(1, 0) U is singular: its kernel vector ties the two
+    # classes at distance 0.7.  On 17 of these rotations eigh rounds its
+    # zero eigenvalue to about +4e-17, which must not make the rival
+    # unreachable.
+    u = random_unitary(2, np.random.default_rng(seed))
+    classifier = Classifier([u.conj().T @ np.diag(d) @ u for d in ([1, .5], [0, .5])])
+    rho = DensityMatrix(u.conj().T @ np.diag([.7, .3]) @ u)
+    bound = compute_optimal_bound(classifier, rho, 0)
+    assert not bound.unbounded
+    assert 0.7 - 2e-8 <= bound.delta <= 0.7
+    outcome = classify(classifier, bound.witness)
+    assert outcome.label_index == 1 or outcome.tie
+
+
 def test_gap_spectrum_is_cached():
     classifier = random_classifier(4, np.random.default_rng(3), n_classes=3)
     first = classifier.gap_spectrum(0, 2)

@@ -19,7 +19,12 @@ from conftest import classified_instance
 from qrv.cli import main
 from qrv.classifiers import Classifier, LabeledDataset, classify_batch
 from qrv.formats import save_classifier, save_dataset
-from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
+from qrv.sampling import (
+    random_classifier,
+    random_density_matrix,
+    random_pure_state,
+    random_unitary,
+)
 from qrv.states import DensityMatrix, PureState, _state_factor
 from qrv.verifier import StateVerdict, _dual_value, compute_optimal_bound
 
@@ -439,6 +444,26 @@ def test_tied_verdicts_recheck(degenerate, tmp_path, capsys):
     assert report["verdicts"][2]["tie"] is False
     assert [e["source_index"] for e in sidecar["states"]][:2] == [0, 1]
     code, out = recheck(degenerate["tied"], "tied", report, sidecar, tmp_path, capsys)
+    assert code == 0, out
+
+
+def test_singular_gap_rounded_positive_verifies_and_rechecks(tmp_path, capsys):
+    # eigh rounds the zero eigenvalue of this singular gap to about +4e-17.
+    # Its kernel vector ties the classes at distance 0.7, so the rival is
+    # reachable and 0.75 has an adversarial example.
+    u = random_unitary(2, np.random.default_rng(0))
+    classifier = Classifier([u.conj().T @ np.diag(d) @ u for d in ([1, .5], [0, .5])])
+    assert 0.0 < classifier.gap_spectrum(0, 1)[0][0] <= qrv.verifier.TIE_TOL
+    rho = DensityMatrix(u.conj().T @ np.diag([.7, .3]) @ u)
+    paths = {"classifier": str(tmp_path / "c.json"), "singular": str(tmp_path / "d.json")}
+    save_classifier(paths["classifier"], classifier)
+    save_dataset(paths["singular"], LabeledDataset([(rho, 0)]))
+    run = tmp_path / "run_r.json", tmp_path / "run_a.json"
+    assert main(["verify", paths["classifier"], paths["singular"], "--epsilon", "0.5,0.75",
+                 "--omit-timings", "--report", str(run[0]), "--adversarial", str(run[1])]) == 0
+    report, sidecar = (json.loads(path.read_text()) for path in run)
+    assert [r["adversarial_count"] for r in report["runs"]] == [0, 1]
+    code, out = recheck(paths, "singular", report, sidecar, tmp_path, capsys)
     assert code == 0, out
 
 
