@@ -21,7 +21,6 @@ from .states import (
     PAULI_Z,
     as_complex_matrix,
     require_hermitian,
-    state_matrix,
 )
 
 __all__ = [
@@ -77,11 +76,11 @@ class KrausChannel:
 
     def apply(self, rho) -> DensityMatrix:
         """Channel action sum_k E_k rho E_k^dag on a state."""
-        m = state_matrix(rho)
-        if m.shape[0] != self.dim_in:
+        if rho.dim != self.dim_in:
             raise DimensionMismatch(
-                f"state dim {m.shape[0]} does not match channel input {self.dim_in}"
+                f"state dim {rho.dim} does not match channel input {self.dim_in}"
             )
+        m = rho.matrix
         out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
         for e in self.kraus:
             out += e @ m @ e.conj().T

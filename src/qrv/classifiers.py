@@ -23,7 +23,6 @@ from .states import (
     PureState,
     as_complex_matrix,
     require_hermitian,
-    state_matrix,
 )
 
 __all__ = [
@@ -139,26 +138,22 @@ class BatchClassification(NamedTuple):
 def _probability_rows(classifier: Classifier, states) -> np.ndarray:
     """p[n, k] = tr(N_k rho_n) for a sequence of states, clamped to [0, 1].
 
-    Pure states are contracted as amplitude vectors and everything else as
-    density matrices, each group in one contraction with the stacked
-    effects.
+    Pure states are contracted as amplitude vectors and density matrices as
+    matrices, each group in one contraction with the stacked effects.
     """
     effects = classifier.dual_effects
     vector_rows, vectors, matrix_rows, matrices = [], [], [], []
     for i, state in enumerate(states):
+        if state.dim != classifier.dim:
+            raise DimensionMismatch(
+                f"state dim {state.dim} does not match classifier dim {classifier.dim}"
+            )
         if isinstance(state, PureState):
-            dim = state.dim
             vector_rows.append(i)
             vectors.append(state.amplitudes)
         else:
-            m = state_matrix(state)
-            dim = m.shape[0]
             matrix_rows.append(i)
-            matrices.append(m)
-        if dim != classifier.dim:
-            raise DimensionMismatch(
-                f"state dim {dim} does not match classifier dim {classifier.dim}"
-            )
+            matrices.append(state.matrix)
     probs = np.empty((len(vectors) + len(matrices), len(effects)))
     if vectors:
         v = np.array(vectors)

@@ -41,9 +41,10 @@ def dimension_cap() -> int:
 
     Defaults to 256 (8 qubits); override with the QRV_MAX_DIM environment
     variable.  The optimal bound costs a few dense eigendecompositions per
-    mixed state, cubic in the dimension (about 0.04 s for a rank-2 one and
-    0.0013 s for a pure one at dim 256 on a 2-vCPU Xeon), and every dense
-    matrix takes 16 dim^2 bytes, so the cap bounds run time and memory.
+    mixed state, of the state and of its witness, cubic in the dimension
+    (about 0.07 s for a rank-2 one and 0.0013 s for a pure one at dim 256
+    on a 2-vCPU Xeon), and every dense matrix takes 16 dim^2 bytes, so the
+    cap bounds run time and memory.
     """
     raw = os.environ.get(MAX_DIM_ENV_VAR)
     if raw is None:

@@ -9,7 +9,7 @@ every key of the rebuilt document must equal the recorded one.  Each
 non-robust verdict takes the next sidecar witness, which must be for its
 entry, target the rival that sets delta, carry its label and distance, lie
 within ``eps + WITNESS_BUDGET`` and change the class.  The bound and the
-witness distance read one factor of rho, rotated once per rival for all runs.
+witness distance read rho's cached factor, rotated once per rival for all runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .classifiers import Classifier, LabeledDataset, classify_batch
 from .errors import SchemaError
 from .formats import FORMAT_TAG, emit_report
-from .states import _factor_sqrt_fidelity, _state_factor
+from .states import sqrt_fidelity
 from .verifier import WITNESS_BUDGET, OptimalBound, _rotate, assemble_reports, bound_at
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
@@ -79,8 +79,7 @@ def recheck_report(
     batch = classify_batch(classifier, states)
     wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
     queue = iter(enumerate(witnesses))
-    root = functools.cache(lambda i: _state_factor(states[i]))
-    weights = functools.cache(lambda i, k: _rotate(classifier, root(i), labels[i], k)[1])
+    weights = functools.cache(lambda i, k: _rotate(classifier, states[i].factor, labels[i], k)[1])
     problems = []
 
     for run in runs:
@@ -112,7 +111,7 @@ def recheck_report(
                 bad(i, "source_index", "no sidecar witness is left" if j is None
                     else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
                 return bound._replace(witness_distance=distance), 0.0
-            measured = 1.0 - _factor_sqrt_fidelity(root(i), _state_factor(sigma)) ** 2
+            measured = 1.0 - sqrt_fidelity(states[i], sigma) ** 2
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
                 "label": label, "target_class": rival,
                 "distance": _kept(entry.get("distance"), measured, DISTANCE_TOL),

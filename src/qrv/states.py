@@ -1,10 +1,14 @@
 """Quantum states and the distance metrics between them.
 
 Pure states are unit complex vectors; mixed states are density matrices
-(Hermitian, positive semidefinite, unit trace).  The distance used for
-robustness verdicts is ``D(rho, sigma) = 1 - F(rho, sigma)`` where ``F``
-is the fidelity ``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2``; the trace
-distance is provided alongside for comparison.
+(Hermitian, positive semidefinite, unit trace).  Each state has a
+``matrix`` and a square-root ``factor`` R with ``rho = R R^dag``: a pure
+state's amplitude column, or a density matrix's scaled eigenvectors,
+computed on first use and cached.  The distance used for robustness
+verdicts is ``D(rho, sigma) = 1 - F(rho, sigma)`` where ``F`` is the
+fidelity ``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2``, read from the two
+factors alone (Uhlmann: ``sqrt(F) = ||R^dag S||_tr``); the trace distance
+is provided alongside for comparison.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ class PureState:
     stored amplitudes are always unit norm to machine precision.
     """
 
-    __slots__ = ("amplitudes", "dim")
+    __slots__ = ("amplitudes", "dim", "factor")
 
     def __init__(self, amplitudes):
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
@@ -99,6 +103,12 @@ class PureState:
         check_dimension(arr.size)
         self.amplitudes = arr
         self.dim = arr.size
+        self.factor = arr[:, None]  # rho = |psi><psi| = factor factor^dag
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The projector |psi><psi|."""
+        return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -115,10 +125,10 @@ class DensityMatrix:
 
     Construction validates all three invariants: Hermitian to
     ``HERM_TOL``, trace 1 to ``TRACE_TOL``, no eigenvalue below
-    ``-PSD_TOL``.
+    ``-PSD_TOL``.  Its ``factor`` is computed on first use and cached.
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix", "dim", "_factor")
 
     def __init__(self, matrix):
         m = require_hermitian(matrix, "density matrix")
@@ -133,6 +143,18 @@ class DensityMatrix:
             )
         self.matrix = m
         self.dim = m.shape[0]
+        self._factor = None
+
+    @property
+    def factor(self) -> np.ndarray:
+        """R with ``rho = R R^dag``: the eigenvectors of nonzero eigenvalue
+        (after :func:`_suppress_spectral_junk`) scaled by their square roots."""
+        if self._factor is None:
+            w, v = np.linalg.eigh(self.matrix)
+            w = _suppress_spectral_junk(w)
+            keep = w > 0.0
+            self._factor = v[:, keep] * np.sqrt(w[keep])
+        return self._factor
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -141,22 +163,11 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def state_matrix(state) -> np.ndarray:
-    """Density-matrix array of a PureState, DensityMatrix, or raw array."""
-    if isinstance(state, PureState):
-        v = state.amplitudes
-        return np.outer(v, v.conj())
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return as_complex_matrix(state, square=True)
-
-
 def pure_to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a pure state."""
     if not isinstance(psi, PureState):
         psi = PureState(psi)
-    v = psi.amplitudes
-    return DensityMatrix(np.outer(v, v.conj()))
+    return DensityMatrix(psi.matrix)
 
 
 def _suppress_spectral_junk(w: np.ndarray) -> np.ndarray:
@@ -195,32 +206,16 @@ def _check_same_dims(rho, sigma) -> None:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
 
 
-def _state_factor(state) -> np.ndarray:
-    """A factor R with ``rho = R R^dag``: a pure state's amplitude column,
-    or a density matrix's eigenvectors of nonzero eigenvalue scaled by
-    their square roots."""
-    if isinstance(state, PureState):
-        return state.amplitudes[:, None]
-    w, v = np.linalg.eigh(state.matrix)
-    w = _suppress_spectral_junk(w)
-    keep = w > 0.0
-    return v[:, keep] * np.sqrt(w[keep])
-
-
-def _factor_sqrt_fidelity(r: np.ndarray, s: np.ndarray) -> float:
-    """sqrt(F) of ``R R^dag`` and ``S S^dag``: the trace norm of ``R^dag S``
-    (its Euclidean norm if it has one row or column), clamped to [0, 1]."""
-    m = r.conj().T @ s
+def sqrt_fidelity(rho, sigma) -> float:
+    """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)) in [0, 1] of two
+    states, each a PureState or a DensityMatrix: the trace norm of
+    ``R^dag S`` for their factors (its Euclidean norm if it has one row or
+    column), clamped to [0, 1]."""
+    _check_same_dims(rho, sigma)
+    m = rho.factor.conj().T @ sigma.factor
     value = float(np.linalg.norm(m) if 1 in m.shape
                   else np.sum(np.linalg.svd(m, compute_uv=False)))
     return min(max(value, 0.0), 1.0)
-
-
-def sqrt_fidelity(rho, sigma) -> float:
-    """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)) in [0, 1] of two
-    states, each a PureState or a DensityMatrix."""
-    _check_same_dims(rho, sigma)
-    return _factor_sqrt_fidelity(_state_factor(rho), _state_factor(sigma))
 
 
 def fidelity(rho, sigma) -> float:
@@ -228,15 +223,16 @@ def fidelity(rho, sigma) -> float:
 
     Either argument is a PureState or a DensityMatrix.  Computed as
     ``||R^dag S||_tr^2`` from factors ``rho = R R^dag``, ``sigma = S S^dag``
-    (one ``eigh`` per density matrix, none for a pure state); symmetric
+    (one cached ``eigh`` per density matrix, none for a pure state); symmetric
     in its arguments up to numerical noise.  For pure states it is
     |<psi|phi>|^2.
     """
     return sqrt_fidelity(rho, sigma) ** 2
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Trace distance 0.5 * ||rho - sigma||_tr in [0, 1]."""
+def trace_distance(rho, sigma) -> float:
+    """Trace distance 0.5 * ||rho - sigma||_tr in [0, 1] of two states, each
+    a PureState or a DensityMatrix."""
     _check_same_dims(rho, sigma)
     diff = rho.matrix - sigma.matrix
     w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))

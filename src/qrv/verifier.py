@@ -58,7 +58,7 @@ from .classifiers import (
 )
 from .config import TIE_TOL
 from .errors import MisclassifiedInput, ValidationError
-from .states import DensityMatrix, PureState, _factor_sqrt_fidelity, _state_factor
+from .states import DensityMatrix, PureState, sqrt_fidelity
 
 __all__ = [
     "VerifyOptions",
@@ -306,13 +306,13 @@ def compute_optimal_bound(
     unreachable the state is robust at every eps < 1.  A rival already
     tied at rho contributes delta 0 with no solve.  The witness is the
     pure state ``phi*`` for a pure input and ``sigma*`` for a mixed one, and
-    its distance ``1 - F`` is measured on its square-root factor, the one
-    the dual built.  With no ``label`` the state is classified; a rival
-    ahead of a stated one (``tr(A rho) = p_label - p_k < 0``) by more than
-    ``TIE_TOL`` raises :class:`MisclassifiedInput`, and one ahead by less
-    is tied, as batch classification flags it.
+    its distance ``1 - F`` is measured on the state returned, as
+    ``qrv recheck`` measures it from the saved file.  With no ``label`` the
+    state is classified; a rival ahead of a stated one (``tr(A rho) =
+    p_label - p_k < 0``) by more than ``TIE_TOL`` raises
+    :class:`MisclassifiedInput`, and one ahead by less is tied, as batch
+    classification flags it.
     """
-    root = _state_factor(state)
     n = classifier.n_classes
     if label is None:
         label = classify(classifier, state).label_index
@@ -327,7 +327,7 @@ def compute_optimal_bound(
         a = _gap(classifier, label, k)[0]
         if a[0] > 0.0:
             continue  # class unreachable by any state
-        _, r = rotated[k] = _rotate(classifier, root, label, k)
+        _, r = rotated[k] = _rotate(classifier, state.factor, label, k)
         if (gap := float(a @ r)) < -TIE_TOL:
             raise MisclassifiedInput(f"class {k} is ahead of the stated label {label} by "
                                      f"{-gap:.3e}; a misclassified state has no radius")
@@ -342,12 +342,9 @@ def compute_optimal_bound(
     a, vectors = _gap(classifier, label, k_star)
     factor, r = rotated[k_star]
     factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
-    if isinstance(state, PureState):
-        witness = PureState(factor.sum(axis=1))  # unit norm already
-        factor = witness.amplitudes[:, None]
-    else:
-        witness = DensityMatrix(factor @ factor.conj().T)
-    distance = 1.0 - _factor_sqrt_fidelity(root, factor) ** 2
+    witness = (PureState(factor.sum(axis=1)) if isinstance(state, PureState)  # unit norm
+               else DensityMatrix(factor @ factor.conj().T))
+    distance = 1.0 - sqrt_fidelity(state, witness) ** 2
     return OptimalBound(delta=delta, unbounded=False, argmin_class=k_star, witness=witness,
                         per_class=per_class, witness_distance=distance, shifts=shifts)
 

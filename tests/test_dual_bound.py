@@ -24,7 +24,7 @@ from qrv.sampling import (
     random_unitary,
 )
 from qrv.config import TIE_TOL
-from qrv.states import DensityMatrix, PureState, _state_factor, fidelity, pure_to_density
+from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
 from qrv.verifier import compute_optimal_bound
 from sdp_oracle import EQ, LE, extract_fidelity_solution, solve, sqrt_fidelity_sdp
 
@@ -195,13 +195,16 @@ def test_singular_gap_rounded_positive_stays_reachable(seed):
     # The gap U^dag diag(1, 0) U is singular: its kernel vector ties the two
     # classes at distance 0.7.  On 17 of these rotations eigh rounds its
     # zero eigenvalue to about +4e-17, which must not make the rival
-    # unreachable.
+    # unreachable.  The witness distance is 1 - F of the witness returned,
+    # as recheck measures it, and lies at or past delta.
     u = random_unitary(2, np.random.default_rng(seed))
     classifier = Classifier([u.conj().T @ np.diag(d) @ u for d in ([1, .5], [0, .5])])
     rho = DensityMatrix(u.conj().T @ np.diag([.7, .3]) @ u)
     bound = compute_optimal_bound(classifier, rho, 0)
     assert not bound.unbounded
     assert 0.7 - 2e-8 <= bound.delta <= 0.7
+    assert bound.witness_distance == 1.0 - fidelity(rho, bound.witness)
+    assert bound.witness_distance >= bound.delta
     outcome = classify(classifier, bound.witness)
     assert outcome.label_index == 1 or outcome.tie
 
@@ -235,7 +238,7 @@ def test_one_root_per_rival_and_one_witness_per_bound(monkeypatch):
                                                  min_margin=0.02)
     for k in set(range(3)) - {label}:
         a, vectors = classifier.gap_spectrum(label, k)
-        r = (np.abs(vectors.conj().T @ _state_factor(rho)) ** 2).sum(axis=1)
+        r = (np.abs(vectors.conj().T @ rho.factor) ** 2).sum(axis=1)
         assert a[0] < -2.0 * TIE_TOL and a @ r > 0.0  # reachable and untied
     bound = compute_optimal_bound(classifier, rho, label)
     assert [w is None for w in bound.shifts] == [k == label for k in range(3)]

@@ -25,7 +25,7 @@ from qrv.sampling import (
     random_pure_state,
     random_unitary,
 )
-from qrv.states import DensityMatrix, PureState, _state_factor
+from qrv.states import DensityMatrix, PureState
 from qrv.verifier import StateVerdict, _dual_value, compute_optimal_bound
 
 
@@ -99,24 +99,25 @@ def test_untouched_report_rechecks(saved, key, tmp_path, capsys, monkeypatch):
 
 
 def test_one_state_factor_per_exact_entry(saved, tmp_path, capsys, monkeypatch):
-    # Three classes give an exact entry up to two solved rivals; rho's
-    # factor is taken once for all of them and for its witness's distance,
-    # which adds only the witness's own factor.
+    # Three classes give an exact entry up to two solved rivals; across a
+    # report set, rho's factor is computed once for all of them and for its
+    # witnesses' distances, which add only each witness's own factor.
     calls = []
+    suppress = qrv.states._suppress_spectral_junk
 
-    def counting(state):
-        calls.append(state)
-        return _state_factor(state)
+    def counting(w):
+        calls.append(w)
+        return suppress(w)
 
-    for module in (qrv.recheck, qrv.states):
-        monkeypatch.setattr(module, "_state_factor", counting)
-    report, sidecar = load(saved, ("mixed", "single"))
-    solved = [sum(w is not None for w in v["dual_shifts"])
-              for v in report["verdicts"] if v["dual_shifts"]]
-    assert 2 in solved and sidecar["states"]
+    monkeypatch.setattr(qrv.states, "_suppress_spectral_junk", counting)
+    report, sidecar = load(saved, ("mixed", "set"))
+    solved = {i: sum(w is not None for w in v["dual_shifts"])
+              for run in report["runs"] for i, v in enumerate(run["verdicts"])
+              if v["dual_shifts"]}
+    assert len(report["runs"]) == 2 and 2 in solved.values() and sidecar["states"]
     code, out = recheck(saved, "mixed", report, sidecar, tmp_path, capsys)
     assert code == 0, out
-    assert len(calls) == sum(n > 0 for n in solved) + len(sidecar["states"])
+    assert len(calls) == sum(n > 0 for n in solved.values()) + len(sidecar["states"])
 
 
 def test_one_rotation_per_rival_across_runs(saved, tmp_path, capsys, monkeypatch):
@@ -447,13 +448,18 @@ def test_tied_verdicts_recheck(degenerate, tmp_path, capsys):
     assert code == 0, out
 
 
-def test_singular_gap_rounded_positive_verifies_and_rechecks(tmp_path, capsys):
-    # eigh rounds the zero eigenvalue of this singular gap to about +4e-17.
-    # Its kernel vector ties the classes at distance 0.7, so the rival is
-    # reachable and 0.75 has an adversarial example.
-    u = random_unitary(2, np.random.default_rng(0))
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_singular_gap_rounded_positive_verifies_and_rechecks(seed, tmp_path, capsys):
+    # eigh rounds the zero eigenvalue of this singular gap to about +4e-17
+    # on seed 0, and to about -1e-16 on the others, which puts the witness's
+    # own least eigenvalue at rounding level.  Its kernel vector ties the
+    # classes at distance 0.7, so the rival is reachable and 0.75 has an
+    # adversarial example, whose recorded distance recheck measures again
+    # from the saved witness.
+    u = random_unitary(2, np.random.default_rng(seed))
     classifier = Classifier([u.conj().T @ np.diag(d) @ u for d in ([1, .5], [0, .5])])
-    assert 0.0 < classifier.gap_spectrum(0, 1)[0][0] <= qrv.verifier.TIE_TOL
+    a_min = classifier.gap_spectrum(0, 1)[0][0]
+    assert abs(a_min) <= qrv.verifier.TIE_TOL and (a_min > 0.0) == (seed == 0)
     rho = DensityMatrix(u.conj().T @ np.diag([.7, .3]) @ u)
     paths = {"classifier": str(tmp_path / "c.json"), "singular": str(tmp_path / "d.json")}
     save_classifier(paths["classifier"], classifier)
@@ -534,7 +540,7 @@ def test_recorded_shift_certifies_delta_at_40_digits(kind, dim):
     for k in shifted:
         a, vectors = classifier.gap_spectrum(label, k)
         # r from a square-root factor of rho, as the verifier takes it
-        r = (np.abs(vectors.conj().T @ _state_factor(state)) ** 2).sum(axis=1)
+        r = (np.abs(vectors.conj().T @ state.factor) ** 2).sum(axis=1)
         # The recorded shift reproduces the bound bit for bit ...
         assert _dual_value(bound.shifts[k], a, r) == bound.per_class[k]
         # ... and certifies it in 40-digit arithmetic.

@@ -10,11 +10,10 @@ from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import (
     DensityMatrix,
     PureState,
-    _factor_sqrt_fidelity,
-    _state_factor,
     fidelity,
     matrix_sqrt_psd,
     pure_to_density,
+    sqrt_fidelity,
     trace_distance,
 )
 
@@ -131,15 +130,13 @@ class TestFidelity:
         # R^dag S with one row or column: its one singular value is its norm.
         for dim in (2, 5, 16):
             psi, phi = random_pure_state(dim, rng), random_pure_state(dim, rng)
-            column = psi.amplitudes[:, None]
-            for s in (phi.amplitudes[:, None], _state_factor(random_density_matrix(dim, rng))):
-                singular = np.linalg.svd(column.conj().T @ s, compute_uv=False)
+            for other in (phi, random_density_matrix(dim, rng)):
+                singular = np.linalg.svd(psi.factor.conj().T @ other.factor, compute_uv=False)
                 expected = min(float(np.sum(singular)), 1.0)
-                assert _factor_sqrt_fidelity(column, s) == pytest.approx(expected, abs=1e-15)
-                assert _factor_sqrt_fidelity(s, column) == pytest.approx(expected, abs=1e-15)
+                assert sqrt_fidelity(psi, other) == pytest.approx(expected, abs=1e-15)
+                assert sqrt_fidelity(other, psi) == pytest.approx(expected, abs=1e-15)
             overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
-            got = _factor_sqrt_fidelity(column, phi.amplitudes[:, None]) ** 2
-            assert got == pytest.approx(overlap, abs=1e-15)
+            assert sqrt_fidelity(psi, phi) ** 2 == pytest.approx(overlap, abs=1e-15)
 
 
 class TestTraceDistance:
@@ -156,6 +153,18 @@ class TestTraceDistance:
         zero = pure_to_density(PureState([1, 0]))
         mixed = DensityMatrix(np.eye(2) / 2)
         assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
+
+    def test_pure_states_on_either_side(self, rng):
+        assert trace_distance(PureState([1, 0]), PureState([.6, .8])) == pytest.approx(
+            0.8, abs=1e-12)
+        for dim in (2, 3, 5):
+            psi, phi = random_pure_state(dim, rng), random_pure_state(dim, rng)
+            closed_form = np.sqrt(1.0 - abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
+            assert trace_distance(psi, phi) == pytest.approx(closed_form, abs=1e-12)
+            rho = random_density_matrix(dim, rng, rank=2)
+            dense = pure_to_density(psi)
+            assert trace_distance(psi, rho) == pytest.approx(trace_distance(dense, rho), abs=1e-12)
+            assert trace_distance(rho, psi) == pytest.approx(trace_distance(rho, dense), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
