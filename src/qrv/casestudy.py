@@ -149,27 +149,33 @@ _PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb
 def read_pgm(path) -> np.ndarray:
     """Read a plain (P2) or raw (P5) PGM grayscale image as floats.  Width, height
     and maxval (1..65535) follow the magic, each after whitespace or ``#`` comments,
-    then one whitespace byte; raw samples above maxval 255 are big-endian 16-bit."""
+    then one whitespace byte; raw samples above maxval 255 are big-endian 16-bit,
+    plain ones are decimal digits, and every sample lies in 0..maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] not in (b"P2", b"P5"):
         raise ValidationError("not a PGM file (magic must be P2 or P5)")
     if (header := _PGM_HEADER.match(data)) is None:
         raise ValidationError("malformed PGM header")
-    width, height, maxval = map(int, header.groups()[1:])
+    try:
+        width, height, maxval = map(int, header.groups()[1:])
+    except ValueError as exc:  # more digits than int() converts
+        raise ValidationError("PGM header number is too long") from exc
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise ValidationError("PGM dimensions must be positive and maxval in 1..65535")
     n, raster = width * height, data[header.end():]
     if header[1] == b"P2":
-        try:
-            pixels = np.array(raster.split(), dtype=float)
-        except ValueError as exc:
-            raise ValidationError("malformed PGM pixel data") from exc
+        if not re.fullmatch(rb"[0-9\s]*", raster):
+            raise ValidationError("plain PGM samples must be decimal integers")
+        # Exact to 2**53; a longer sample is above maxval either way.
+        pixels = np.array(raster.split(), dtype=float)
     else:
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
         pixels = np.frombuffer(raster, dtype, min(n, len(raster) // dtype.itemsize))
     if pixels.size < n:
-        raise ValidationError(f"PGM has {pixels.size} pixels, expected {n}")
+        raise ValidationError(f"PGM has {pixels.size} pixels, expected {width}x{height}")
+    if pixels[:n].max() > maxval:
+        raise ValidationError(f"PGM samples must lie in 0..{maxval}")
     return pixels[:n].astype(float).reshape(height, width)
 
 

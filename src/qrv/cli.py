@@ -19,8 +19,10 @@ of ``qrv`` and ``python -m qrv.cli``, then freezes (``gc.freeze``) what they
 made and, after the command, what it left.  ``recheck`` and ``casestudy``
 load only for ``recheck``, ``gen-qubit`` and ``encode-image``; a command
 that reads a classifier reads its POVM ``effects`` and never loads
-``channels``.  No output may name an input or another output of its command;
-``verify`` writes its runs as :func:`qrv.formats.emit_reports` does for a library.
+``channels``.  No output may name an input or another output of its command,
+an existing file compared by identity, so a hard link counts.  Every document
+a command writes is built by :mod:`qrv.formats`; ``classify`` prints its table
+from its report's rows.
 """
 
 from __future__ import annotations
@@ -83,18 +85,27 @@ def _parse_epsilons(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _identity(path: str):
+    """What a path names: an existing file's device and inode, so a hard link
+    is the file it links, else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _claim_outputs(args, inputs: dict, *outputs: str) -> None:
     """Before any file is read, refuse an output ``--<name>`` that names one
     of ``inputs`` (a description per path) or another output, or cannot be
     written; every file is left as found."""
-    taken = {os.path.realpath(path): what for what, path in inputs.items()}
+    taken = {_identity(path): what for what, path in inputs.items()}
     for name in outputs:
         if path := getattr(args, name):
-            real = os.path.realpath(path)
-            if real in taken:
+            if (same := _identity(path)) in taken:
                 raise ValidationError(
-                    f"{path}: --{name} names the same file as {taken[real]}")
-            taken[real] = f"--{name}"
+                    f"{path}: --{name} names the same file as {taken[same]}")
+            taken[same] = f"--{name}"
             existed = os.path.exists(path)
             open(path, "a").close()  # an unwritable output fails before any work
             if not existed:
@@ -125,30 +136,14 @@ def _load(loader, path):
 
 def _cmd_classify(args) -> int:
     classifier, dataset = _run_inputs(args, "report")
-    batch = classify_batch(classifier, [state for state, _ in dataset])
-    rows = [
-        (i, label, int(pred), float(margin), bool(tie), int(pred) == label)
-        for i, ((_, label), pred, margin, tie) in enumerate(
-            zip(dataset, batch.labels, batch.margins, batch.ties)
-        )
-    ]
-    hits = sum(ok for *_, ok in rows)
-    acc = hits / len(dataset)
+    states, labels = zip(*dataset)
+    doc = formats.emit_classification(classify_batch(classifier, states), labels)
     if args.report:
-        doc = {
-            "format": formats.FORMAT_TAG,
-            "kind": "classification_report",
-            "accuracy": acc,
-            "labels": [
-                {"index": i, "label": label, "predicted": pred,
-                 "margin": margin, "tie": tie, "correct": ok}
-                for i, label, pred, margin, tie, ok in rows
-            ],
-        }
         formats.write_json(args.report, doc)
-    print(f"accuracy: {_sig4(acc)}  ({hits}/{len(dataset)})")
+    hits = sum(row["correct"] for row in doc["labels"])
+    print(f"accuracy: {_sig4(doc['accuracy'])}  ({hits}/{len(dataset)})")
     print(f"{'index':>5}  {'label':>5}  {'predicted':>9}  {'margin':>10}  tie  correct")
-    for i, label, pred, margin, tie, ok in rows:
+    for i, label, pred, margin, tie, ok in map(dict.values, doc["labels"]):
         print(
             f"{i:>5}  {classifier.labels[label]:>5}  {classifier.labels[pred]:>9}  "
             f"{_sig4(margin):>10}  {'y' if tie else 'n':>3}  {'y' if ok else 'n'}"
@@ -212,17 +207,8 @@ def _cmd_bound(args) -> int:
         ura = under_robust_accuracy(classifier, dataset, eps)
         rows.append((eps, ura, time.perf_counter() - t0))
     if args.report:
-        formats.write_json(
-            args.report,
-            {
-                "format": formats.FORMAT_TAG,
-                "kind": "under_approx_report",
-                "columns": [
-                    {"epsilon": eps, "under_approx_robust_accuracy": ura}
-                    for eps, ura, _ in rows
-                ],
-            },
-        )
+        formats.write_json(args.report, formats.emit_under_approx(
+            (eps, ura) for eps, ura, _ in rows))
     _row("Robust Accuracy (%)", [f"eps={_sig4(eps):>10}" for eps, *_ in rows])
     _row("  margin bound (under-approx)", [f"{100 * ura:.2f}" for _, ura, _ in rows])
     _row("Time (s)", [_sig4(t) for *_, t in rows])

@@ -20,8 +20,11 @@ of what it was built from.  :func:`write_json` writes compact JSON
 (CPython's C encoder); any layout is read, indented included.
 
 A classifier is read and written as its POVM ``effects`` only, so reading
-a file never loads ``channels``.  :func:`emit_reports` writes a verification
-run, for ``qrv verify`` and library callers alike, as ``qrv recheck`` reads it.
+a file never loads ``channels``.  Every document ``qrv`` writes is built
+here: :func:`emit_reports` writes a verification run, for ``qrv verify`` and
+library callers alike, as ``qrv recheck`` reads it, and
+:func:`emit_classification` and :func:`emit_under_approx` write the reports
+of ``qrv classify`` and ``qrv bound``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
     "emit_report",
     "emit_reports",
     "emit_adversarial_sidecar",
+    "emit_classification",
+    "emit_under_approx",
     "write_json",
     "read_json",
     "load_classifier",
@@ -311,6 +316,25 @@ def emit_reports(reports, *, include_timings: bool = True) -> dict:
     docs = [emit_report(r, include_timings=include_timings) for r in reports]
     return docs[0] if len(docs) == 1 else {
         "format": FORMAT_TAG, "kind": "verification_report_set", "runs": docs}
+
+
+def emit_classification(batch, labels) -> dict:
+    """A ``classification_report``: the accuracy of a ``BatchClassification``
+    against the dataset's ``labels``, and one row per entry."""
+    rows = [{"index": i, "label": label, "predicted": predicted, "margin": margin,
+             "tie": tie, "correct": predicted == label}
+            for i, (label, predicted, margin, tie) in enumerate(zip(
+                labels, batch.labels.tolist(), batch.margins.tolist(), batch.ties.tolist()))]
+    return {"format": FORMAT_TAG, "kind": "classification_report",
+            "accuracy": sum(row["correct"] for row in rows) / len(rows), "labels": rows}
+
+
+def emit_under_approx(columns) -> dict:
+    """An ``under_approx_report``: one column per ``(epsilon, URA)`` pair, URA
+    the margin bound's under-approximated robust accuracy at that epsilon."""
+    return {"format": FORMAT_TAG, "kind": "under_approx_report",
+            "columns": [{"epsilon": eps, "under_approx_robust_accuracy": ura}
+                        for eps, ura in columns]}
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,9 @@ def recheck_report(
                 bad(i, "dual_shifts", f"{shifts!r} is not a null or positive shift per "
                     "class, null at the label")
                 shifts = [None] * classifier.n_classes
-            radii, rival = bound_at(classifier, lambda k: weights(i, k), label, shifts)
-            delta = None if rival is None else _kept(v.get("delta"), radii[rival], DELTA_TOL)
-            bound = OptimalBound(delta=delta, unbounded=rival is None, argmin_class=rival,
-                                 witness=None, per_class=radii, shifts=shifts)
+            bound = bound_at(classifier, lambda k: weights(i, k), label, shifts)
+            if not bound.unbounded:
+                bound = bound._replace(delta=_kept(v.get("delta"), bound.delta, DELTA_TOL))
             if bound.robust_at(eps):
                 return bound, 0.0
             distance = v.get("adversarial_distance")  # kept unchecked with no witness
@@ -113,7 +112,7 @@ def recheck_report(
                 return bound._replace(witness_distance=distance), 0.0
             measured = 1.0 - sqrt_fidelity(states[i], sigma) ** 2
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
-                "label": label, "target_class": rival,
+                "label": label, "target_class": bound.argmin_class,
                 "distance": _kept(entry.get("distance"), measured, DISTANCE_TOL),
             }, entry))
             if measured > eps + WITNESS_BUDGET:

@@ -274,13 +274,13 @@ def _rotate(classifier: Classifier, root: np.ndarray, label: int, k: int):
     return factor, (np.abs(factor) ** 2).sum(axis=1)
 
 
-def bound_at(classifier: Classifier, weights, label: int, shifts) -> tuple[dict, int | None]:
-    """Each rival's radius at its shift in ``shifts`` (one per class; the
-    label's is ignored), and the rival that sets delta (the lowest on a tie,
-    None if every radius is unbounded).  A shift w > 0 gives the dual value
-    at w for the weights ``weights(k)`` (see :func:`_rotate`), asked for
-    nothing else; a null shift gives None (unbounded) for an unreachable
-    rival, else 0 (tied)."""
+def bound_at(classifier: Classifier, weights, label: int, shifts) -> OptimalBound:
+    """The bound, with no witness, that ``shifts`` (one per class; the label's
+    is ignored) certify: each rival's radius at its shift, delta the least
+    (set by the lowest rival on a tie), unbounded if none is finite.  A shift
+    w > 0 gives the dual value at w for the weights ``weights(k)`` (see
+    :func:`_rotate`), asked for nothing else; a null shift gives None
+    (unbounded) for an unreachable rival, else 0 (tied)."""
     per_class, rival = {}, None
     for k, w in enumerate(shifts):
         if k == label:
@@ -292,7 +292,9 @@ def bound_at(classifier: Classifier, weights, label: int, shifts) -> tuple[dict,
             per_class[k] = _dual_value(w, a, weights(k))
         if per_class[k] is not None and (rival is None or per_class[k] < per_class[rival]):
             rival = k
-    return per_class, rival
+    return OptimalBound(delta=None if rival is None else per_class[rival],
+                        unbounded=rival is None, argmin_class=rival, witness=None,
+                        per_class=per_class, shifts=shifts)
 
 
 def compute_optimal_bound(
@@ -333,20 +335,17 @@ def compute_optimal_bound(
                                      f"{-gap:.3e}; a misclassified state has no radius")
         if gap > 0.0:
             shifts[k] = _dual_ratio(a, r)
-    per_class, k_star = bound_at(classifier, lambda k: rotated[k][1], label, shifts)
-
-    if k_star is None:
-        return OptimalBound(delta=None, unbounded=True, argmin_class=None, witness=None,
-                            per_class=per_class, shifts=shifts)
-    delta = per_class[k_star]
+    bound = bound_at(classifier, lambda k: rotated[k][1], label, shifts)
+    if bound.unbounded:
+        return bound
+    k_star, delta = bound.argmin_class, bound.delta
     a, vectors = _gap(classifier, label, k_star)
     factor, r = rotated[k_star]
     factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
     witness = (PureState(factor.sum(axis=1)) if isinstance(state, PureState)  # unit norm
                else DensityMatrix(factor @ factor.conj().T))
-    distance = 1.0 - sqrt_fidelity(state, witness) ** 2
-    return OptimalBound(delta=delta, unbounded=False, argmin_class=k_star, witness=witness,
-                        per_class=per_class, witness_distance=distance, shifts=shifts)
+    return bound._replace(witness=witness,
+                          witness_distance=1.0 - sqrt_fidelity(state, witness) ** 2)
 
 
 def check_epsilon_robust(

@@ -208,15 +208,23 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("case", ["one_path_twice", "one_path_two_spellings",
                                       "report_is_dataset", "sidecar_is_classifier",
                                       "classify_report_is_dataset",
-                                      "bound_report_is_dataset"])
+                                      "bound_report_is_dataset",
+                                      "classify_report_links_dataset",
+                                      "sidecar_links_report", "out_links_image"])
     def test_output_naming_another_file_of_the_run_exits_2(
             self, case_files, tmp_path, capsys, monkeypatch, case):
-        # Refused before anything is read or written: every file is left as found.
+        # Refused before anything is read or written: every file is left as
+        # found.  A hard link is the file it links, whatever its path.
         import qrv.cli
 
         monkeypatch.setattr(qrv.cli, "verify_epsilons", lambda *a, **k: 1 / 0)
         monkeypatch.chdir(tmp_path)
         classifier_path, dataset_path = case_files
+        (tmp_path / "report.json").write_text("old report")
+        (tmp_path / "digit.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+        for target, link in ((dataset_path, "dataset_link"), ("report.json", "report_link"),
+                             ("digit.pgm", "image_link")):
+            os.link(target, link)
         verify = ["verify", classifier_path, dataset_path, "--epsilon", "0.002"]
         argv = {
             "one_path_twice": verify + ["--report", "x.json", "--adversarial", "x.json"],
@@ -229,6 +237,11 @@ class TestVerifyCommand:
                                            "--report", dataset_path],
             "bound_report_is_dataset": ["bound", classifier_path, dataset_path,
                                         "--epsilon", "0.002", "--report", dataset_path],
+            "classify_report_links_dataset": ["classify", classifier_path, dataset_path,
+                                              "--report", "dataset_link"],
+            "sidecar_links_report": verify + ["--report", "report.json",
+                                              "--adversarial", "report_link"],
+            "out_links_image": ["encode-image", "digit.pgm", "--out", "image_link"],
         }[case]
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
         assert main(argv) == 2
@@ -411,15 +424,29 @@ class TestEncodeImage:
                                       read_pgm(tmp_path / "plain.pgm"))
 
     @pytest.mark.parametrize("case", ["16bit_one_byte_short", "16bit_one_odd_byte",
-                                      "maxval_65536", "maxval_0", "bad_magic"])
+                                      "maxval_65536", "maxval_0", "bad_magic",
+                                      "width_5000_digits", "size_8000_digits",
+                                      "plain_negative", "plain_fraction", "plain_exponent",
+                                      "plain_above_maxval", "raw_above_maxval"])
     def test_bad_pgm_exits_2(self, tmp_path, capsys, case):
         pixels = np.full(256, 7, dtype=">u2").tobytes()
+        plain = b"P2\n16 16\n255\n" + b"0 " * 255
         data = {
             "16bit_one_byte_short": b"P5\n16 16\n65535\n" + pixels[:-1],
             "16bit_one_odd_byte": b"P5\n16 16\n65535\n\x07",
             "maxval_65536": b"P5\n16 16\n65536\n" + pixels,
             "maxval_0": b"P2\n16 16\n0\n" + b"0 " * 256,
             "bad_magic": b"P6\n16 16\n255\n" + bytes(768),
+            # int() converts at most 4300 digits, and prints no more either.
+            "width_5000_digits": b"P5\n" + b"9" * 5000 + b" 2\n255\n",
+            "size_8000_digits": (b"P5\n" + b"9" * 4000 + b" " + b"9" * 4000 + b"\n255\n"
+                                 + bytes(4)),
+            # Each sample is a decimal integer in 0..maxval.
+            "plain_negative": plain + b"-5",
+            "plain_fraction": plain + b"1.5",
+            "plain_exponent": plain + b"1e2",
+            "plain_above_maxval": plain + b"1000",
+            "raw_above_maxval": b"P5\n16 16\n100\n" + bytes(255) + bytes([200]),
         }[case]
         (tmp_path / "bad.pgm").write_bytes(data)
         out = tmp_path / "out.json"

@@ -30,6 +30,7 @@ def run_python(args, cwd):
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     run_python([str(demo)], tmp_path)
+    assert list(tmp_path.iterdir()) == []  # a demo leaves no file behind
 
 
 @pytest.mark.parametrize("block", README_BLOCKS,
