@@ -223,6 +223,9 @@ class LabeledDataset:
         return iter(self.entries)
 
     def check_compatible(self, classifier: Classifier) -> None:
+        """Refuse an empty dataset, or an entry the classifier cannot take."""
+        if not self.entries:
+            raise ValidationError("dataset is empty")
         for i, (state, label) in enumerate(self.entries):
             dim = state.dim
             if dim != classifier.dim:
@@ -238,8 +241,6 @@ class LabeledDataset:
 
 def accuracy(classifier: Classifier, dataset: LabeledDataset) -> float:
     """Fraction of dataset entries the classifier labels correctly."""
-    if len(dataset) == 0:
-        raise ValidationError("cannot compute accuracy of an empty dataset")
     dataset.check_compatible(classifier)
     states, labels = zip(*dataset)
     predicted = classify_batch(classifier, states).labels

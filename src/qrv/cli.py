@@ -44,7 +44,8 @@ try:
     from .config import dimension_cap
     from .errors import QrvError, SchemaError, ValidationError
     from . import formats
-    from .verifier import VerifyOptions, under_robust_accuracy, verify_epsilons
+    from .verifier import (VerifyOptions, _require_epsilon, under_robust_accuracy,
+                           verify_epsilons)
 finally:
     if _COLLECTING:
         if not gc.get_freeze_count():  # what loaded goes to the oldest generation,
@@ -79,10 +80,7 @@ def _parse_epsilons(raw: str) -> tuple[float, ...]:
         raise ValidationError(f"bad --epsilon value {raw!r}") from exc
     if not values:
         raise ValidationError("--epsilon needs at least one value")
-    for eps in values:
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
-    return values
+    return tuple(map(_require_epsilon, values))
 
 
 def _identity(path: str):

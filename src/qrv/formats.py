@@ -13,7 +13,9 @@ converted whole: a C-level scan must find only int and float in them, and
 one ``np.array(..., dtype=float)`` of the right shape is viewed as complex.
 Only when that fails does a locator walk the array, building nothing, to
 name the first bad element with its path: row by row, each row's shape,
-then its pairs, where a number outside the float range is bad too.  A file
+then its pairs.  A number is an int (not a bool) or a float within the
+finite float range, so NaN and infinities are bad there too; ``qrv recheck``
+reads a recorded figure by the same rule (:func:`_number`).  A file
 that is not UTF-8 or not JSON, or is nested too deeply, is a
 :class:`SchemaError` at ``$``, as is a constructor's ValueError at the path
 of what it was built from.  :func:`write_json` writes compact JSON
@@ -22,7 +24,9 @@ of what it was built from.  :func:`write_json` writes compact JSON
 A classifier is read and written as its POVM ``effects`` only, so reading
 a file never loads ``channels``.  Every document ``qrv`` writes is built
 here: :func:`emit_reports` writes a verification run, for ``qrv verify`` and
-library callers alike, as ``qrv recheck`` reads it, and
+library callers alike, as ``qrv recheck`` reads it; its adversarial sidecar
+is a dataset, written by :func:`emit_dataset`, whose entries also carry
+``source_index``, ``target_class`` and ``distance``; and
 :func:`emit_classification` and :func:`emit_under_approx` write the reports
 of ``qrv classify`` and ``qrv bound``.
 """
@@ -120,11 +124,15 @@ def _binary_array(obj: dict, ndim: int, path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
 
 
+def _number(x: Any) -> bool:
+    """A JSON number: an int (not a bool) or a float, within the finite float
+    range; ``x`` is not converted."""
+    return (type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max
+
+
 def _is_pair(x: Any) -> bool:
-    """``[re, im]`` of floats, or of ints in the float range."""
-    return (isinstance(x, (list, tuple)) and len(x) == 2
-            and all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
-                   for v in x))
+    """``[re, im]`` of numbers."""
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_number, x))
 
 
 def _first_bad(obj: list, ndim: int, path: str) -> SchemaError:
@@ -268,18 +276,15 @@ def parse_dataset(doc: dict) -> LabeledDataset:
 
 
 def emit_adversarial_sidecar(witnesses: list, dataset: LabeledDataset) -> dict:
-    """Adversarial examples (``AdversarialWitness`` records) in the dataset
-    schema, labeled with the true label of their source entry and annotated
-    with the source index."""
-    states = []
-    for w in witnesses:
-        entry = _state_entry(w.sigma)
-        entry["label"] = int(dataset.entries[w.source_index][1])
-        entry["source_index"] = int(w.source_index)
-        entry["target_class"] = int(w.target_class)
-        entry["distance"] = float(w.distance)
-        states.append(entry)
-    return {"format": FORMAT_TAG, "kind": "dataset", "states": states}
+    """Adversarial examples (``AdversarialWitness`` records) as a dataset,
+    each labeled with the true label of its source entry, then annotated with
+    that entry's index, its target class and its distance."""
+    doc = emit_dataset(LabeledDataset(
+        (w.sigma, dataset.entries[w.source_index][1]) for w in witnesses))
+    for entry, w in zip(doc["states"], witnesses):
+        entry.update(source_index=int(w.source_index), target_class=int(w.target_class),
+                     distance=float(w.distance))
+    return doc
 
 
 # ---------------------------------------------------------------------------

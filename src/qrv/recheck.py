@@ -5,23 +5,24 @@ batched classification and, per exact verdict, the bound its recorded
 shifts certify (``bound_at``: the dual value at each w > 0, sound by weak
 duality).  A recorded delta or margin within ``DELTA_TOL`` of its
 recomputation, or a witness distance within ``DISTANCE_TOL``, is kept; then
-every key of the rebuilt document must equal the recorded one.  Each
-non-robust verdict takes the next sidecar witness, which must be for its
-entry, target the rival that sets delta, carry its label and distance, lie
-within ``eps + WITNESS_BUDGET`` and change the class.  The bound and the
-witness distance read rho's cached factor, rotated once per rival for all runs.
+every key of the rebuilt document must equal the recorded one, in value and
+type.  Each non-robust verdict takes the next sidecar witness, whose
+``source_index`` must be its entry's index, an int; the witness must target
+the rival that sets delta, carry its label and distance, lie within ``eps +
+WITNESS_BUDGET`` and change the class.  A recorded figure counts as a number
+as :mod:`qrv.formats` reads one.  The bound and the witness distance read
+rho's cached factor, rotated once per rival for all runs.
 """
 
 from __future__ import annotations
 
 import functools
-import sys
 
 import numpy as np
 
 from .classifiers import Classifier, LabeledDataset, classify_batch
 from .errors import SchemaError
-from .formats import FORMAT_TAG, emit_report
+from .formats import FORMAT_TAG, _number, emit_report
 from .states import sqrt_fidelity
 from .verifier import WITNESS_BUDGET, OptimalBound, _rotate, assemble_reports, bound_at
 
@@ -29,12 +30,6 @@ __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
 
 DELTA_TOL = 1e-12  # recorded delta and margins against their recomputation
 DISTANCE_TOL = 1e-9  # recorded witness distances against 1 - F recomputed
-
-
-def _number(x) -> bool:
-    """A finite float, or an int in its range; ``x`` is not converted."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
 
 
 def _kept(recorded, value, tol):
@@ -106,9 +101,9 @@ def recheck_report(
                 return bound, 0.0
             distance = v.get("adversarial_distance")  # kept unchecked with no witness
             j, (sigma, entry) = next(queue, (None, (None, None)))
-            if j is None or entry.get("source_index") != i:
+            if j is None or type(got := entry.get("source_index")) is not int or got != i:
                 bad(i, "source_index", "no sidecar witness is left" if j is None
-                    else f"sidecar entry {j} is for entry {entry.get('source_index')!r}")
+                    else f"sidecar entry {j} is for entry {got!r}")
                 return bound._replace(witness_distance=distance), 0.0
             measured = 1.0 - sqrt_fidelity(states[i], sigma) ** 2
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {

@@ -165,8 +165,6 @@ class DensityMatrix:
 
 def pure_to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a pure state."""
-    if not isinstance(psi, PureState):
-        psi = PureState(psi)
     return DensityMatrix(psi.matrix)
 
 

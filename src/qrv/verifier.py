@@ -82,7 +82,7 @@ __all__ = [
 def _require_epsilon(eps: float) -> float:
     eps = float(eps)
     if not 0.0 < eps < 1.0:
-        raise ValidationError(f"epsilon must lie strictly between 0 and 1, got {eps}")
+        raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
     return eps
 
 
@@ -387,8 +387,6 @@ def pure_state_optimal_bound(
     boundary.  ``options`` is accepted for call compatibility and unused:
     the bound has no settings.
     """
-    if not isinstance(psi, PureState):
-        psi = PureState(psi)
     bound = compute_optimal_bound(classifier, psi, label)
     return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
                      phi_star=bound.witness)
@@ -448,8 +446,7 @@ def under_robust_accuracy(
     batch, so this scales to large datasets at classification cost.
     """
     eps = _require_epsilon(eps)
-    if len(dataset) == 0:
-        raise ValidationError("dataset is empty")
+    dataset.check_compatible(classifier)
     states = [state for state, _label in dataset]
     margins = classify_batch(classifier, states).margins
     flagged = int(np.count_nonzero(margins <= np.sqrt(2.0 * eps)))
@@ -484,8 +481,6 @@ def verify_epsilons(
     if not epsilons:
         raise ValidationError("at least one epsilon is required")
     opts = options or VerifyOptions()
-    if len(dataset) == 0:
-        raise ValidationError("dataset is empty")
     dataset.check_compatible(classifier)
 
     t_start = time.perf_counter()

@@ -167,6 +167,15 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             KrausChannel([0.5 * np.eye(2)])
 
+    @pytest.mark.parametrize("kraus, message", [
+        ([], "channel needs at least one Kraus matrix"),
+        ([np.eye(2), np.ones((2, 3))], "inconsistent Kraus shapes: (2, 3) vs (2, 2)"),
+    ], ids=["no_kraus_matrix", "two_shapes"])
+    def test_rejection_names_its_message(self, kraus, message):
+        with pytest.raises(ValidationError) as err:
+            KrausChannel(kraus)
+        assert message in str(err.value)
+
 
 class TestFidelityMonotonicity:
     @pytest.mark.parametrize("builder", [

@@ -127,13 +127,24 @@ class TestAccuracy:
         assert accuracy(z_classifier, data) == 0.0
 
     def test_empty_dataset_rejected(self, z_classifier):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^dataset is empty$"):
             accuracy(z_classifier, LabeledDataset([]))
 
     def test_label_out_of_range(self, z_classifier):
         data = LabeledDataset([(PureState([1, 0]), 5)])
         with pytest.raises(ValidationError):
             accuracy(z_classifier, data)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(PureState([1, 0]), -1)], "negative label index -1"),
+    ([(np.array([1, 0]), 0)],
+     "dataset states must be PureState or DensityMatrix, got ndarray"),
+], ids=["negative_label", "raw_array_state"])
+def test_dataset_rejection_names_its_message(entries, message):
+    with pytest.raises(ValidationError) as err:
+        LabeledDataset(entries)
+    assert str(err.value) == message
 
 
 class TestValidation:

@@ -67,6 +67,18 @@ class TestGenQubit:
         with pytest.raises(ValidationError):
             generate_qubit_case_study(theta_a=4.0)
 
+    @pytest.mark.parametrize("case", ["one_training_sample", "no_values", "nan_value"])
+    def test_case_study_rejection_names_its_message(self, case):
+        make, message = {
+            "one_training_sample": (lambda: generate_qubit_case_study(n_train=1),
+                                    "need at least two samples per dataset"),
+            "no_values": (lambda: amplitude_encode([]), "cannot encode an empty value array"),
+            "nan_value": (lambda: amplitude_encode([np.nan]), "values contain NaN or Inf"),
+        }[case]
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert message in str(err.value)
+
     def test_regenerated_case_study_is_well_trained(self):
         # The default sampling spread (0.15 rad, truncated at the label
         # midpoint) leaves a sliver of label-a samples past the trained
@@ -284,12 +296,15 @@ class TestVerifyCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize("command", ["verify", "bound"])
-    @pytest.mark.parametrize("eps", ["0", "1", "-0.1", "2.0"])
+    @pytest.mark.parametrize("eps", ["0", "1", "-0.1", "2.0", "abc", ","])
     def test_bad_epsilon_exits_2(self, tmp_path, capsys, command, eps):
         # The input files do not exist: epsilon is rejected before any is read.
         missing = str(tmp_path / "missing.json")
         assert main([command, missing, missing, "--epsilon", eps]) == 2
-        assert "epsilon must be in (0, 1)" in capsys.readouterr().err
+        messages = {"abc": "bad --epsilon value 'abc'",
+                    ",": "--epsilon needs at least one value"}
+        message = messages.get(eps, "epsilon must be in (0, 1)")
+        assert f"input error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["gen-qubit", "verify"])
     @pytest.mark.parametrize("value", ["abc", "1"])
@@ -427,7 +442,8 @@ class TestEncodeImage:
                                       "maxval_65536", "maxval_0", "bad_magic",
                                       "width_5000_digits", "size_8000_digits",
                                       "plain_negative", "plain_fraction", "plain_exponent",
-                                      "plain_above_maxval", "raw_above_maxval"])
+                                      "plain_above_maxval", "raw_above_maxval",
+                                      "truncated_header"])
     def test_bad_pgm_exits_2(self, tmp_path, capsys, case):
         pixels = np.full(256, 7, dtype=">u2").tobytes()
         plain = b"P2\n16 16\n255\n" + b"0 " * 255
@@ -447,11 +463,13 @@ class TestEncodeImage:
             "plain_exponent": plain + b"1e2",
             "plain_above_maxval": plain + b"1000",
             "raw_above_maxval": b"P5\n16 16\n100\n" + bytes(255) + bytes([200]),
+            "truncated_header": b"P5\n16 16\n",  # no maxval
         }[case]
         (tmp_path / "bad.pgm").write_bytes(data)
         out = tmp_path / "out.json"
         assert main(["encode-image", str(tmp_path / "bad.pgm"), "--out", str(out)]) == 2
-        assert "input error: " in capsys.readouterr().err
+        message = {"truncated_header": "malformed PGM header"}.get(case, "")
+        assert f"input error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("spelling", ["digit.pgm", "./digit.pgm"])

@@ -114,6 +114,30 @@ class TestDatasetRoundTrip:
         assert doc == emit_dataset(parse_dataset(round_trip(doc)))
 
 
+def _dataset_doc(*states):
+    return {"format": FORMAT_TAG, "kind": "dataset", "states": list(states)}
+
+
+_BASIS = {"kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]], "label": 0}
+# case -> (reader, document, its error as printed)
+_BAD_DOCUMENTS = {
+    "entry_not_an_object": (
+        parse_dataset, _dataset_doc(_BASIS, [[1.0, 0.0], [0.0, 0.0]]),
+        "states[1]: expected an object"),
+    "classifier_as_dataset": (
+        parse_dataset, _effects_doc(_Z),
+        "$: expected kind 'dataset', found 'classifier'"),
+    "state_kind": (
+        parse_dataset, _dataset_doc({**_BASIS, "kind": "mixed"}),
+        "states[0]: state kind must be 'pure' or 'density', got 'mixed'"),
+    "labels_not_strings": (
+        parse_classifier, _effects_doc(_Z, labels=[0, 1]),
+        "labels: labels must be an array of strings"),
+    "no_states": (
+        parse_dataset, _dataset_doc(), "states: states must be a non-empty array"),
+}
+
+
 class TestSchemaErrors:
     def test_wrong_format_tag(self):
         with pytest.raises(SchemaError):
@@ -160,6 +184,13 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             parse_classifier(doc)
         assert str(err.value) == "effects[0][1]: row has 1 entries, expected 2"
+
+    @pytest.mark.parametrize("case", list(_BAD_DOCUMENTS))
+    def test_rejection_keeps_message_and_path(self, case):
+        parse, doc, message = _BAD_DOCUMENTS[case]
+        with pytest.raises(SchemaError) as err:
+            parse(round_trip(doc))
+        assert str(err.value) == message
 
 
 _LOW = 10 * PSD_TOL
@@ -318,6 +349,8 @@ class TestCodec:
              "$[0]: complex numbers must be [re, im] number pairs"),
             (2, [[[1, "x"]], []],  # the row's pairs before the next row's shape
              "$[0][0]: complex numbers must be [re, im] number pairs"),
+            (1, [[float("inf"), 0], "x"],  # a number is finite
+             "$[0]: complex numbers must be [re, im] number pairs"),
         ],
         ids=_case_id,
     )

@@ -18,14 +18,15 @@ import qrv.verifier
 from conftest import classified_instance
 from qrv.cli import main
 from qrv.classifiers import Classifier, LabeledDataset, classify_batch
-from qrv.formats import save_classifier, save_dataset
+from qrv.formats import (emit_state, load_classifier, load_dataset, save_classifier,
+                         save_dataset)
 from qrv.sampling import (
     random_classifier,
     random_density_matrix,
     random_pure_state,
     random_unitary,
 )
-from qrv.states import DensityMatrix, PureState
+from qrv.states import DensityMatrix, PureState, sqrt_fidelity
 from qrv.verifier import StateVerdict, _dual_value, compute_optimal_bound
 
 
@@ -272,10 +273,16 @@ def _huge_margin(report, sidecar, run):  # an int past the float range: a mismat
     return i, "margin"
 
 
+def _float_source_index(report, sidecar, run):  # equal in value, not in type
+    entry = sidecar["states"][0]
+    entry["source_index"] = float(entry["source_index"])
+    return int(entry["source_index"]), "source_index"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
          _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
          _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance,
-         _warnings, _huge_margin]
+         _warnings, _huge_margin, _float_source_index]
 
 
 def _set(field, value, robust=True, certified=False):
@@ -338,6 +345,41 @@ def test_every_verdict_field_is_rechecked(saved, key, field, tmp_path, capsys):
     # A verdict field added later fails here until recheck checks it.
     assert field in VERDICT_EDITS, f"no edit, so no recheck, for verdict field {field}"
     assert assert_caught(saved, key, VERDICT_EDITS[field], tmp_path, capsys) == field
+
+
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_witness_beyond_the_budget_is_caught(saved, key, tmp_path, capsys):
+    # The first witness becomes a dataset state that its target class wins,
+    # far beyond eps; its recorded distances agree with it, so only the
+    # budget check fails.  The pure dataset may have no such state, so both
+    # datasets are searched.
+    report, sidecar = load(saved, key)
+    run, witness = first_run(report), sidecar["states"][0]
+    i = witness["source_index"]
+    states = [s for kind in ("mixed", "pure") for s, _ in load_dataset(saved[kind])]
+    batch = classify_batch(load_classifier(saved["classifier"]), states)
+    far = next(states[j] for j, (k, tie) in enumerate(zip(batch.labels, batch.ties))
+               if k == witness["target_class"] and not tie)
+    witness.update(emit_state(far)["state"])
+    distance = 1.0 - sqrt_fidelity(load_dataset(saved[key[0]]).entries[i][0], far) ** 2
+    witness["distance"] = run["verdicts"][i]["adversarial_distance"] = distance
+    assert distance > run["epsilon"] + qrv.verifier.WITNESS_BUDGET
+    code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
+    assert code == 1
+    [line] = out.splitlines()
+    head = f"eps={run['epsilon']} index={i} adversarial_distance: sidecar entry 0 lies at "
+    tail = ", beyond eps + 1e-06"
+    assert line.startswith(head) and line.endswith(tail), line
+    assert float(line[len(head):-len(tail)]) == pytest.approx(distance, abs=1e-12)
+
+
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_witness_no_verdict_refers_to_is_caught(saved, key, tmp_path, capsys):
+    report, sidecar = load(saved, key)
+    sidecar["states"].append(copy.deepcopy(sidecar["states"][0]))
+    code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
+    assert code == 1
+    assert out.splitlines() == ["sidecar: 1 witness(es) no verdict refers to"]
 
 
 def test_empty_sidecar_is_valid(saved, tmp_path, capsys):

@@ -214,6 +214,17 @@ class TestDensityMatrixValidation:
             DensityMatrix(np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("make, value, message", [
+    (DensityMatrix, [[1, 0]], "expected a square matrix"),
+    (PureState, [], "pure state needs at least one amplitude"),
+    (PureState, [np.nan, 0], "amplitudes contain NaN or Inf"),
+], ids=["non_square_density", "no_amplitude", "nan_amplitude"])
+def test_state_rejection_names_its_message(make, value, message):
+    with pytest.raises(ValidationError) as err:
+        make(value)
+    assert message in str(err.value)
+
+
 class TestBloch:
     def test_round_trip(self, rng):
         for _ in range(10):

@@ -368,7 +368,7 @@ class TestVerifyDataset:
             assert witness.target_class != label
 
     def test_empty_dataset_rejected(self, z_classifier):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^dataset is empty$"):
             verify_dataset(z_classifier, LabeledDataset([]), 0.1)
 
     def test_boundary_entries_keep_their_batch_label(self):
@@ -477,6 +477,18 @@ class TestUnderRobustAccuracy:
     def test_invalid_epsilon(self, z_classifier):
         with pytest.raises(ValidationError):
             under_robust_accuracy(z_classifier, margin_one_dataset(), 1.0)
+
+    # The margin-only driver refuses what LabeledDataset.check_compatible
+    # refuses, as every dataset driver does.
+    @pytest.mark.parametrize("entries, message", [
+        ([], "dataset is empty"),
+        ([(PureState([1, 0]), 2)],
+         "entry 0 has label 2 but the classifier only has 2 classes"),
+    ], ids=["empty", "label_outside_classes"])
+    def test_incompatible_dataset_rejected(self, z_classifier, entries, message):
+        with pytest.raises(ValidationError) as err:
+            under_robust_accuracy(z_classifier, LabeledDataset(entries), 0.1)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("record", [
