@@ -40,11 +40,11 @@ def dimension_cap() -> int:
     """Largest admissible Hilbert-space dimension.
 
     Defaults to 256 (8 qubits); override with the QRV_MAX_DIM environment
-    variable.  The optimal bound costs a few dense eigendecompositions per
-    mixed state, of the state and of its witness, cubic in the dimension
-    (about 0.07 s for a rank-2 one and 0.0013 s for a pure one at dim 256
-    on a 2-vCPU Xeon), and every dense matrix takes 16 dim^2 bytes, so the
-    cap bounds run time and memory.
+    variable.  The optimal bound costs eigendecompositions cubic in the
+    dimension: of a mixed state, and of its witness where a radius finds it
+    not robust (at dim 256 on a 2-vCPU Xeon, rank 2: 0.02 s, or 0.05 s with
+    a witness; pure: under 0.001 s), and every dense matrix takes 16 dim^2
+    bytes, so the cap bounds run time and memory.
     """
     raw = os.environ.get(MAX_DIM_ENV_VAR)
     if raw is None:

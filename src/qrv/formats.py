@@ -44,7 +44,7 @@ import numpy as np
 
 from .classifiers import Classifier, LabeledDataset
 from .config import check_dimension
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .states import DensityMatrix, PureState
 
 __all__ = [
@@ -279,6 +279,8 @@ def emit_adversarial_sidecar(witnesses: list, dataset: LabeledDataset) -> dict:
     """Adversarial examples (``AdversarialWitness`` records) as a dataset,
     each labeled with the true label of its source entry, then annotated with
     that entry's index, its target class and its distance."""
+    if missing := [j for j, w in enumerate(witnesses) if w.source_index is None]:
+        raise ValidationError(f"witness {missing[0]} has no source_index to name its entry")
     doc = emit_dataset(LabeledDataset(
         (w.sigma, dataset.entries[w.source_index][1]) for w in witnesses))
     for entry, w in zip(doc["states"], witnesses):

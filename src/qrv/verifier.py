@@ -19,10 +19,10 @@ verification stack:
   weak duality, which ``qrv recheck`` recomputes from the recorded w).
   The witness comes in closed form from the same dual curve ``sigma(u) =
   C rho C / tr(C rho C)``, ``C = (u I + A)^-1``: at the optimum it is
-  ``1/4 B^-1 rho B^-1`` with ``B = mu I + lambda A``.  It is built once
-  per bound, for the rival that sets delta, at a second root just past
-  the optimum, strictly inside the rival class; its measured distance
-  closes the interval;
+  ``1/4 B^-1 rho B^-1`` with ``B = mu I + lambda A``.  It is built only
+  where a radius finds the state not robust, for the rival that sets delta,
+  at a second root just past the optimum, strictly inside the rival class;
+  its measured distance closes the interval;
 * witnesses in the input's form: for pure rho the pure-state bound
   equals delta (the joint numerical range of two Hermitian forms is
   convex, Toeplitz-Hausdorff), so a pure entry's witness is the pure
@@ -108,7 +108,7 @@ class OptimalBound(NamedTuple):
     ``witness_distance`` is the measured ``1 - F`` of ``witness``, an upper
     bound, so the true radius lies in between.  The witness takes the
     input's form: the pure state ``phi* = C psi`` for a pure input psi, else
-    the density matrix ``sigma*``; None when the radius is unbounded.
+    the density matrix ``sigma*``; None when unbounded or never reported.
     """
 
     delta: float | None  # None encodes an unbounded radius
@@ -152,6 +152,15 @@ def margin_robust_bound(classifier: Classifier, state, eps: float) -> bool:
     return outcome.margin > np.sqrt(2.0 * eps)
 
 
+def _curve(w: float | None, a: np.ndarray, r: np.ndarray):
+    """``c = 1 / (w + a - a_0)`` (ones for None, the curve's end at rho), ``r c^2``,
+    ``Q = sum r c^2`` and ``psi = sum a r c^2 / Q`` on the dual curve at shift w."""
+    c = np.ones_like(a) if w is None else 1.0 / (w + (a - a[0]))
+    rc2 = r * c * c
+    q = float(rc2.sum())
+    return c, rc2, q, float(a @ rc2) / q
+
+
 def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
     """Ratio ``w = mu / lambda + a_min`` on the dual curve where ``psi = target``.
 
@@ -168,15 +177,12 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
     eigenspace, so ``B`` is singular at the optimum), that w is returned.
     Any w > 0 yields a sound dual value; the root only makes it tight.
     """
-    d = a - a[0]  # u + a_i = w + d_i, free of cancellation
+    d = a - a[0]
     w_min = 1e-12 * float(d[-1])
 
     def psi_and_slope(w: float) -> tuple[float, float]:
-        c = 1.0 / (w + d)
-        rc2 = r * c * c
-        den = float(rc2.sum())
-        psi = float(a @ rc2) / den
-        slope = -2.0 * w * float((rc2 * c) @ (a - psi)) / den  # d psi / d log w
+        c, rc2, q, psi = _curve(w, a, r)
+        slope = -2.0 * w * float((rc2 * c) @ (a - psi)) / q  # d psi / d log w
         return psi - target, slope
 
     if psi_and_slope(w_min)[0] >= 0.0:
@@ -207,6 +213,10 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
 # A witness pushed strictly inside the rival class may lie this far beyond
 # delta; a dearer one is replaced by the boundary witness.
 WITNESS_BUDGET = 1e-6
+# eigh is exact for some A + E, ||E|| <= p(dim) eps ||A|| (backward stability),
+# so by Weyl no eigenvalue of a gap operator A (||A|| <= 1 for a POVM) moves
+# further than this times dim (p = 64 dim: 3.6e-12 at dim 256, far below TIE_TOL).
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
 def _dual_value(w: float, a: np.ndarray, r: np.ndarray) -> float:
@@ -235,21 +245,21 @@ def _witness_factor(
     the target (the ratio is clamped: rho does not weigh the lowest
     eigenvector ``v_0``), a column ``sqrt(m) v_0``, ``m = (psi - target) /
     (psi - a_min)``, brings ``tr(A sigma)`` onto it and scales F by
-    ``1 - m``.  Its phase is a quarter turn from the first column's v_0
-    entry, so for pure rho the sum of the columns is a pure witness with
-    the same ``|<v_i|phi>|^2`` and the same overlap with rho.  Taking ``r``
-    and W from the factor keeps rounding noise on the lowest eigenspace
-    quadratic, so ``C`` cannot blow it up.
+    ``1 - m``; m is 0 where psi is within rounding of a target that a
+    repeated ``a_min`` reaches (m = 1 would keep v_0 alone of its
+    eigenspace).  Its phase is a quarter turn from the first column's v_0
+    entry, so for pure rho the sum of the columns is a pure witness with the
+    same ``|<v_i|phi>|^2`` and the same overlap with rho.  Taking ``r`` and W
+    from the factor keeps rounding noise on the lowest eigenspace quadratic,
+    so ``C`` cannot blow it up.
     """
     flip = 2.0 * TIE_TOL
-    d = a - a[0]
     for target in (-flip, 0.0) if a[0] < -flip else (0.0,):
-        c = np.ones_like(d) if w is None else (
-            1.0 / ((_dual_ratio(a, r, target) if target else w) + d))
-        rc2 = r * c * c
-        q = float(rc2.sum())
-        psi = float(a @ rc2) / q
-        m = (psi - target) / (psi - float(a[0])) if psi > target else 0.0
+        at = _dual_ratio(a, r, target) if target and w is not None else w
+        c, _, q, psi = _curve(at, a, r)
+        repeated = a[0] >= target and np.count_nonzero(a == a[0]) > 1
+        floor = _ROUNDING * len(a) * (a[-1] - a[0]) if repeated else 0.0
+        m = (psi - target) / (psi - float(a[0])) if psi - target > floor else 0.0
         if 1.0 - (1.0 - m) * float(r @ c) ** 2 / q <= delta + WITNESS_BUDGET:
             break
     x = c[:, None] * factor * np.sqrt((1.0 - m) / q)
@@ -259,11 +269,13 @@ def _witness_factor(
 
 
 def _gap(classifier: Classifier, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rival ``k``'s gap eigenpairs as the bound reads them: a least eigenvalue
-    in (0, ``TIE_TOL``], where :func:`classify_batch` calls a gap a tie, is
-    lowered to 0, so the rival is reachable; the lower operator widens the
+    """Rival ``k``'s gap eigenpairs as the bound reads them: eigenvalues within
+    ``_ROUNDING * dim`` of the least (a repeated one ``eigh`` split) are set to it,
+    and a least one in (0, ``TIE_TOL``], a tie to :func:`classify_batch`, is
+    lowered to 0, so the rival is reachable.  Each lower operator widens the
     flip set, and delta stays a sound lower bound."""
     a, vectors = classifier.gap_spectrum(label, k)
+    a = np.where(a - a[0] <= _ROUNDING * len(a), a[0], a)
     return (a - a[0] if 0.0 < a[0] <= TIE_TOL else a), vectors
 
 
@@ -315,6 +327,13 @@ def compute_optimal_bound(
     :class:`MisclassifiedInput`, and one ahead by less is tied, as batch
     classification flags it.
     """
+    return _optimal_bound(classifier, state, label)
+
+
+def _optimal_bound(classifier: Classifier, state, label: int | None,
+                   eps: float = np.inf) -> OptimalBound:
+    """:func:`compute_optimal_bound`: the bound (the rival roots, then
+    :func:`bound_at`), then its witness only if the state is not eps-robust."""
     n = classifier.n_classes
     if label is None:
         label = classify(classifier, state).label_index
@@ -336,8 +355,8 @@ def compute_optimal_bound(
         if gap > 0.0:
             shifts[k] = _dual_ratio(a, r)
     bound = bound_at(classifier, lambda k: rotated[k][1], label, shifts)
-    if bound.unbounded:
-        return bound
+    if bound.robust_at(eps):
+        return bound  # unbounded, or no witness asked for
     k_star, delta = bound.argmin_class, bound.delta
     a, vectors = _gap(classifier, label, k_star)
     factor, r = rotated[k_star]
@@ -353,12 +372,12 @@ def check_epsilon_robust(
 ) -> RobustnessCheck:
     """eps-robustness decision by thresholding the optimal bound.
 
-    The state is robust iff ``eps <= delta``; a non-robust state carries
-    the bound's witness at its measured distance: a pure state for a pure
-    input, a density matrix for a mixed one.
+    The state is robust iff ``eps <= delta``, and then no witness is built;
+    a non-robust state carries the bound's witness at its measured distance:
+    a pure state for a pure input, a density matrix for a mixed one.
     """
     eps = _require_epsilon(eps)
-    bound = compute_optimal_bound(classifier, state, label)
+    bound = _optimal_bound(classifier, state, label, eps)
     witness = None
     if not bound.robust_at(eps):
         witness = AdversarialWitness(bound.witness, bound.argmin_class,
@@ -470,12 +489,13 @@ def verify_epsilons(
     entry contributes its witness to the adversarial set R.  Robust
     accuracy is ``1 - |R| / |T|``.  As delta does not depend on the radius,
     each correct entry the margin leaves undecided at the largest radius
-    gets one exact bound, shared by every radius.
+    gets one exact bound, shared by every radius (and built with its witness
+    only if that radius finds it not robust).
 
     Timings: ``margin_seconds`` is the shared classification;
-    ``exact_seconds`` sums the bound times of the entries exact at that
-    radius, the time a run at that radius alone would spend (so it does
-    not decrease as the radius grows); ``total_seconds`` is their sum.
+    ``exact_seconds`` sums the bound times (witness included) of the entries
+    exact at that radius, so it does not decrease as the radius grows;
+    ``total_seconds`` is their sum.
     """
     epsilons = [_require_epsilon(eps) for eps in epsilons]
     if not epsilons:
@@ -491,7 +511,7 @@ def verify_epsilons(
     @functools.cache
     def exact(i: int) -> tuple[OptimalBound, float]:
         t0 = time.perf_counter()
-        bound = compute_optimal_bound(classifier, states[i], labels[i])
+        bound = _optimal_bound(classifier, states[i], labels[i], max(epsilons))
         return bound, time.perf_counter() - t0
 
     return assemble_reports(batch, labels, epsilons, exact, t_margin, opts.seed)
@@ -502,8 +522,8 @@ def assemble_reports(batch: BatchClassification, labels, epsilons, exact, t_marg
     """The reports of :func:`verify_epsilons`, one per radius in
     ``epsilons``, from the classification ``batch`` of a dataset with
     ``labels``: its verdicts, totals and warnings.  ``exact(i)`` gives entry
-    i's :class:`OptimalBound` and the seconds it took; it is asked only for
-    the correct entries the margin leaves undecided at some radius.
+    i's :class:`OptimalBound` (a witness if a radius needs one) and seconds;
+    it is asked only for the correct entries the margin leaves undecided.
     """
     correct = batch.labels == labels
     n = len(labels)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import qrv.verifier
 from qrv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +49,23 @@ def test_workload_verifies_and_rechecks(name, generators, tmp_path):
         assert main(["recheck", str(workload.classifier_path), str(workload.dataset_path),
                      str(report), str(sidecar)]) == 0
     assert out.getvalue().strip().endswith("consistent")
+
+
+# Witnesses the exact path builds for seed 0 of each workload: one per entry
+# that the largest radius reports not robust (it built one per bound before,
+# 16 and 14).
+WITNESSES_BUILT = {"noisy_mixed": 3, "image_exact": 6}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_witness_only_where_a_radius_reports_one(name, generators, tmp_path, monkeypatch):
+    built = []
+    witness = qrv.verifier._witness_factor
+    monkeypatch.setattr(qrv.verifier, "_witness_factor",
+                        lambda *args: built.append(args) or witness(*args))
+    workload = generators[name](0, tmp_path)
+    report, sidecar = tmp_path / "report.json", tmp_path / "adversarial.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(workload.verify_args(report, sidecar) + ["--omit-timings"]) == 0
+    entries = {entry["source_index"] for entry in json.loads(sidecar.read_text())["states"]}
+    assert len(built) == len(entries) == WITNESSES_BUILT[name]

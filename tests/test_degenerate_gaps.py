@@ -1,0 +1,128 @@
+"""Gap operators with a repeated lowest eigenvalue: delta stays sound, and the
+witness closes the interval.
+
+``eigh`` splits a repeated eigenvalue by rounding.  Where a rival's gap
+operator is positive semidefinite with a kernel of dimension 2 or more, the
+nearest tied state is rho projected onto that kernel, at distance ``1 -
+tr(P rho)``; delta may not exceed it, and every witness must recheck.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qrv.classifiers import Classifier, LabeledDataset, classify_batch
+from qrv.formats import emit_adversarial_sidecar, emit_reports, load_sidecar, write_json
+from qrv.recheck import recheck_report
+from qrv.sampling import random_density_matrix, random_pure_state, random_unitary
+from qrv.verifier import WITNESS_BUDGET, compute_optimal_bound, verify_epsilons
+
+EPSILONS = (0.01, 0.1, 0.3, 0.6)
+
+
+def kernel_radii(classifier: Classifier, state, label: int) -> dict:
+    """Per rival whose gap operator is positive semidefinite with a kernel,
+    ``1 - tr(P rho)``, P the projector onto that kernel: the distance of the
+    nearest state the rival ties.  The classifiers below keep every nonzero
+    gap eigenvalue far above the 1e-9 that tells the kernel apart."""
+    radii = {}
+    for k in range(classifier.n_classes):
+        if k == label:
+            continue
+        a, v = classifier.gap_spectrum(label, k)
+        if abs(a[0]) <= 1e-9:
+            kernel = v[:, a <= 1e-9]
+            radii[k] = 1.0 - float(np.real(np.trace(kernel.conj().T @ state.matrix @ kernel)))
+    return radii
+
+
+def recheck_problems(classifier: Classifier, dataset: LabeledDataset) -> list[str]:
+    """``recheck_report``'s mismatches for the report and sidecar that
+    verifying ``dataset`` at ``EPSILONS`` writes, read back from files."""
+    reports = verify_epsilons(classifier, dataset, EPSILONS)
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = Path(tmp) / "adversarial.json"
+        write_json(sidecar, emit_adversarial_sidecar(
+            [w for r in reports for w in r.adversarial], dataset))
+        witnesses = load_sidecar(sidecar, classifier.dim)
+    report = json.loads(json.dumps(emit_reports(reports, include_timings=False)))
+    return recheck_report(classifier, dataset, report, witnesses)[0]
+
+
+def check_degenerate(classifier: Classifier, dataset: LabeledDataset) -> None:
+    for state, label in dataset:
+        bound = compute_optimal_bound(classifier, state, label)
+        for k, radius in kernel_radii(classifier, state, label).items():
+            assert bound.per_class[k] <= radius + 1e-12
+        if not bound.unbounded:
+            # At a root clamped at w_min = 1e-12 * spread, on a repeated kernel,
+            # the witness ties the classes about w_min * sum_i r_i / d_i short
+            # of delta; test_dual_bound allows it 1e-9 too.
+            assert bound.delta - 1e-9 <= bound.witness_distance <= bound.delta + WITNESS_BUDGET
+    assert recheck_problems(classifier, dataset) == []
+
+
+def repeated_kernel_family(seed: int, n: int = 12):
+    """Dim 3, 2 classes: ``N_0 = V diag(1/2, 1/2, x) V^dag``, ``N_1 = I - N_0``,
+    so the gap ``N_0 - N_1`` has a double eigenvalue 0, and ``n`` random
+    states of random rank that class 0 wins without a tie."""
+    rng = np.random.default_rng(seed)
+    v = random_unitary(3, rng)
+    n0 = v @ np.diag([0.5, 0.5, rng.uniform(0.6, 1.0)]) @ v.conj().T
+    classifier = Classifier([n0, np.eye(3) - n0])
+    states = []
+    while len(states) < n:
+        state = random_density_matrix(3, rng, rank=rng.integers(1, 4))
+        batch = classify_batch(classifier, [state])
+        if batch.labels[0] == 0 and not batch.ties[0]:
+            states.append(state)
+    return classifier, LabeledDataset((state, 0) for state in states)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_repeated_kernel_eigenvalue_gives_the_kernel_radius(seed):
+    # Before the kernel's split eigenvalues were merged, delta exceeded the
+    # kernel radius by up to 1.8e-3 here, and recheck rejected the verifier's
+    # own output on 24 of these 40 seeds (seed 2 first: a witness at 0.858
+    # for eps 0.6).
+    check_degenerate(*repeated_kernel_family(seed))
+
+
+def _effects(rng, dim: int, n_classes: int, family: str) -> list[np.ndarray]:
+    """POVM effects of one degenerate family, diagonal in a random basis."""
+    v = random_unitary(dim, rng)
+    if family == "projective":  # a class owning no basis vector is never produced
+        owner = rng.permutation(np.arange(dim) % n_classes)
+        columns = [np.where(owner == k, 1.0, 0.0) for k in range(n_classes)]
+    elif family == "few_eigenvalues":  # each basis vector takes one of two outcome rows
+        rows = rng.integers(1, 4, size=(2, n_classes))
+        columns = list((rows / rows.sum(axis=1, keepdims=True))[rng.integers(0, 2, size=dim)].T)
+    elif family == "equal_effects":  # N_0 = N_1
+        half = np.full(dim, 0.5) if n_classes == 2 else rng.choice([0.1, 0.25, 0.4, 0.5], dim)
+        columns = [half, half, 1.0 - 2.0 * half][:n_classes]
+    else:  # never_produced: the last class has a zero effect
+        first = np.ones(dim) if n_classes == 2 else rng.choice([0.0, 0.3, 0.5, 1.0], dim)
+        columns = [first, 1.0 - first][:n_classes - 1] + [np.zeros(dim)]
+    return [(v * c) @ v.conj().T for c in columns]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 5),
+    n_classes=st.sampled_from([2, 3]),
+    family=st.sampled_from(["projective", "few_eigenvalues", "equal_effects",
+                            "never_produced"]),
+)
+def test_degenerate_families_round_trip(seed, dim, n_classes, family):
+    rng = np.random.default_rng(seed)
+    classifier = Classifier(_effects(rng, dim, n_classes, family))
+    states = [random_pure_state(dim, rng) if rng.random() < 0.3
+              else random_density_matrix(dim, rng, rank=rng.integers(1, dim + 1))
+              for _ in range(12)]
+    labels = classify_batch(classifier, states).labels.tolist()
+    check_degenerate(classifier, LabeledDataset(zip(states, labels)))

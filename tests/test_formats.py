@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrv.casestudy import generate_qubit_case_study
-from qrv.errors import SchemaError
+from qrv.errors import SchemaError, ValidationError
 from qrv.formats import (
     BINARY_MIN_ELEMENTS,
     FORMAT_TAG,
@@ -36,7 +36,7 @@ from qrv.sampling import (
     random_unitary,
 )
 from qrv.states import DensityMatrix, PureState
-from qrv.verifier import verify_dataset
+from qrv.verifier import check_epsilon_robust, verify_dataset
 
 
 def round_trip(doc):
@@ -261,6 +261,18 @@ class TestReportEmission:
             for entry, witness in zip(sidecar["states"], report.adversarial):
                 assert entry["source_index"] == witness.source_index
                 assert entry["label"] == train.entries[witness.source_index][1]
+
+    def test_sidecar_refuses_a_witness_without_its_entry(self):
+        # A library witness from check_epsilon_robust names no dataset entry,
+        # so the sidecar cannot give it its entry's label.
+        classifier, train, _ = generate_qubit_case_study(n_train=40, n_val=2, seed=0)
+        witnesses = [check.witness for state, label in train
+                     if classify(classifier, state).label_index == label
+                     and not (check := check_epsilon_robust(classifier, state, label,
+                                                            0.004)).robust]
+        assert witnesses and witnesses[0].source_index is None
+        with pytest.raises(ValidationError, match="witness 0 has no source_index"):
+            emit_adversarial_sidecar(witnesses, train)
 
 
 # Finite doubles with -0.0, subnormals and extreme exponents all likely.

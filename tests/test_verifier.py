@@ -190,6 +190,17 @@ class TestEpsilonCheck:
         with pytest.raises(ValidationError):
             check_epsilon_robust(z_classifier, diag_state(1.0), 0, 0.0)
 
+    def test_witness_only_for_a_state_that_is_not_robust(self, z_classifier, monkeypatch):
+        calls = []
+        witness = qrv.verifier._witness_factor
+        monkeypatch.setattr(qrv.verifier, "_witness_factor",
+                            lambda *args: calls.append(args) or witness(*args))
+        rho = pure_to_density(PureState([1, 0]))  # delta 0.5
+        assert check_epsilon_robust(z_classifier, rho, 0, 0.4).witness is None
+        assert calls == []
+        assert check_epsilon_robust(z_classifier, rho, None, 0.6).witness is not None
+        assert len(calls) == 1
+
 
 class TestDerivationOracle:
     def test_tied_overlap_closed_form(self, rng):
@@ -437,13 +448,13 @@ class TestVerifyEpsilons:
     def test_one_bound_per_exact_entry(self, rng, monkeypatch):
         classifier, dataset = mixed_dataset(rng)
         calls = []
-        bound = qrv.verifier.compute_optimal_bound
+        bound = qrv.verifier._optimal_bound  # compute_optimal_bound, with a radius
 
-        def counted(classifier, state, label=None):
+        def counted(classifier, state, label, eps):
             calls.append(id(state))
-            return bound(classifier, state, label)
+            return bound(classifier, state, label, eps)
 
-        monkeypatch.setattr(qrv.verifier, "compute_optimal_bound", counted)
+        monkeypatch.setattr(qrv.verifier, "_optimal_bound", counted)
         reports = verify_epsilons(classifier, dataset, EPSILONS)
         widest = reports[EPSILONS.index(max(EPSILONS))]
         exact = [v for v in widest.verdicts if v.correct and not v.margin_certified]
