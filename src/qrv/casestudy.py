@@ -101,8 +101,8 @@ def generate_qubit_case_study(
             raise ValidationError(f"{name} must lie in (-pi, pi], got {angle}")
     if n_train < 2 or n_val < 2:
         raise ValidationError("need at least two samples per dataset")
-    if noise_std < 0:
-        raise ValidationError("noise_std must be nonnegative")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValidationError(f"noise_std must be finite and nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
 
     def build(count: int) -> LabeledDataset:

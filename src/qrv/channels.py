@@ -84,7 +84,7 @@ class KrausChannel:
         out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
         for e in self.kraus:
             out += e @ m @ e.conj().T
-        return DensityMatrix(0.5 * (out + out.conj().T))
+        return DensityMatrix(out)  # symmetrized by its validation
 
     def dual_apply(self, obs) -> np.ndarray:
         """Adjoint action sum_k E_k^dag A E_k on a Hermitian observable.

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension
+from .config import GAP_ROUNDING, ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension
 from .errors import DimensionMismatch, ValidationError
 from .states import (
     DensityMatrix,
@@ -103,14 +103,18 @@ class Classifier:
         return self.dual_effects[winner] - self.dual_effects[rival]
 
     def gap_spectrum(self, winner: int, rival: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of the class gap operator.
-
-        Computed once per (winner, rival) pair and cached, so every state
-        verified against this classifier reuses the same decomposition.
+        """Ascending eigenvalues and eigenvectors of the class gap operator as
+        the bound reads them: eigenvalues within ``GAP_ROUNDING * dim`` of the
+        least (a repeated one ``eigh`` split) are set to it, and a least one in
+        (0, ``TIE_TOL``], a tie to :func:`classify_batch`, is lowered to 0, so
+        the rival is reachable.  Each lower operator widens the flip set, so
+        the bound stays sound.  Computed once per (winner, rival) and cached.
         """
         key = (winner, rival)
         if key not in self._gap_spectra:
-            self._gap_spectra[key] = np.linalg.eigh(self.class_gap_operator(winner, rival))
+            a, vectors = np.linalg.eigh(self.class_gap_operator(winner, rival))
+            a = np.where(a - a[0] <= GAP_ROUNDING * len(a), a[0], a)
+            self._gap_spectra[key] = (a - a[0] if 0.0 < a[0] <= TIE_TOL else a), vectors
         return self._gap_spectra[key]
 
     def __repr__(self) -> str:
@@ -133,6 +137,16 @@ class BatchClassification(NamedTuple):
     probabilities: np.ndarray  # (n, n_classes)
     margins: np.ndarray  # (n,) sqrt(p_1) - sqrt(p_2)
     ties: np.ndarray  # (n,) bool
+
+    def certified(self, eps: float) -> np.ndarray:
+        """(n,) bool: the margin certificate sqrt(p_1) - sqrt(p_2) > sqrt(2 eps)
+        of eps-robustness; False is inconclusive, not a counterexample."""
+        return self.margins > np.sqrt(2.0 * eps)
+
+    def under_approx(self, eps: float) -> float:
+        """URA, the robust accuracy's under-approximation: the share certified."""
+        n = len(self.margins)
+        return 1.0 - (n - int(np.count_nonzero(self.certified(eps)))) / n
 
 
 def _probability_rows(classifier: Classifier, states) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Numeric tolerances and global limits.
 
-Every tolerance of validation and classification is one constant here, so
-both agree on what counts as a state, a classifier, a channel and a tie;
+Every tolerance of validation, classification and gap spectra is one constant
+here, so all agree on what counts as a state, a classifier, a channel and a tie;
 ``verifier.WITNESS_BUDGET``, ``recheck.DELTA_TOL`` and ``recheck.DISTANCE_TOL``
 live where they are used.  The test suite's SDP oracle, ``tests/sdp_oracle.py``,
 takes its own solver targets.  The values are deliberately strict.
@@ -10,6 +10,7 @@ takes its own solver targets.  The values are deliberately strict.
 from __future__ import annotations
 
 import os
+import sys
 
 from .errors import ValidationError
 
@@ -34,6 +35,10 @@ NORM_REJECT = 1e-6
 ISOMETRY_TOL = 1e-7
 # Two class probabilities within TIE_TOL count as tied.
 TIE_TOL = 1e-7
+# eigh is exact for some A + E, ||E|| <= p(dim) eps ||A||, so by Weyl no gap
+# eigenvalue (||A|| <= 1 for a POVM) moves further than GAP_ROUNDING * dim (3.6e-12
+# at dim 256, far below TIE_TOL); the bound sets those that near the least to it.
+GAP_ROUNDING = 64 * sys.float_info.epsilon
 
 
 def dimension_cap() -> int:

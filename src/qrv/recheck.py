@@ -17,6 +17,7 @@ rho's cached factor, rotated once per rival for all runs.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -89,10 +90,10 @@ def recheck_report(
             v, label = verdicts[i], labels[i]
             shifts = v.get("dual_shifts")
             if not (isinstance(shifts, list) and len(shifts) == classifier.n_classes
-                    and all(w is None or _number(w) and w > 0.0 for w in shifts)
+                    and all(w is None or _number(w) and w >= sys.float_info.min for w in shifts)
                     and shifts[label] is None):
-                bad(i, "dual_shifts", f"{shifts!r} is not a null or positive shift per "
-                    "class, null at the label")
+                bad(i, "dual_shifts", f"{shifts!r} is not a null or normal positive shift "
+                    "per class, null at the label")
                 shifts = [None] * classifier.n_classes
             bound = bound_at(classifier, lambda k: weights(i, k), label, shifts)
             if not bound.unbounded:

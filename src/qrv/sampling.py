@@ -78,8 +78,5 @@ def random_classifier(
     inv_sqrt = (v / np.sqrt(np.clip(w, 1e-14, None))) @ v.conj().T
     # M_k = sqrt(effect), squared again by from_kraus: passing the effect
     # directly would move dual_effects in the last bits, and so the reports.
-    operators = []
-    for g in gram:
-        effect = inv_sqrt @ g @ inv_sqrt
-        operators.append(matrix_sqrt_psd(0.5 * (effect + effect.conj().T)))
+    operators = [matrix_sqrt_psd(inv_sqrt @ g @ inv_sqrt) for g in gram]
     return Classifier.from_kraus(channel, operators)

@@ -56,7 +56,7 @@ from .classifiers import (
     classify,
     classify_batch,
 )
-from .config import TIE_TOL
+from .config import GAP_ROUNDING, TIE_TOL
 from .errors import MisclassifiedInput, ValidationError
 from .states import DensityMatrix, PureState, sqrt_fidelity
 
@@ -142,14 +142,9 @@ class PureBound(NamedTuple):
 
 
 def margin_robust_bound(classifier: Classifier, state, eps: float) -> bool:
-    """Margin certificate: sqrt(p_1) - sqrt(p_2) > sqrt(2 eps).
-
-    True certifies eps-robustness; False is inconclusive, not a
-    counterexample.
-    """
+    """One state's margin certificate (:meth:`BatchClassification.certified`)."""
     eps = _require_epsilon(eps)
-    outcome = classify(classifier, state)
-    return outcome.margin > np.sqrt(2.0 * eps)
+    return bool(classify_batch(classifier, [state]).certified(eps)[0])
 
 
 def _curve(w: float | None, a: np.ndarray, r: np.ndarray):
@@ -213,10 +208,6 @@ def _dual_ratio(a: np.ndarray, r: np.ndarray, target: float = 0.0) -> float:
 # A witness pushed strictly inside the rival class may lie this far beyond
 # delta; a dearer one is replaced by the boundary witness.
 WITNESS_BUDGET = 1e-6
-# eigh is exact for some A + E, ||E|| <= p(dim) eps ||A|| (backward stability),
-# so by Weyl no eigenvalue of a gap operator A (||A|| <= 1 for a POVM) moves
-# further than this times dim (p = 64 dim: 3.6e-12 at dim 256, far below TIE_TOL).
-_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
 def _dual_value(w: float, a: np.ndarray, r: np.ndarray) -> float:
@@ -258,7 +249,7 @@ def _witness_factor(
         at = _dual_ratio(a, r, target) if target and w is not None else w
         c, _, q, psi = _curve(at, a, r)
         repeated = a[0] >= target and np.count_nonzero(a == a[0]) > 1
-        floor = _ROUNDING * len(a) * (a[-1] - a[0]) if repeated else 0.0
+        floor = GAP_ROUNDING * len(a) * (a[-1] - a[0]) if repeated else 0.0
         m = (psi - target) / (psi - float(a[0])) if psi - target > floor else 0.0
         if 1.0 - (1.0 - m) * float(r @ c) ** 2 / q <= delta + WITNESS_BUDGET:
             break
@@ -268,21 +259,10 @@ def _witness_factor(
     return np.hstack([x, kernel])
 
 
-def _gap(classifier: Classifier, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rival ``k``'s gap eigenpairs as the bound reads them: eigenvalues within
-    ``_ROUNDING * dim`` of the least (a repeated one ``eigh`` split) are set to it,
-    and a least one in (0, ``TIE_TOL``], a tie to :func:`classify_batch`, is
-    lowered to 0, so the rival is reachable.  Each lower operator widens the
-    flip set, and delta stays a sound lower bound."""
-    a, vectors = classifier.gap_spectrum(label, k)
-    a = np.where(a - a[0] <= _ROUNDING * len(a), a[0], a)
-    return (a - a[0] if 0.0 < a[0] <= TIE_TOL else a), vectors
-
-
 def _rotate(classifier: Classifier, root: np.ndarray, label: int, k: int):
     """rho's factor ``F = V^dag root`` in the gap eigenbasis of rival ``k``
     (``V^dag rho V = F F^dag``) and the weights ``r_i = <v_i|rho|v_i>``."""
-    factor = _gap(classifier, label, k)[1].conj().T @ root
+    factor = classifier.gap_spectrum(label, k)[1].conj().T @ root
     return factor, (np.abs(factor) ** 2).sum(axis=1)
 
 
@@ -297,7 +277,7 @@ def bound_at(classifier: Classifier, weights, label: int, shifts) -> OptimalBoun
     for k, w in enumerate(shifts):
         if k == label:
             continue
-        a = _gap(classifier, label, k)[0]
+        a = classifier.gap_spectrum(label, k)[0]
         if w is None:
             per_class[k] = None if a[0] > 0.0 else 0.0
         else:
@@ -345,7 +325,7 @@ def _optimal_bound(classifier: Classifier, state, label: int | None,
     for k in range(n):
         if k == label:
             continue
-        a = _gap(classifier, label, k)[0]
+        a = classifier.gap_spectrum(label, k)[0]
         if a[0] > 0.0:
             continue  # class unreachable by any state
         _, r = rotated[k] = _rotate(classifier, state.factor, label, k)
@@ -358,7 +338,7 @@ def _optimal_bound(classifier: Classifier, state, label: int | None,
     if bound.robust_at(eps):
         return bound  # unbounded, or no witness asked for
     k_star, delta = bound.argmin_class, bound.delta
-    a, vectors = _gap(classifier, label, k_star)
+    a, vectors = classifier.gap_spectrum(label, k_star)
     factor, r = rotated[k_star]
     factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
     witness = (PureState(factor.sum(axis=1)) if isinstance(state, PureState)  # unit norm
@@ -458,18 +438,12 @@ class VerificationReport(NamedTuple):
 def under_robust_accuracy(
     classifier: Classifier, dataset: LabeledDataset, eps: float
 ) -> float:
-    """Margin-only under-approximation of the robust accuracy.
-
-    Counts every entry whose margin fails the certificate as potentially
-    non-robust; no bound is solved and the dataset is classified in one
-    batch, so this scales to large datasets at classification cost.
-    """
+    """The dataset's URA (:meth:`BatchClassification.under_approx`): one
+    batched classification and no bound, so it scales at classification cost."""
     eps = _require_epsilon(eps)
     dataset.check_compatible(classifier)
     states = [state for state, _label in dataset]
-    margins = classify_batch(classifier, states).margins
-    flagged = int(np.count_nonzero(margins <= np.sqrt(2.0 * eps)))
-    return 1.0 - flagged / len(dataset)
+    return classify_batch(classifier, states).under_approx(eps)
 
 
 def verify_epsilons(
@@ -545,7 +519,7 @@ def assemble_reports(batch: BatchClassification, labels, epsilons, exact, t_marg
     ]
     reports = []
     for eps in epsilons:
-        certified = batch.margins > np.sqrt(2.0 * eps)
+        certified = batch.certified(eps)
         verdicts, adversarial = [], []
         # "sdp_solves" counts dual bound solves; the key name is kept for
         # readers of saved reports.
@@ -581,7 +555,7 @@ def assemble_reports(batch: BatchClassification, labels, epsilons, exact, t_marg
             n_correct=n_correct,
             accuracy=accuracy_value,
             robust_accuracy=1.0 - len(adversarial) / n,
-            under_approx_robust_accuracy=1.0 - (n - int(np.count_nonzero(certified))) / n,
+            under_approx_robust_accuracy=batch.under_approx(eps),
             verdicts=verdicts,
             adversarial=adversarial,
             timings={

@@ -20,7 +20,7 @@ from qrv.casestudy import (
     read_pgm,
 )
 from qrv.cli import build_parser, main
-from qrv.errors import ValidationError
+from qrv.errors import MisclassifiedInput, ValidationError
 from qrv.formats import (
     emit_reports,
     load_classifier,
@@ -67,11 +67,18 @@ class TestGenQubit:
         with pytest.raises(ValidationError):
             generate_qubit_case_study(theta_a=4.0)
 
-    @pytest.mark.parametrize("case", ["one_training_sample", "no_values", "nan_value"])
+    @pytest.mark.parametrize("case", ["one_training_sample", "no_values", "nan_value",
+                                      "negative_noise", "nan_noise", "inf_noise"])
     def test_case_study_rejection_names_its_message(self, case):
         make, message = {
             "one_training_sample": (lambda: generate_qubit_case_study(n_train=1),
                                     "need at least two samples per dataset"),
+            "negative_noise": (lambda: generate_qubit_case_study(noise_std=-0.1),
+                               "noise_std must be finite and nonnegative, got -0.1"),
+            "nan_noise": (lambda: generate_qubit_case_study(noise_std=np.nan),
+                          "noise_std must be finite and nonnegative, got nan"),
+            "inf_noise": (lambda: generate_qubit_case_study(noise_std=np.inf),
+                          "noise_std must be finite and nonnegative, got inf"),
             "no_values": (lambda: amplitude_encode([]), "cannot encode an empty value array"),
             "nan_value": (lambda: amplitude_encode([np.nan]), "values contain NaN or Inf"),
         }[case]
@@ -320,6 +327,26 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("input error: QRV_MAX_DIM must be "), err
         assert str(tmp_path) not in err
+
+    def test_dataset_of_another_dim_exits_2(self, case_files, tmp_path, capsys):
+        classifier_path, _ = case_files
+        dataset_path = tmp_path / "dim4.json"
+        save_dataset(dataset_path, LabeledDataset([(PureState([1, 0, 0, 0]), 0)]))
+        assert main(["verify", classifier_path, str(dataset_path), "--epsilon", "0.002"]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: entry 0 has dim 4, classifier expects 2\n", err
+
+    def test_error_of_no_input_exits_3(self, case_files, capsys, monkeypatch):
+        # A QrvError that is not a ValidationError: one line, no traceback.
+        import qrv.cli
+
+        def fail(*args, **kwargs):
+            raise MisclassifiedInput("class 1 is ahead of the stated label 0")
+
+        monkeypatch.setattr(qrv.cli, "verify_epsilons", fail)
+        assert main(["verify", *case_files, "--epsilon", "0.002"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: class 1 is ahead of the stated label 0\n", err
 
     def test_pure_entries_end_to_end(self, case_files, tmp_path):
         classifier_path, dataset_path = case_files

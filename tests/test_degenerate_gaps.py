@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrv.classifiers import Classifier, LabeledDataset, classify_batch
+from qrv.config import TIE_TOL
 from qrv.formats import emit_adversarial_sidecar, emit_reports, load_sidecar, write_json
 from qrv.recheck import recheck_report
 from qrv.sampling import random_density_matrix, random_pure_state, random_unitary
@@ -90,6 +91,19 @@ def test_repeated_kernel_eigenvalue_gives_the_kernel_radius(seed):
     # own output on 24 of these 40 seeds (seed 2 first: a witness at 0.858
     # for eps 0.6).
     check_degenerate(*repeated_kernel_family(seed))
+
+
+def test_gap_spectrum_is_the_bounds_view():
+    # eigh rounds the zero eigenvalue of this singular gap to about +4e-17, a
+    # tie the bound reads as 0, so the rival stays reachable.
+    u = random_unitary(2, np.random.default_rng(0))
+    classifier = Classifier([u.conj().T @ np.diag(d) @ u for d in ([1, .5], [0, .5])])
+    assert 0.0 < np.linalg.eigh(classifier.class_gap_operator(0, 1))[0][0] <= TIE_TOL
+    assert classifier.gap_spectrum(0, 1)[0][0] == 0.0
+    # eigh splits the double eigenvalue 0 of this family; the bound reads one.
+    for seed in range(40):
+        a = repeated_kernel_family(seed, n=0)[0].gap_spectrum(0, 1)[0]
+        assert a[0] == a[1] < a[2]
 
 
 def _effects(rng, dim: int, n_classes: int, family: str) -> list[np.ndarray]:

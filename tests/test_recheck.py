@@ -279,10 +279,17 @@ def _float_source_index(report, sidecar, run):  # equal in value, not in type
     return int(entry["source_index"]), "source_index"
 
 
+def _subnormal_shift(report, sidecar, run):  # its reciprocal overflows
+    i = _entry(run, robust=False)
+    verdict = run["verdicts"][i]
+    verdict["dual_shifts"][verdict["adversarial_class"]] = 1e-320
+    return i, "dual_shifts"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
          _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
          _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance,
-         _warnings, _huge_margin, _float_source_index]
+         _warnings, _huge_margin, _float_source_index, _subnormal_shift]
 
 
 def _set(field, value, robust=True, certified=False):
@@ -500,7 +507,7 @@ def test_singular_gap_rounded_positive_verifies_and_rechecks(seed, tmp_path, cap
     # from the saved witness.
     u = random_unitary(2, np.random.default_rng(seed))
     classifier = Classifier([u.conj().T @ np.diag(d) @ u for d in ([1, .5], [0, .5])])
-    a_min = classifier.gap_spectrum(0, 1)[0][0]
+    a_min = np.linalg.eigh(classifier.class_gap_operator(0, 1))[0][0]
     assert abs(a_min) <= qrv.verifier.TIE_TOL and (a_min > 0.0) == (seed == 0)
     rho = DensityMatrix(u.conj().T @ np.diag([.7, .3]) @ u)
     paths = {"classifier": str(tmp_path / "c.json"), "singular": str(tmp_path / "d.json")}
