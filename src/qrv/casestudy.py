@@ -64,19 +64,14 @@ def qubit_rotation_classifier(
 def _sample_anchor_angles(
     anchor: float, other: float, count: int, std: float, rng: np.random.Generator
 ) -> list[float]:
-    """Gaussian angles around the anchor, redrawn until the sample lies
-    nearer its own anchor than the other one (labels stay consistent)."""
+    """Gaussian angles around the anchor, each redrawn until it lies nearer its
+    own anchor than the other one (labels stay consistent); a draw does so
+    with probability at least 1/2, so the loop ends."""
     angles = []
-    for _ in range(count):
-        for _attempt in range(1000):
-            theta = float(rng.normal(anchor, std))
-            if abs(theta - anchor) <= abs(theta - other):
-                angles.append(theta)
-                break
-        else:
-            raise ValidationError(
-                "sampling could not stay near its anchor; lower noise_std"
-            )
+    while len(angles) < count:
+        theta = float(rng.normal(anchor, std))
+        if abs(theta - anchor) <= abs(theta - other):
+            angles.append(theta)
     return angles
 
 
@@ -195,17 +190,11 @@ def downscale_area(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def encode_image(path) -> PureState:
-    """PGM file -> 8-qubit pure state via amplitude encoding.
-
-    16 x 16 images are encoded directly; anything larger (e.g. 28 x 28
-    handwriting scans) is area-averaged down to 16 x 16 first.
-    """
+    """PGM file -> 8-qubit pure state: the image (e.g. a 28 x 28 handwriting
+    scan) area-averaged to 16 x 16, whose weights at 16 x 16 are the identity,
+    then amplitude-encoded."""
     img = read_pgm(path)
-    if img.shape != (IMAGE_SIDE, IMAGE_SIDE):
-        if img.shape[0] < IMAGE_SIDE or img.shape[1] < IMAGE_SIDE:
-            raise ValidationError(
-                f"image is {img.shape[0]}x{img.shape[1]}; need at least "
-                f"{IMAGE_SIDE}x{IMAGE_SIDE}"
-            )
-        img = downscale_area(img, IMAGE_SIDE, IMAGE_SIDE)
-    return amplitude_encode(img)
+    if min(img.shape) < IMAGE_SIDE:
+        raise ValidationError(f"image is {img.shape[0]}x{img.shape[1]}; "
+                              f"need at least {IMAGE_SIDE}x{IMAGE_SIDE}")
+    return amplitude_encode(downscale_area(img, IMAGE_SIDE, IMAGE_SIDE))

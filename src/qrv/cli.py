@@ -44,8 +44,7 @@ try:
     from .config import dimension_cap
     from .errors import QrvError, SchemaError, ValidationError
     from . import formats
-    from .verifier import (VerifyOptions, _require_epsilon, under_robust_accuracy,
-                           verify_epsilons)
+    from .verifier import VerifyOptions, _require_epsilon, verify_epsilons
 finally:
     if _COLLECTING:
         if not gc.get_freeze_count():  # what loaded goes to the oldest generation,
@@ -199,17 +198,15 @@ def _cmd_recheck(args) -> int:
 def _cmd_bound(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
     classifier, dataset = _run_inputs(args, "report")
-    rows = []
-    for eps in epsilons:
-        t0 = time.perf_counter()
-        ura = under_robust_accuracy(classifier, dataset, eps)
-        rows.append((eps, ura, time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    batch = classify_batch(classifier, [state for state, _ in dataset])
+    seconds = time.perf_counter() - t0
+    columns = [(eps, batch.under_approx(eps)) for eps in epsilons]
     if args.report:
-        formats.write_json(args.report, formats.emit_under_approx(
-            (eps, ura) for eps, ura, _ in rows))
-    _row("Robust Accuracy (%)", [f"eps={_sig4(eps):>10}" for eps, *_ in rows])
-    _row("  margin bound (under-approx)", [f"{100 * ura:.2f}" for _, ura, _ in rows])
-    _row("Time (s)", [_sig4(t) for *_, t in rows])
+        formats.write_json(args.report, formats.emit_under_approx(columns))
+    _row("Robust Accuracy (%)", [f"eps={_sig4(eps):>10}" for eps in epsilons])
+    _row("  margin bound (under-approx)", [f"{100 * ura:.2f}" for _, ura in columns])
+    _row("Time (s)", [_sig4(seconds)] * len(epsilons))  # one classification for all
     return EXIT_OK
 
 

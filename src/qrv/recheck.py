@@ -5,13 +5,14 @@ batched classification and, per exact verdict, the bound its recorded
 shifts certify (``bound_at``: the dual value at each w > 0, sound by weak
 duality).  A recorded delta or margin within ``DELTA_TOL`` of its
 recomputation, or a witness distance within ``DISTANCE_TOL``, is kept; then
-every key of the rebuilt document must equal the recorded one, in value and
-type.  Each non-robust verdict takes the next sidecar witness, whose
-``source_index`` must be its entry's index, an int; the witness must target
-the rival that sets delta, carry its label and distance, lie within ``eps +
-WITNESS_BUDGET`` and change the class.  A recorded figure counts as a number
-as :mod:`qrv.formats` reads one.  The bound and the witness distance read
-rho's cached factor, rotated once per rival for all runs.
+every key of the rebuilt document must be present and equal the recorded
+one, in value and type, a dict's entries too.  Each non-robust verdict takes
+the next sidecar witness, whose ``source_index`` must be its entry's index,
+an int; the witness must target the rival that sets delta, carry its label
+and distance, lie within ``eps + WITNESS_BUDGET`` and change the class.  A
+recorded figure counts as a number as :mod:`qrv.formats` reads one.  The
+bound and the witness distance read rho's cached factor, rotated once per
+rival for all runs.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ def _kept(recorded, value, tol):
     return recorded if _number(recorded) and abs(recorded - value) <= tol else value
 
 
+_ABSENT = object()  # what a key the recorded document lacks reads as: equal to nothing
+
+
 def _mismatches(where: str, rebuilt: dict, recorded: dict) -> list[str]:
-    """One line per key of ``rebuilt`` whose recorded value differs in value
-    or type, the key prefixed by ``where``."""
-    return [f"{where}{key}: recorded {got!r}, recomputed {value!r}"
-            for key, value in rebuilt.items()
-            if (got := recorded.get(key)) != value or type(got) is not type(value)]
+    """One line per key of ``rebuilt`` whose recorded value is absent or differs
+    in value or type, a dict's entries by the same rule, prefixed by ``where``."""
+    return [f"{where}{key}: " + ("absent" if got is _ABSENT else f"recorded {got!r}")
+            + f", recomputed {value!r}" for key, value in rebuilt.items()
+            if (got := recorded.get(key, _ABSENT)) != value or type(got) is not type(value)
+            or type(value) is dict and _mismatches(where, value, got)]
 
 
 def recheck_report(

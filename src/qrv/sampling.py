@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, unitary_channel
+from .channels import KrausChannel
 from .classifiers import Classifier
 from .states import DensityMatrix, PureState, matrix_sqrt_psd
 
@@ -56,9 +56,8 @@ def random_density_matrix(
 def random_kraus_channel(
     dim: int, rng: np.random.Generator, kraus_rank: int = 2
 ) -> KrausChannel:
-    """Random CPTP map from a Haar isometry split into Kraus blocks."""
-    if kraus_rank == 1:
-        return unitary_channel(random_unitary(dim, rng))
+    """Random CPTP map from a Haar isometry split into Kraus blocks; at
+    ``kraus_rank=1`` the isometry is the draw :func:`random_unitary` makes."""
     isometry = _haar_isometry(rng, dim * kraus_rank, dim)
     kraus = [isometry[i * dim : (i + 1) * dim, :] for i in range(kraus_rank)]
     return KrausChannel(kraus)

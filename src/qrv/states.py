@@ -59,16 +59,11 @@ def as_complex_matrix(m, *, square: bool = False) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm of ``m - m^dag``."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity to ``HERM_TOL`` and return the exactly
     symmetrized matrix."""
     m = as_complex_matrix(m, square=True)
-    defect = hermiticity_defect(m)
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > HERM_TOL:
         raise ValidationError(
             f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e} "
@@ -112,8 +107,7 @@ class PureState:
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
+        _check_same_dims(self, other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self) -> str:

@@ -156,8 +156,14 @@ class TestConstructors:
         np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-12)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="channel is not trace-preserving"):
             unitary_channel(np.diag([1.0, 0.5]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_rank_one_random_channel_is_the_random_unitary(self, dim):
+        [kraus] = random_kraus_channel(dim, np.random.default_rng(dim), kraus_rank=1).kraus
+        [unitary] = unitary_channel(random_unitary(dim, np.random.default_rng(dim))).kraus
+        np.testing.assert_array_equal(kraus, unitary)
 
     def test_rejects_bad_strength(self):
         with pytest.raises(ValidationError):

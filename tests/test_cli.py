@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qrv.classifiers
 from conftest import tied_dataset
 from qrv.casestudy import (
     amplitude_encode,
@@ -373,6 +374,17 @@ class TestBoundCommand:
                      "--epsilon", "0.001,0.002"]) == 0
         out = capsys.readouterr().out
         assert "margin bound (under-approx)" in out
+
+    def test_classifies_once_for_all_radii(self, case_files, monkeypatch, capsys):
+        calls = []
+        rows = qrv.classifiers._probability_rows
+        monkeypatch.setattr(qrv.classifiers, "_probability_rows",
+                            lambda *args: calls.append(args) or rows(*args))
+        assert main(["bound", *case_files, "--epsilon", "0.001,0.002,0.004"]) == 0
+        assert len(calls) == 1
+        [time_row] = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("Time (s)")]
+        assert len(set(time_row.split()[2:])) == 1  # the one classification's seconds
 
 
 def write_pgm_p2(path, pixels, maxval=255):

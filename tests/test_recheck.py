@@ -286,10 +286,22 @@ def _subnormal_shift(report, sidecar, run):  # its reciprocal overflows
     return i, "dual_shifts"
 
 
+def _dropped_null_key(report, sidecar, run):  # absent, not null: a mismatch
+    i = _entry(run, robust=True, certified=True)
+    assert run["verdicts"][i].pop("adversarial_class") is None
+    return i, "adversarial_class"
+
+
+def _float_sdp_solves(report, sidecar, run):  # equal in value, not in type
+    run["solver_stats"]["sdp_solves"] = float(run["solver_stats"]["sdp_solves"])
+    return None, "solver_stats"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
          _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
          _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance,
-         _warnings, _huge_margin, _float_source_index, _subnormal_shift]
+         _warnings, _huge_margin, _float_source_index, _subnormal_shift, _dropped_null_key,
+         _float_sdp_solves]
 
 
 def _set(field, value, robust=True, certified=False):

@@ -218,7 +218,10 @@ class TestDensityMatrixValidation:
     (DensityMatrix, [[1, 0]], "expected a square matrix"),
     (PureState, [], "pure state needs at least one amplitude"),
     (PureState, [np.nan, 0], "amplitudes contain NaN or Inf"),
-], ids=["non_square_density", "no_amplitude", "nan_amplitude"])
+    (DensityMatrix, [1, 0], "expected a matrix, got array of ndim 1"),
+    (DensityMatrix, [[]], "empty matrix"),
+], ids=["non_square_density", "no_amplitude", "nan_amplitude", "vector_density",
+        "empty_density"])
 def test_state_rejection_names_its_message(make, value, message):
     with pytest.raises(ValidationError) as err:
         make(value)
