@@ -41,10 +41,10 @@ try:
     import time
 
     from .classifiers import accuracy, classify_batch
-    from .config import dimension_cap
+    from .config import check_epsilon, dimension_cap
     from .errors import QrvError, SchemaError, ValidationError
     from . import formats
-    from .verifier import VerifyOptions, _require_epsilon, verify_epsilons
+    from .verifier import VerifyOptions, verify_epsilons
 finally:
     if _COLLECTING:
         if not gc.get_freeze_count():  # what loaded goes to the oldest generation,
@@ -79,7 +79,7 @@ def _parse_epsilons(raw: str) -> tuple[float, ...]:
         raise ValidationError(f"bad --epsilon value {raw!r}") from exc
     if not values:
         raise ValidationError("--epsilon needs at least one value")
-    return tuple(map(_require_epsilon, values))
+    return tuple(map(check_epsilon, values))
 
 
 def _identity(path: str):

@@ -1,4 +1,4 @@
-"""Numeric tolerances and global limits.
+"""Numeric tolerances and global limits, the radius rule among them.
 
 Every tolerance of validation, classification and gap spectra is one constant
 here, so all agree on what counts as a state, a classifier, a channel and a tie;
@@ -72,3 +72,11 @@ def check_dimension(dim: int) -> None:
             f"dimension {dim} exceeds the configured cap {cap}; "
             f"raise {MAX_DIM_ENV_VAR} to override"
         )
+
+
+def check_epsilon(eps: float) -> float:
+    """``eps`` as a float; raise unless it is a radius in (0, 1)."""
+    eps = float(eps)
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
+    return eps

@@ -22,13 +22,13 @@ of what it was built from.  :func:`write_json` writes compact JSON
 (CPython's C encoder); any layout is read, indented included.
 
 A classifier is read and written as its POVM ``effects`` only, so reading
-a file never loads ``channels``.  Every document ``qrv`` writes is built
-here: :func:`emit_reports` writes a verification run, for ``qrv verify`` and
-library callers alike, as ``qrv recheck`` reads it; its adversarial sidecar
-is a dataset, written by :func:`emit_dataset`, whose entries also carry
-``source_index``, ``target_class`` and ``distance``; and
-:func:`emit_classification` and :func:`emit_under_approx` write the reports
-of ``qrv classify`` and ``qrv bound``.
+a file never loads ``channels``.  Every document ``qrv`` reads or writes is
+read and built here: :func:`emit_reports` writes a verification run, for
+``qrv verify`` and library callers alike, and :func:`report_runs` reads it
+back for ``qrv recheck``; its adversarial sidecar is a dataset, written by
+:func:`emit_dataset`, whose entries also carry ``source_index``,
+``target_class`` and ``distance``; :func:`emit_classification` and
+:func:`emit_under_approx` write the reports of ``qrv classify`` and ``bound``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from .classifiers import Classifier, LabeledDataset
-from .config import check_dimension
+from .config import check_dimension, check_epsilon
 from .errors import SchemaError, ValidationError
 from .states import DensityMatrix, PureState
 
@@ -57,6 +57,7 @@ __all__ = [
     "parse_dataset",
     "emit_report",
     "emit_reports",
+    "report_runs",
     "emit_adversarial_sidecar",
     "emit_classification",
     "emit_under_approx",
@@ -192,10 +193,13 @@ def _check_format(doc: dict, kind: str, path: str) -> None:
 # States
 
 
+def _state_kind(state) -> str:
+    return "pure" if isinstance(state, PureState) else "density"
+
+
 def _state_entry(state) -> dict:
-    if isinstance(state, PureState):
-        return {"kind": "pure", "data": array_to_json(state.amplitudes)}
-    return {"kind": "density", "data": array_to_json(state.matrix)}
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return {"kind": _state_kind(state), "data": array_to_json(data)}
 
 
 def _parse_state_entry(obj: Any, path: str):
@@ -323,6 +327,28 @@ def emit_reports(reports, *, include_timings: bool = True) -> dict:
     docs = [emit_report(r, include_timings=include_timings) for r in reports]
     return docs[0] if len(docs) == 1 else {
         "format": FORMAT_TAG, "kind": "verification_report_set", "runs": docs}
+
+
+def report_runs(doc: Any, n: int) -> list[dict]:
+    """A report's one run or a report set's runs, each with ``n`` verdicts, a radius, a seed."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    runs = doc.get("runs") if kind == "verification_report_set" else [doc]
+    if (kind not in ("verification_report", "verification_report_set")
+            or doc.get("format") != FORMAT_TAG or not isinstance(runs, list)):
+        raise SchemaError(f"expected a {FORMAT_TAG} verification report or report set")
+    if not runs:
+        raise SchemaError("a report set needs at least one run", "runs")
+    for j, run in enumerate(runs):
+        verdicts = run.get("verdicts") if isinstance(run, dict) else None
+        if not (isinstance(verdicts, list) and len(verdicts) == n
+                and all(isinstance(v, dict) for v in verdicts)):
+            raise SchemaError(f"expected {n} verdict objects", f"runs[{j}].verdicts")
+        if not _number(run.get("epsilon")):
+            raise SchemaError("epsilon must be a number in (0, 1)", f"runs[{j}].epsilon")
+        _built(check_epsilon, run["epsilon"], path=f"runs[{j}].epsilon")
+        if type(run.get("seed")) is not int:
+            raise SchemaError("seed must be an integer", f"runs[{j}].seed")
+    return runs
 
 
 def emit_classification(batch, labels) -> dict:

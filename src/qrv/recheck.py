@@ -1,18 +1,19 @@
 """Offline re-check of a saved verification report, solving nothing.
 
-Each run is rebuilt by the verifier's own ``assemble_reports`` from one
-batched classification and, per exact verdict, the bound its recorded
-shifts certify (``bound_at``: the dual value at each w > 0, sound by weak
-duality).  A recorded delta or margin within ``DELTA_TOL`` of its
+It has no reader of its own: each run, as :func:`qrv.formats.report_runs`
+reads it, is rebuilt by the verifier's ``assemble_reports`` from one batched
+classification and, per exact verdict, the bound its recorded shifts certify
+(``bound_at``: the dual value at each w > 0, sound by weak duality) or, if
+they are malformed, the recorded delta, so witnesses still pair with the
+recorded verdicts.  A recorded delta or margin within ``DELTA_TOL`` of its
 recomputation, or a witness distance within ``DISTANCE_TOL``, is kept; then
 every key of the rebuilt document must be present and equal the recorded
 one, in value and type, a dict's entries too.  Each non-robust verdict takes
 the next sidecar witness, whose ``source_index`` must be its entry's index,
-an int; the witness must target the rival that sets delta, carry its label
-and distance, lie within ``eps + WITNESS_BUDGET`` and change the class.  A
-recorded figure counts as a number as :mod:`qrv.formats` reads one.  The
-bound and the witness distance read rho's cached factor, rotated once per
-rival for all runs.
+an int; the witness must take its entry's form, target the rival that sets
+delta, carry its label and distance, lie within ``eps + WITNESS_BUDGET`` and
+change the class.  Figures are numbers as :mod:`qrv.formats` reads them; the
+bound and witness distance read rho's cached factor, rotated once per rival.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import sys
 import numpy as np
 
 from .classifiers import Classifier, LabeledDataset, classify_batch
-from .errors import SchemaError
-from .formats import FORMAT_TAG, _number, emit_report
+from .formats import _number, _state_kind, emit_report, report_runs
 from .states import sqrt_fidelity
 from .verifier import WITNESS_BUDGET, OptimalBound, _rotate, assemble_reports, bound_at
 
@@ -35,8 +35,7 @@ DISTANCE_TOL = 1e-9  # recorded witness distances against 1 - F recomputed
 
 
 def _kept(recorded, value, tol):
-    """The recorded figure where it lies within ``tol`` of ``value``, its
-    recomputation; else ``value``."""
+    """The recorded figure if within ``tol`` of its recomputation ``value``, else ``value``."""
     return recorded if _number(recorded) and abs(recorded - value) <= tol else value
 
 
@@ -55,27 +54,10 @@ def _mismatches(where: str, rebuilt: dict, recorded: dict) -> list[str]:
 def recheck_report(
     classifier: Classifier, dataset: LabeledDataset, report: dict, witnesses
 ) -> tuple[list[str], str]:
-    """One line per mismatch between ``report`` (a parsed verification
-    report or report set) and its rebuild, and a summary.  Each non-robust
-    verdict takes the next of the sidecar's ``witnesses``, ``(state, entry)``
-    pairs in file order."""
-    n = len(dataset)
-    kind = report.get("kind") if isinstance(report, dict) else None
-    runs = report.get("runs") if kind == "verification_report_set" else [report]
-    if (kind not in ("verification_report", "verification_report_set")
-            or report.get("format") != FORMAT_TAG or not isinstance(runs, list)):
-        raise SchemaError(f"expected a {FORMAT_TAG} verification report or report set")
-    if not runs:
-        raise SchemaError("a report set needs at least one run", "runs")
-    for j, run in enumerate(runs):
-        verdicts = run.get("verdicts") if isinstance(run, dict) else None
-        if not (isinstance(verdicts, list) and len(verdicts) == n
-                and all(isinstance(v, dict) for v in verdicts)):
-            raise SchemaError(f"expected {n} verdict objects", f"runs[{j}].verdicts")
-        if not (_number(run.get("epsilon")) and 0.0 < run["epsilon"] < 1.0):
-            raise SchemaError("epsilon must be a number in (0, 1)", f"runs[{j}].epsilon")
-        if type(run.get("seed")) is not int:
-            raise SchemaError("seed must be an integer", f"runs[{j}].seed")
+    """One line per mismatch between ``report``'s runs and their rebuild, and
+    a summary; each non-robust verdict takes the next of the sidecar's
+    ``witnesses``, ``(state, entry)`` pairs in file order."""
+    runs = report_runs(report, len(dataset))
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
     wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
@@ -93,16 +75,16 @@ def recheck_report(
             """Entry i's bound as its recorded shifts certify it, and its
             witness, the next in the sidecar, if it is not robust."""
             v, label = verdicts[i], labels[i]
-            shifts = v.get("dual_shifts")
+            shifts, tol = v.get("dual_shifts"), DELTA_TOL
             if not (isinstance(shifts, list) and len(shifts) == classifier.n_classes
                     and all(w is None or _number(w) and w >= sys.float_info.min for w in shifts)
                     and shifts[label] is None):
                 bad(i, "dual_shifts", f"{shifts!r} is not a null or normal positive shift "
                     "per class, null at the label")
-                shifts = [None] * classifier.n_classes
+                shifts, tol = [None] * classifier.n_classes, np.inf
             bound = bound_at(classifier, lambda k: weights(i, k), label, shifts)
             if not bound.unbounded:
-                bound = bound._replace(delta=_kept(v.get("delta"), bound.delta, DELTA_TOL))
+                bound = bound._replace(delta=_kept(v.get("delta"), bound.delta, tol))
             if bound.robust_at(eps):
                 return bound, 0.0
             distance = v.get("adversarial_distance")  # kept unchecked with no witness
@@ -113,7 +95,7 @@ def recheck_report(
                 return bound._replace(witness_distance=distance), 0.0
             measured = 1.0 - sqrt_fidelity(states[i], sigma) ** 2
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
-                "label": label, "target_class": bound.argmin_class,
+                "kind": _state_kind(states[i]), "label": label, "target_class": bound.argmin_class,
                 "distance": _kept(entry.get("distance"), measured, DISTANCE_TOL),
             }, entry))
             if measured > eps + WITNESS_BUDGET:

@@ -56,7 +56,7 @@ from .classifiers import (
     classify,
     classify_batch,
 )
-from .config import GAP_ROUNDING, TIE_TOL
+from .config import GAP_ROUNDING, TIE_TOL, check_epsilon
 from .errors import MisclassifiedInput, ValidationError
 from .states import DensityMatrix, PureState, sqrt_fidelity
 
@@ -78,13 +78,6 @@ __all__ = [
     "verify_dataset",
     "under_robust_accuracy",
 ]
-
-def _require_epsilon(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
-    return eps
-
 
 class VerifyOptions(NamedTuple):
     """Settings of the dataset driver :func:`verify_epsilons`."""
@@ -143,7 +136,7 @@ class PureBound(NamedTuple):
 
 def margin_robust_bound(classifier: Classifier, state, eps: float) -> bool:
     """One state's margin certificate (:meth:`BatchClassification.certified`)."""
-    eps = _require_epsilon(eps)
+    eps = check_epsilon(eps)
     return bool(classify_batch(classifier, [state]).certified(eps)[0])
 
 
@@ -356,7 +349,7 @@ def check_epsilon_robust(
     a non-robust state carries the bound's witness at its measured distance:
     a pure state for a pure input, a density matrix for a mixed one.
     """
-    eps = _require_epsilon(eps)
+    eps = check_epsilon(eps)
     bound = _optimal_bound(classifier, state, label, eps)
     witness = None
     if not bound.robust_at(eps):
@@ -440,7 +433,7 @@ def under_robust_accuracy(
 ) -> float:
     """The dataset's URA (:meth:`BatchClassification.under_approx`): one
     batched classification and no bound, so it scales at classification cost."""
-    eps = _require_epsilon(eps)
+    eps = check_epsilon(eps)
     dataset.check_compatible(classifier)
     states = [state for state, _label in dataset]
     return classify_batch(classifier, states).under_approx(eps)
@@ -471,7 +464,7 @@ def verify_epsilons(
     exact at that radius, so it does not decrease as the radius grows;
     ``total_seconds`` is their sum.
     """
-    epsilons = [_require_epsilon(eps) for eps in epsilons]
+    epsilons = [check_epsilon(eps) for eps in epsilons]
     if not epsilons:
         raise ValidationError("at least one epsilon is required")
     opts = options or VerifyOptions()

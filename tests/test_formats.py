@@ -1,4 +1,5 @@
 import base64
+import functools
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from qrv.formats import (
     emit_classifier,
     emit_dataset,
     emit_report,
+    emit_reports,
     emit_state,
     load_classifier,
     load_dataset,
@@ -22,6 +24,7 @@ from qrv.formats import (
     parse_classifier,
     parse_dataset,
     parse_state,
+    report_runs,
     save_dataset,
     write_json,
 )
@@ -36,7 +39,7 @@ from qrv.sampling import (
     random_unitary,
 )
 from qrv.states import DensityMatrix, PureState
-from qrv.verifier import check_epsilon_robust, verify_dataset
+from qrv.verifier import check_epsilon_robust, verify_dataset, verify_epsilons
 
 
 def round_trip(doc):
@@ -119,6 +122,15 @@ def _dataset_doc(*states):
 
 
 _BASIS = {"kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]], "label": 0}
+_RUN = {"format": FORMAT_TAG, "kind": "verification_report", "epsilon": 0.1, "seed": 0,
+        "verdicts": [{}]}
+_one_verdict_runs = functools.partial(report_runs, n=1)
+
+
+def _report_set(*runs):
+    return {"format": FORMAT_TAG, "kind": "verification_report_set", "runs": list(runs)}
+
+
 # case -> (reader, document, its error as printed)
 _BAD_DOCUMENTS = {
     "entry_not_an_object": (
@@ -135,6 +147,22 @@ _BAD_DOCUMENTS = {
         "labels: labels must be an array of strings"),
     "no_states": (
         parse_dataset, _dataset_doc(), "states: states must be a non-empty array"),
+    "dataset_as_report": (
+        _one_verdict_runs, _dataset_doc(_BASIS),
+        "$: expected a qrv/1 verification report or report set"),
+    "report_set_without_runs": (
+        _one_verdict_runs, _report_set(), "runs: a report set needs at least one run"),
+    "verdict_count": (
+        _one_verdict_runs, {**_RUN, "verdicts": [{}, {}]},
+        "runs[0].verdicts: expected 1 verdict objects"),
+    "epsilon_not_a_number": (
+        _one_verdict_runs, {**_RUN, "epsilon": "0.1"},
+        "runs[0].epsilon: epsilon must be a number in (0, 1)"),
+    "epsilon_out_of_range": (
+        _one_verdict_runs, _report_set(_RUN, {**_RUN, "epsilon": 1.5}),
+        "runs[1].epsilon: epsilon must be in (0, 1), got 1.5"),
+    "seed_not_an_integer": (
+        _one_verdict_runs, {**_RUN, "seed": 0.0}, "runs[0].seed: seed must be an integer"),
 }
 
 
@@ -261,6 +289,14 @@ class TestReportEmission:
             for entry, witness in zip(sidecar["states"], report.adversarial):
                 assert entry["source_index"] == witness.source_index
                 assert entry["label"] == train.entries[witness.source_index][1]
+
+    def test_report_runs_reads_what_emit_reports_writes(self):
+        classifier, train, _ = generate_qubit_case_study(n_train=16, n_val=2, seed=2)
+        for epsilons in ([0.02], [0.001, 0.02]):  # a report, then a report set
+            reports = verify_epsilons(classifier, train, epsilons)
+            doc = round_trip(emit_reports(reports, include_timings=False))
+            assert report_runs(doc, len(train)) == [
+                round_trip(emit_report(r, include_timings=False)) for r in reports]
 
     def test_sidecar_refuses_a_witness_without_its_entry(self):
         # A library witness from check_epsilon_robust names no dataset entry,

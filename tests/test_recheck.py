@@ -7,6 +7,7 @@ must make the re-check fail naming the entry.
 
 import copy
 import json
+import re
 
 import mpmath
 import numpy as np
@@ -297,11 +298,22 @@ def _float_sdp_solves(report, sidecar, run):  # equal in value, not in type
     return None, "solver_stats"
 
 
+def _witness_form(report, sidecar, run):
+    # A pure witness written as its density matrix, a mixed one as its
+    # leading eigenvector: each a valid state of the other form.
+    entry = sidecar["states"][0]
+    data = np.array(entry["data"]).view(complex)[..., 0]
+    state = (DensityMatrix(np.outer(data, data.conj())) if entry["kind"] == "pure"
+             else PureState(np.linalg.eigh(data)[1][:, -1]))
+    entry.update(emit_state(state)["state"])
+    return entry["source_index"], "sidecar[0].kind"
+
+
 EDITS = [_delta, _shift, _robust, _margin_certified, _distance, _amplitude,
          _robust_accuracy, _drop_witness, _certified_adversarial_class, _other_rival,
          _n_states, _n_correct, _accuracy, _sdp_solves, _sidecar_label, _sidecar_distance,
          _warnings, _huge_margin, _float_source_index, _subnormal_shift, _dropped_null_key,
-         _float_sdp_solves]
+         _float_sdp_solves, _witness_form]
 
 
 def _set(field, value, robust=True, certified=False):
@@ -368,14 +380,16 @@ def test_every_verdict_field_is_rechecked(saved, key, field, tmp_path, capsys):
 
 @pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
 def test_witness_beyond_the_budget_is_caught(saved, key, tmp_path, capsys):
-    # The first witness becomes a dataset state that its target class wins,
-    # far beyond eps; its recorded distances agree with it, so only the
-    # budget check fails.  The pure dataset may have no such state, so both
-    # datasets are searched.
+    # The first witness becomes a state of its entry's form that its target
+    # class wins, untied, far beyond eps; its recorded distances agree with
+    # it, so only the budget check fails.  The pure dataset has no such
+    # state, so the pure reports draw one.
     report, sidecar = load(saved, key)
     run, witness = first_run(report), sidecar["states"][0]
     i = witness["source_index"]
-    states = [s for kind in ("mixed", "pure") for s, _ in load_dataset(saved[kind])]
+    rng = np.random.default_rng(0)
+    states = ([s for s, _ in load_dataset(saved["mixed"])] if key[0] == "mixed"
+              else [random_pure_state(4, rng) for _ in range(100)])
     batch = classify_batch(load_classifier(saved["classifier"]), states)
     far = next(states[j] for j, (k, tie) in enumerate(zip(batch.labels, batch.ties))
                if k == witness["target_class"] and not tie)
@@ -390,6 +404,24 @@ def test_witness_beyond_the_budget_is_caught(saved, key, tmp_path, capsys):
     tail = ", beyond eps + 1e-06"
     assert line.startswith(head) and line.endswith(tail), line
     assert float(line[len(head):-len(tail)]) == pytest.approx(distance, abs=1e-12)
+
+
+@pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
+def test_malformed_shifts_name_only_their_entry(saved, key, tmp_path, capsys):
+    # Malformed shifts keep the recorded delta, so the entry's verdict stays
+    # robust and takes no witness: every later verdict keeps its own, and each
+    # line names the edited entry or a run total.
+    report, sidecar = load(saved, key)
+    runs = report["runs"] if report["kind"] == "verification_report_set" else [report]
+    i = _entry(runs[0], robust=True)
+    assert any(e["source_index"] > i for e in sidecar["states"])
+    for run in runs:
+        run["verdicts"][i]["dual_shifts"] = "x"
+    code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
+    assert code == 1
+    assert f"eps={runs[0]['epsilon']} index={i} dual_shifts: 'x' is not" in out, out
+    for line in out.splitlines():
+        assert f" index={i} " in line or re.fullmatch(r"eps=\S+ \w+: .*", line), out
 
 
 @pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
