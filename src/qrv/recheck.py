@@ -4,15 +4,15 @@ It has no reader of its own: each run, as :func:`qrv.formats.report_runs`
 reads it, is rebuilt by the verifier's ``assemble_reports`` from one batched
 classification and, per exact verdict, the bound its recorded shifts certify
 (``bound_at``: the dual value at each w > 0, sound by weak duality) or, if
-they are malformed, the recorded delta, so witnesses still pair with the
-recorded verdicts.  A recorded delta or margin within ``DELTA_TOL`` of its
-recomputation, or a witness distance within ``DISTANCE_TOL``, is kept; then
-every key of the rebuilt document must be present and equal the recorded
-one, in value and type, a dict's entries too.  Each non-robust verdict takes
-the next sidecar witness, whose ``source_index`` must be its entry's index,
-an int; the witness must take its entry's form, target the rival that sets
-delta, carry its label and distance, lie within ``eps + WITNESS_BUDGET`` and
-change the class.  Figures are numbers as :mod:`qrv.formats` reads them; the
+they are malformed, the recorded delta and rival, so witnesses still pair
+with the recorded verdicts and the shifts are named once.  A recorded delta
+or margin within ``DELTA_TOL`` of its recomputation, or a witness distance
+within ``DISTANCE_TOL``, is kept; then every key of the rebuilt document
+must be present and equal the recorded one, in value and type, a dict's
+entries too.  Each non-robust verdict takes the next sidecar witness, whose
+``source_index`` must be its entry's index, an int; the witness must take
+its entry's form, target the rival that sets delta, carry its label and
+distance, lie within ``eps + WITNESS_BUDGET`` and change the class.  Figures are numbers as :mod:`qrv.formats` reads them; the
 bound and witness distance read rho's cached factor, rotated once per rival.
 """
 
@@ -67,6 +67,7 @@ def recheck_report(
 
     for run in runs:
         eps, verdicts = run["epsilon"], run["verdicts"]
+        malformed = set()  # entries whose shifts bad() has named
 
         def bad(i, field, message):
             problems.append(f"eps={eps} index={i} {field}: {message}")
@@ -81,10 +82,14 @@ def recheck_report(
                     and shifts[label] is None):
                 bad(i, "dual_shifts", f"{shifts!r} is not a null or normal positive shift "
                     "per class, null at the label")
+                malformed.add(i)
                 shifts, tol = [None] * classifier.n_classes, np.inf
             bound = bound_at(classifier, lambda k: weights(i, k), label, shifts)
             if not bound.unbounded:
                 bound = bound._replace(delta=_kept(v.get("delta"), bound.delta, tol))
+            if i in malformed and type(rival := v.get("adversarial_class")) is int \
+                    and bound.per_class.get(rival) is not None:  # a reachable rival, kept
+                bound = bound._replace(argmin_class=rival)
             if bound.robust_at(eps):
                 return bound, 0.0
             distance = v.get("adversarial_distance")  # kept unchecked with no witness
@@ -113,6 +118,8 @@ def recheck_report(
         doc = emit_report(rebuilt, include_timings=False)
         del doc["under_approx_seconds"]  # a timing, like the timings left out
         for i, (verdict, recorded) in enumerate(zip(doc.pop("verdicts"), verdicts)):
+            if i in malformed:
+                del verdict["dual_shifts"]
             problems.extend(_mismatches(f"eps={eps} index={i} ", verdict, recorded))
         problems.extend(_mismatches(f"eps={eps} ", doc, run))
     left = sum(1 for _ in queue)

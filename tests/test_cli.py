@@ -386,6 +386,28 @@ class TestBoundCommand:
                       if line.startswith("Time (s)")]
         assert len(set(time_row.split()[2:])) == 1  # the one classification's seconds
 
+    def test_report_holds_one_column_per_radius_in_order(self, case_files, tmp_path):
+        report = tmp_path / "bound.json"
+        assert main(["bound", *case_files, "--epsilon", "0.004,0.001",
+                     "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["kind"] == "under_approx_report"
+        assert [column["epsilon"] for column in doc["columns"]] == [0.004, 0.001]
+
+    def test_columns_equal_the_verify_runs(self, case_files, tmp_path):
+        # The qubit case's margin filter certifies fewer entries at the larger
+        # radius, so a column read at the wrong radius or out of order differs.
+        bound, verify = tmp_path / "bound.json", tmp_path / "verify.json"
+        radii = ["--epsilon", "0.004,0.001"]
+        assert main(["bound", *case_files, *radii, "--report", str(bound)]) == 0
+        assert main(["verify", *case_files, *radii, "--omit-timings",
+                     "--report", str(verify)]) == 0
+        columns = [c["under_approx_robust_accuracy"]
+                   for c in json.loads(bound.read_text())["columns"]]
+        runs = [run["under_approx_robust_accuracy"]
+                for run in json.loads(verify.read_text())["runs"]]
+        assert columns == runs and columns[0] < columns[1]
+
 
 def write_pgm_p2(path, pixels, maxval=255):
     rows = [" ".join(str(int(v)) for v in row) for row in pixels]

@@ -406,22 +406,35 @@ def test_witness_beyond_the_budget_is_caught(saved, key, tmp_path, capsys):
     assert float(line[len(head):-len(tail)]) == pytest.approx(distance, abs=1e-12)
 
 
+def _rival_above_lowest(v):
+    """A non-robust verdict whose rival is not its lowest reachable class."""
+    reachable = [k for k, w in enumerate(v["dual_shifts"] or ()) if w is not None]
+    return v["robust"] is False and reachable and v["adversarial_class"] > reachable[0]
+
+
 @pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
 def test_malformed_shifts_name_only_their_entry(saved, key, tmp_path, capsys):
-    # Malformed shifts keep the recorded delta, so the entry's verdict stays
-    # robust and takes no witness: every later verdict keeps its own, and each
-    # line names the edited entry or a run total.
-    report, sidecar = load(saved, key)
-    runs = report["runs"] if report["kind"] == "verification_report_set" else [report]
-    i = _entry(runs[0], robust=True)
-    assert any(e["source_index"] > i for e in sidecar["states"])
-    for run in runs:
-        run["verdicts"][i]["dual_shifts"] = "x"
-    code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
-    assert code == 1
-    assert f"eps={runs[0]['epsilon']} index={i} dual_shifts: 'x' is not" in out, out
-    for line in out.splitlines():
-        assert f" index={i} " in line or re.fullmatch(r"eps=\S+ \w+: .*", line), out
+    # Malformed shifts keep the recorded delta and rival, so the entry's
+    # verdict stays as recorded: a robust one takes no witness and a
+    # non-robust one its own, which targets the recorded rival, not the lowest
+    # reachable class.  Every later verdict keeps its witness, and each run
+    # prints one line naming the edited entry; any other line is a run total.
+    for robust in (True, False):
+        report, sidecar = load(saved, key)
+        runs = report["runs"] if report["kind"] == "verification_report_set" else [report]
+        i = (_entry(runs[0], robust=True) if robust
+             else next(v["index"] for v in runs[0]["verdicts"] if _rival_above_lowest(v)))
+        assert any(e["source_index"] > i for e in sidecar["states"])
+        for run in runs:
+            run["verdicts"][i]["dual_shifts"] = "x"
+        code, out = recheck(saved, key[0], report, sidecar, tmp_path, capsys)
+        assert code == 1
+        named = [line for line in out.splitlines() if f" index={i} " in line]
+        assert named == [f"eps={run['epsilon']} index={i} dual_shifts: 'x' is not a null or "
+                         "normal positive shift per class, null at the label"
+                         for run in runs], out
+        for line in out.splitlines():
+            assert line in named or re.fullmatch(r"eps=\S+ \w+: .*", line), out
 
 
 @pytest.mark.parametrize("key", REPORTS, ids=["-".join(k) for k in REPORTS])
