@@ -94,6 +94,9 @@ def generate_qubit_case_study(
                         ("theta_star", theta_star)):
         if not -np.pi < angle <= np.pi:
             raise ValidationError(f"{name} must lie in (-pi, pi], got {angle}")
+    for name, n in (("n_train", n_train), ("n_val", n_val)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n_train < 2 or n_val < 2:
         raise ValidationError("need at least two samples per dataset")
     if not 0.0 <= noise_std < np.inf:

@@ -212,16 +212,18 @@ def classify(classifier: Classifier, state) -> Classification:
 
 
 class LabeledDataset:
-    """States paired with class indices."""
+    """States paired with class indices, each a nonnegative int or numpy
+    integer stored as an int (a bool, float or string is refused, not converted)."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
         items = []
-        for state, label in entries:
+        for i, (state, label) in enumerate(entries):
+            if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or label < 0:
+                raise ValidationError(
+                    f"entry {i}: label must be a nonnegative integer, got {label!r}")
             label = int(label)
-            if label < 0:
-                raise ValidationError(f"negative label index {label}")
             if not isinstance(state, (PureState, DensityMatrix)):
                 raise ValidationError(
                     "dataset states must be PureState or DensityMatrix, got "

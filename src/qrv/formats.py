@@ -17,9 +17,12 @@ then its pairs.  A number is an int (not a bool) or a float within the
 finite float range, so NaN and infinities are bad there too; ``qrv recheck``
 reads a recorded figure by the same rule (:func:`_number`).  A file
 that is not UTF-8 or not JSON, or is nested too deeply, is a
-:class:`SchemaError` at ``$``, as is a constructor's ValueError at the path
-of what it was built from.  :func:`write_json` writes compact JSON
-(CPython's C encoder); any layout is read, indented included.
+:class:`SchemaError` at ``$``.  This module checks a document's JSON shape
+only (keys, kinds, arrays): every value goes to its constructor, which owns
+the value's rules (two or more effects, nonnegative integer labels), and
+that constructor's ValueError is a SchemaError at the path it was built
+from.  :func:`write_json` writes compact JSON (CPython's C encoder); any
+layout is read, indented included.
 
 A classifier is read and written as its POVM ``effects`` only, so reading
 a file never loads ``channels``.  Every document ``qrv`` reads or writes is
@@ -244,8 +247,8 @@ def parse_classifier(doc: dict) -> Classifier:
         raise SchemaError("the 'channel' and 'measurement' layout is no longer read; "
                           "a classifier holds its POVM as 'effects'", "$")
     effects = _require_key(doc, "effects", "$")
-    if not isinstance(effects, list) or len(effects) < 2:
-        raise SchemaError("expected an array of 2 or more matrices", "effects")
+    if not isinstance(effects, list):
+        raise SchemaError("expected an array of matrices", "effects")
     return _built(Classifier, [parse_array(m, 2, f"effects[{i}]")
                                for i, m in enumerate(effects)], labels, path="effects")
 
@@ -255,28 +258,19 @@ def parse_classifier(doc: dict) -> Classifier:
 
 
 def emit_dataset(dataset: LabeledDataset) -> dict:
-    states = []
-    for state, label in dataset:
-        entry = _state_entry(state)
-        entry["label"] = int(label)
-        states.append(entry)
-    return {"format": FORMAT_TAG, "kind": "dataset", "states": states}
+    return {"format": FORMAT_TAG, "kind": "dataset",
+            "states": [{**_state_entry(state), "label": label} for state, label in dataset]}
 
 
 def parse_dataset(doc: dict) -> LabeledDataset:
+    """A dataset, possibly empty; its labels are checked by ``LabeledDataset``."""
     _check_format(doc, "dataset", "$")
-    states_doc = _require_key(doc, "states", "$")
-    if not isinstance(states_doc, list) or not states_doc:
-        raise SchemaError("states must be a non-empty array", "states")
-    entries = []
-    for i, entry in enumerate(states_doc):
-        path = f"states[{i}]"
-        state = _parse_state_entry(entry, path)
-        label = _require_key(entry, "label", path)
-        if not isinstance(label, int) or isinstance(label, bool) or label < 0:
-            raise SchemaError("label must be a nonnegative integer", f"{path}.label")
-        entries.append((state, label))
-    return LabeledDataset(entries)
+    states = _require_key(doc, "states", "$")
+    if not isinstance(states, list):
+        raise SchemaError("states must be an array", "states")
+    return _built(LabeledDataset, [
+        (_parse_state_entry(entry, f"states[{i}]"), _require_key(entry, "label", f"states[{i}]"))
+        for i, entry in enumerate(states)], path="states")
 
 
 def emit_adversarial_sidecar(witnesses: list, dataset: LabeledDataset) -> dict:
@@ -398,11 +392,9 @@ def load_dataset(path) -> LabeledDataset:
 
 
 def load_sidecar(path, dim: int) -> list:
-    """A sidecar's ``(state, raw entry)`` pairs, states of dim ``dim``; it may be empty."""
+    """A sidecar's ``(state, raw entry)`` pairs, states of dim ``dim``."""
     doc = read_json(path)
-    _check_format(doc, "dataset", "$")
-    empty = _require_key(doc, "states", "$") == []
-    pairs = [] if empty else list(zip((s for s, _ in parse_dataset(doc)), doc["states"]))
+    pairs = list(zip((s for s, _ in parse_dataset(doc)), doc["states"]))
     for j, (state, _) in enumerate(pairs):
         if state.dim != dim:
             raise SchemaError(f"state dim {state.dim} does not match classifier dim {dim}",

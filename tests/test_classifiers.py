@@ -137,14 +137,23 @@ class TestAccuracy:
 
 
 @pytest.mark.parametrize("entries, message", [
-    ([(PureState([1, 0]), -1)], "negative label index -1"),
+    ([(PureState([1, 0]), -1)], "entry 0: label must be a nonnegative integer, got -1"),
+    ([(PureState([1, 0]), 0), (PureState([0, 1]), 1.9)],
+     "entry 1: label must be a nonnegative integer, got 1.9"),
+    ([(PureState([1, 0]), True)], "entry 0: label must be a nonnegative integer, got True"),
+    ([(PureState([1, 0]), "1")], "entry 0: label must be a nonnegative integer, got '1'"),
     ([(np.array([1, 0]), 0)],
      "dataset states must be PureState or DensityMatrix, got ndarray"),
-], ids=["negative_label", "raw_array_state"])
+], ids=["negative_label", "float_label", "bool_label", "string_label", "raw_array_state"])
 def test_dataset_rejection_names_its_message(entries, message):
     with pytest.raises(ValidationError) as err:
         LabeledDataset(entries)
     assert str(err.value) == message
+
+
+def test_numpy_integer_label_is_stored_as_int():
+    (_, label), = LabeledDataset([(PureState([1, 0]), np.int64(1))])
+    assert type(label) is int and label == 1
 
 
 class TestValidation:

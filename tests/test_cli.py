@@ -68,12 +68,19 @@ class TestGenQubit:
         with pytest.raises(ValidationError):
             generate_qubit_case_study(theta_a=4.0)
 
-    @pytest.mark.parametrize("case", ["one_training_sample", "no_values", "nan_value",
-                                      "negative_noise", "nan_noise", "inf_noise"])
+    @pytest.mark.parametrize("case", ["one_training_sample", "fractional_n_train",
+                                      "float_n_val", "bool_n_train", "no_values",
+                                      "nan_value", "negative_noise", "nan_noise", "inf_noise"])
     def test_case_study_rejection_names_its_message(self, case):
         make, message = {
             "one_training_sample": (lambda: generate_qubit_case_study(n_train=1),
                                     "need at least two samples per dataset"),
+            "fractional_n_train": (lambda: generate_qubit_case_study(n_train=2.5),
+                                   "n_train must be an integer, got 2.5"),
+            "float_n_val": (lambda: generate_qubit_case_study(n_val=3.0),
+                            "n_val must be an integer, got 3.0"),
+            "bool_n_train": (lambda: generate_qubit_case_study(n_train=True),
+                             "n_train must be an integer, got True"),
             "negative_noise": (lambda: generate_qubit_case_study(noise_std=-0.1),
                                "noise_std must be finite and nonnegative, got -0.1"),
             "nan_noise": (lambda: generate_qubit_case_study(noise_std=np.nan),
@@ -86,6 +93,10 @@ class TestGenQubit:
         with pytest.raises(ValidationError) as err:
             make()
         assert message in str(err.value)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        _, train, val = generate_qubit_case_study(n_train=np.int64(6), n_val=np.int32(2))
+        assert (len(train), len(val)) == (6, 2)
 
     def test_regenerated_case_study_is_well_trained(self):
         # The default sampling spread (0.15 rad, truncated at the label
@@ -336,6 +347,16 @@ class TestVerifyCommand:
         assert main(["verify", classifier_path, str(dataset_path), "--epsilon", "0.002"]) == 2
         err = capsys.readouterr().err
         assert err == "input error: entry 0 has dim 4, classifier expects 2\n", err
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "bound"])
+    def test_empty_dataset_exits_2(self, case_files, tmp_path, capsys, command):
+        # An empty dataset document parses; the command's compatibility check refuses it.
+        classifier_path, _ = case_files
+        dataset_path = tmp_path / "empty.json"
+        save_dataset(dataset_path, LabeledDataset([]))
+        radii = [] if command == "classify" else ["--epsilon", "0.002"]
+        assert main([command, classifier_path, str(dataset_path), *radii]) == 2
+        assert capsys.readouterr().err == "input error: dataset is empty\n"
 
     def test_error_of_no_input_exits_3(self, case_files, capsys, monkeypatch):
         # A QrvError that is not a ValidationError: one line, no traceback.

@@ -111,6 +111,11 @@ class TestDatasetRoundTrip:
         )
         assert [label for _, label in back] == [0, 1]
 
+    def test_empty_dataset_round_trip(self):
+        doc = emit_dataset(LabeledDataset([]))
+        assert doc == {"format": FORMAT_TAG, "kind": "dataset", "states": []}
+        assert len(parse_dataset(round_trip(doc))) == 0
+
     def test_case_study_round_trip(self):
         _, train, _ = generate_qubit_case_study(n_train=10, n_val=2, seed=1)
         doc = emit_dataset(train)
@@ -146,7 +151,13 @@ _BAD_DOCUMENTS = {
         parse_classifier, _effects_doc(_Z, labels=[0, 1]),
         "labels: labels must be an array of strings"),
     "no_states": (
-        parse_dataset, _dataset_doc(), "states: states must be a non-empty array"),
+        parse_dataset, {"format": FORMAT_TAG, "kind": "dataset"},
+        "$: missing required key 'states'"),
+    "states_not_an_array": (
+        parse_dataset, {**_dataset_doc(), "states": {}}, "states: states must be an array"),
+    "float_label": (
+        parse_dataset, _dataset_doc(_BASIS, {**_BASIS, "label": 1.0}),
+        "states: entry 1: label must be a nonnegative integer, got 1.0"),
     "dataset_as_report": (
         _one_verdict_runs, _dataset_doc(_BASIS),
         "$: expected a qrv/1 verification report or report set"),
@@ -236,7 +247,11 @@ _BAD_CLASSIFIERS = {
         "effects: effects do not sum to the identity"),
     "single effect": (
         _effects_doc([np.eye(2)], labels=["all"]),
-        "effects: expected an array of 2 or more matrices"),
+        "effects: a classifier needs at least two effects"),
+    "effects not an array": (
+        {**_effects_doc(_Z), "effects": {}}, "effects: expected an array of matrices"),
+    "no effects": (
+        _effects_doc([], labels=[]), "effects: a classifier needs at least two effects"),
     "mixed dims": (
         _effects_doc([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 1.0, 1.0])]),
         "effects: effects have mixed dims"),
