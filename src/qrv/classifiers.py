@@ -146,6 +146,8 @@ class BatchClassification(NamedTuple):
     def under_approx(self, eps: float) -> float:
         """URA, the robust accuracy's under-approximation: the share certified."""
         n = len(self.margins)
+        if not n:
+            raise ValidationError("batch is empty")
         return 1.0 - (n - int(np.count_nonzero(self.certified(eps)))) / n
 
 

@@ -9,6 +9,7 @@ takes its own solver targets.  The values are deliberately strict.
 
 from __future__ import annotations
 
+import numbers
 import os
 import sys
 
@@ -74,9 +75,13 @@ def check_dimension(dim: int) -> None:
         )
 
 
-def check_epsilon(eps: float) -> float:
-    """``eps`` as a float; raise unless it is a radius in (0, 1)."""
-    eps = float(eps)
+def check_epsilon(eps: object) -> float:
+    """``eps`` as a float; raise unless it is a real number in (0, 1).  A bool,
+    a string, None or an int beyond the float range is refused, not converted."""
+    if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+            or isinstance(eps, int) and abs(eps) > sys.float_info.max):
+        raise ValidationError(
+            f"epsilon must be a real number in the float range, got {type(eps).__name__}")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
-    return eps
+    return float(eps)

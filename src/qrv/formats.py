@@ -9,15 +9,13 @@ check out.  Both are read anywhere; parse(emit(x)) == x bit for bit.
 
 One reader, :func:`parse_array`, takes either layout at one or two dims,
 and one writer, :func:`array_to_json`, picks the layout by size.  Pairs are
-converted whole: a C-level scan must find only int and float in them, and
-one ``np.array(..., dtype=float)`` of the right shape is viewed as complex.
-Only when that fails does a locator walk the array, building nothing, to
-name the first bad element with its path: row by row, each row's shape,
-then its pairs.  A number is an int (not a bool) or a float within the
-finite float range, so NaN and infinities are bad there too; ``qrv recheck``
-reads a recorded figure by the same rule (:func:`_number`).  A file
-that is not UTF-8 or not JSON, or is nested too deeply, is a
-:class:`SchemaError` at ``$``.  This module checks a document's JSON shape
+checked row by row, each row's shape, then its pairs, and the first bad
+element is refused at its path; only then is the array converted, by one
+``np.array(..., dtype=float)`` viewed as complex.  A number is an int (not a
+bool) or a float within the finite float range, so a NaN or infinite pair is
+refused at its own path; ``qrv recheck`` reads a recorded figure by the same
+rule (:func:`_number`).  A file that is not UTF-8 or not JSON, or is nested
+too deeply, is a :class:`SchemaError` at ``$``.  This module checks a document's JSON shape
 only (keys, kinds, arrays): every value goes to its constructor, which owns
 the value's rules (two or more effects, nonnegative integer labels), and
 that constructor's ValueError is a SchemaError at the path it was built
@@ -40,7 +38,6 @@ import base64
 import json
 import math
 import sys
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -139,24 +136,6 @@ def _is_pair(x: Any) -> bool:
     return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_number, x))
 
 
-def _first_bad(obj: list, ndim: int, path: str) -> SchemaError:
-    """The error for the first element of ``obj`` that keeps it from being
-    ``ndim`` dims of pairs: row by row, each row's shape, then its pairs."""
-    rows = [(path, obj)] if ndim == 1 else [(f"{path}[{i}]", row) for i, row in enumerate(obj)]
-    for where, row in rows:
-        if ndim == 2:
-            if not isinstance(row, list) or not row:
-                return SchemaError("matrix rows must be non-empty arrays", where)
-            if len(row) != len(obj[0]):
-                return SchemaError(f"row has {len(row)} entries, expected {len(obj[0])}",
-                                   where)
-        for j, pair in enumerate(row):
-            if not _is_pair(pair):
-                return SchemaError("complex numbers must be [re, im] number pairs",
-                                   f"{where}[{j}]")
-    raise AssertionError(f"{path}: an array that did not convert has no bad element")
-
-
 def parse_array(obj: Any, ndim: int, path: str) -> np.ndarray:
     """A complex vector (``ndim`` 1) or matrix (2) in either layout."""
     if isinstance(obj, dict) and obj.keys() & _BINARY_KEYS:
@@ -164,15 +143,19 @@ def parse_array(obj: Any, ndim: int, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("expected a non-empty array of [re, im] pairs" if ndim == 1
                           else "expected a non-empty array of rows", path)
-    pairs = obj if ndim == 1 else chain.from_iterable(obj)
-    try:
-        if set(map(type, chain.from_iterable(pairs))) <= {int, float}:
-            a = np.array(obj, dtype=float)
-            if a.shape[ndim:] == (2,):
-                return a.view(complex).reshape(a.shape[:-1])
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise _first_bad(obj, ndim, path)
+    for i, row in enumerate([obj] if ndim == 1 else obj):
+        where = path if ndim == 1 else f"{path}[{i}]"
+        if ndim == 2:
+            if not isinstance(row, list) or not row:
+                raise SchemaError("matrix rows must be non-empty arrays", where)
+            if len(row) != len(obj[0]):
+                raise SchemaError(f"row has {len(row)} entries, expected {len(obj[0])}", where)
+        for j, pair in enumerate(row):
+            if not _is_pair(pair):
+                raise SchemaError("complex numbers must be [re, im] number pairs",
+                                  f"{where}[{j}]")
+    a = np.array(obj, dtype=float)
+    return a.view(complex).reshape(a.shape[:-1])
 
 
 def _require_key(doc: dict, key: str, path: str) -> Any:
@@ -337,9 +320,7 @@ def report_runs(doc: Any, n: int) -> list[dict]:
         if not (isinstance(verdicts, list) and len(verdicts) == n
                 and all(isinstance(v, dict) for v in verdicts)):
             raise SchemaError(f"expected {n} verdict objects", f"runs[{j}].verdicts")
-        if not _number(run.get("epsilon")):
-            raise SchemaError("epsilon must be a number in (0, 1)", f"runs[{j}].epsilon")
-        _built(check_epsilon, run["epsilon"], path=f"runs[{j}].epsilon")
+        _built(check_epsilon, run.get("epsilon"), path=f"runs[{j}].epsilon")
         if type(run.get("seed")) is not int:
             raise SchemaError("seed must be an integer", f"runs[{j}].seed")
     return runs
@@ -348,6 +329,8 @@ def report_runs(doc: Any, n: int) -> list[dict]:
 def emit_classification(batch, labels) -> dict:
     """A ``classification_report``: the accuracy of a ``BatchClassification``
     against the dataset's ``labels``, and one row per entry."""
+    if not labels:
+        raise ValidationError("batch is empty")
     rows = [{"index": i, "label": label, "predicted": predicted, "margin": margin,
              "tie": tie, "correct": predicted == label}
             for i, (label, predicted, margin, tie) in enumerate(zip(

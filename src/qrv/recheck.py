@@ -60,7 +60,7 @@ def recheck_report(
     runs = report_runs(report, len(dataset))
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
-    wbatch = classify_batch(classifier, [s for s, _ in witnesses]) if witnesses else None
+    wbatch = classify_batch(classifier, [s for s, _ in witnesses])
     queue = iter(enumerate(witnesses))
     weights = functools.cache(lambda i, k: _rotate(classifier, states[i].factor, labels[i], k)[1])
     problems = []

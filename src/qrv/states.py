@@ -178,10 +178,10 @@ def _suppress_spectral_junk(w: np.ndarray) -> np.ndarray:
 def matrix_sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues in ``[-PSD_REJECT, 0)`` are clamped to zero so that
-    solver-induced PSD drift cannot leak NaNs into fidelities; anything
-    below ``-PSD_REJECT`` is rejected as not PSD, and so is a matrix that
-    is not Hermitian to ``HERM_TOL``.
+    Eigenvalues in ``[-PSD_REJECT, 0)``, the rounding of a computed PSD
+    matrix such as an effect ``sampling.random_classifier`` takes the root
+    of, are clamped to zero so they cannot put NaNs in the root; anything
+    below ``-PSD_REJECT`` is rejected, as is a matrix not Hermitian to ``HERM_TOL``.
     """
     w, v = np.linalg.eigh(require_hermitian(m))
     if w[0] < -PSD_REJECT:

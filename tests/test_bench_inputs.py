@@ -2,7 +2,9 @@
 
 ``bench/workloads.py`` calls the library to generate each workload named in
 ``BENCHMARK.json``, so an API change that breaks a generator fails here
-rather than only in a benchmark run.  The module is imported from its file,
+rather than only in a benchmark run; ``bench/check.py``, the benchmark's own
+output check, then checks what verify wrote, so a change that would lower
+``verdict_ok_ratio`` fails here too.  Each module is imported from its file,
 without writing bytecode next to it.
 """
 
@@ -23,24 +25,32 @@ WORKLOADS = [w["name"] for w in
              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.fixture(scope="module")
-def generators():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
-    sys.modules[spec.name] = module  # its dataclass looks the module up
+    sys.modules[spec.name] = module  # its dataclasses look the module up
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
-    return module.GENERATORS
+    return module
+
+
+@pytest.fixture(scope="module")
+def generators():
+    return _bench_module("workloads").GENERATORS
+
+
+@pytest.fixture(scope="module")
+def check():
+    return _bench_module("check")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_workload_verifies_and_rechecks(name, generators, tmp_path):
+def test_workload_verifies_and_rechecks(name, generators, check, tmp_path):
     workload = generators[name](0, tmp_path)
     report, sidecar = tmp_path / "report.json", tmp_path / "adversarial.json"
     out = io.StringIO()
@@ -49,6 +59,11 @@ def test_workload_verifies_and_rechecks(name, generators, tmp_path):
         assert main(["recheck", str(workload.classifier_path), str(workload.dataset_path),
                      str(report), str(sidecar)]) == 0
     assert out.getvalue().strip().endswith("consistent")
+    reference = json.loads((ROOT / "bench" / "baseline.json").read_text())["reference"]
+    inputs = check.Inputs(workload)
+    result = check.check_run(inputs, 0, report, sidecar, reference[name]["0"])
+    assert result.attempted == len(inputs.dataset) * len(workload.epsilons)
+    assert (result.failed, result.problems) == (0, [])
 
 
 # Witnesses the exact path builds for seed 0 of each workload: one per entry

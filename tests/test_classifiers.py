@@ -11,7 +11,7 @@ from qrv.classifiers import (
     classify_batch,
 )
 from qrv.errors import DimensionMismatch, ValidationError
-from qrv.formats import emit_report
+from qrv.formats import emit_classification, emit_report
 from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, pure_to_density
 from qrv.verifier import verify_dataset
@@ -115,6 +115,14 @@ class TestClassify:
                 np.sqrt(expected[order[0]]) - np.sqrt(expected[order[1]]), abs=1e-12
             )
             assert classify(c, state).label_index == batch.labels[i]
+
+    def test_empty_batch_has_no_under_approximation(self, z_classifier):
+        with pytest.raises(ValidationError, match="^batch is empty$"):
+            classify_batch(z_classifier, []).under_approx(0.1)
+
+    def test_empty_batch_has_no_classification_report(self, z_classifier):
+        with pytest.raises(ValidationError, match="^batch is empty$"):
+            emit_classification(classify_batch(z_classifier, []), [])
 
 
 class TestAccuracy:

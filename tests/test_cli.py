@@ -348,6 +348,18 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == "input error: entry 0 has dim 4, classifier expects 2\n", err
 
+    def test_nan_amplitude_exits_2_at_its_pair(self, case_files, tmp_path, capsys):
+        # The pairs reader refuses a NaN pair itself, not the state it would build.
+        classifier_path, dataset_path = case_files
+        doc = json.loads(Path(dataset_path).read_text())
+        doc["states"][3]["data"][1] = [float("nan"), 0.0]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", classifier_path, str(bad), "--epsilon", "0.002"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"input error: {bad}:states[3].data[1]: "
+                       "complex numbers must be [re, im] number pairs\n"), err
+
     @pytest.mark.parametrize("command", ["verify", "classify", "bound"])
     def test_empty_dataset_exits_2(self, case_files, tmp_path, capsys, command):
         # An empty dataset document parses; the command's compatibility check refuses it.

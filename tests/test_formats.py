@@ -168,7 +168,7 @@ _BAD_DOCUMENTS = {
         "runs[0].verdicts: expected 1 verdict objects"),
     "epsilon_not_a_number": (
         _one_verdict_runs, {**_RUN, "epsilon": "0.1"},
-        "runs[0].epsilon: epsilon must be a number in (0, 1)"),
+        "runs[0].epsilon: epsilon must be a real number in the float range, got str"),
     "epsilon_out_of_range": (
         _one_verdict_runs, _report_set(_RUN, {**_RUN, "epsilon": 1.5}),
         "runs[1].epsilon: epsilon must be in (0, 1), got 1.5"),
@@ -414,6 +414,14 @@ class TestCodec:
              "$[0][0]: complex numbers must be [re, im] number pairs"),
             (1, [[float("inf"), 0], "x"],  # a number is finite
              "$[0]: complex numbers must be [re, im] number pairs"),
+            (1, [[float("nan"), 0], [1, 0]],  # whatever else the array holds
+             "$[0]: complex numbers must be [re, im] number pairs"),
+            (1, [[1, 0], [0, -float("inf")]],
+             "$[1]: complex numbers must be [re, im] number pairs"),
+            (2, [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]],
+             "$[1][1]: complex numbers must be [re, im] number pairs"),
+            (2, [[[0, float("inf")]]],
+             "$[0][0]: complex numbers must be [re, im] number pairs"),
         ],
         ids=_case_id,
     )

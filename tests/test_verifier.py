@@ -382,6 +382,20 @@ class TestVerifyDataset:
         with pytest.raises(ValidationError, match="^dataset is empty$"):
             verify_dataset(z_classifier, LabeledDataset([]), 0.1)
 
+    # config.check_epsilon refuses what is not a real number itself: nothing
+    # is converted, and no TypeError or OverflowError escapes first.
+    @pytest.mark.parametrize("eps, kind", [
+        (True, "bool"), ("0.1", "str"), (None, "NoneType"), (10**400, "int"),
+    ], ids=["bool", "str", "none", "int_beyond_float_range"])
+    def test_epsilon_that_is_not_a_real_number_rejected(self, z_classifier, eps, kind):
+        with pytest.raises(ValidationError) as err:
+            verify_dataset(z_classifier, margin_one_dataset(), eps)
+        assert str(err.value) == f"epsilon must be a real number in the float range, got {kind}"
+
+    def test_numpy_float_epsilon_accepted(self, z_classifier):
+        report = verify_dataset(z_classifier, margin_one_dataset(), np.float64(0.2))
+        assert type(report.epsilon) is float and report.epsilon == 0.2
+
     def test_boundary_entries_keep_their_batch_label(self):
         # A batch and a batch of one round differently, so an entry the batch
         # labels correctly must not be classified again by its own bound.
