@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import GAP_ROUNDING, ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension
+from .config import GAP_ROUNDING, ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension, check_label
 from .errors import DimensionMismatch, ValidationError
 from .states import (
     DensityMatrix,
@@ -214,18 +214,14 @@ def classify(classifier: Classifier, state) -> Classification:
 
 
 class LabeledDataset:
-    """States paired with class indices, each a nonnegative int or numpy
-    integer stored as an int (a bool, float or string is refused, not converted)."""
+    """States paired with class indices, each checked by ``config.check_label``."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
         items = []
         for i, (state, label) in enumerate(entries):
-            if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or label < 0:
-                raise ValidationError(
-                    f"entry {i}: label must be a nonnegative integer, got {label!r}")
-            label = int(label)
+            label = check_label(label, f"entry {i}: ")
             if not isinstance(state, (PureState, DensityMatrix)):
                 raise ValidationError(
                     "dataset states must be PureState or DensityMatrix, got "

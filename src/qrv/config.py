@@ -1,4 +1,4 @@
-"""Numeric tolerances and global limits, the radius rule among them.
+"""Numeric tolerances and global limits, the radius and label rules among them.
 
 Every tolerance of validation, classification and gap spectra is one constant
 here, so all agree on what counts as a state, a classifier, a channel and a tie;
@@ -85,3 +85,14 @@ def check_epsilon(eps: object) -> float:
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
     return float(eps)
+
+
+def check_label(label: object, where: str = "", n_classes: int | None = None) -> int:
+    """``label`` as an int; raise unless it is a nonnegative int or numpy integer and,
+    given ``n_classes``, a class index.  A bool, float or string is refused, not converted."""
+    integer = isinstance(label, numbers.Integral) and not isinstance(label, bool)
+    if integer and n_classes is not None and not 0 <= label < n_classes:
+        raise ValidationError(f"label {label} is not a class of a {n_classes}-class classifier")
+    if not integer or label < 0:
+        raise ValidationError(f"{where}label must be a nonnegative integer, got {label!r}")
+    return int(label)

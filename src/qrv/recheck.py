@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import Classifier, LabeledDataset, classify_batch
 from .formats import _number, _state_kind, emit_report, report_runs
-from .states import sqrt_fidelity
+from .states import fidelity
 from .verifier import WITNESS_BUDGET, OptimalBound, _rotate, assemble_reports, bound_at
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
@@ -98,7 +98,7 @@ def recheck_report(
                 bad(i, "source_index", "no sidecar witness is left" if j is None
                     else f"sidecar entry {j} is for entry {got!r}")
                 return bound._replace(witness_distance=distance), 0.0
-            measured = 1.0 - sqrt_fidelity(states[i], sigma) ** 2
+            measured = 1.0 - fidelity(states[i], sigma)
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
                 "kind": _state_kind(states[i]), "label": label, "target_class": bound.argmin_class,
                 "distance": _kept(entry.get("distance"), measured, DISTANCE_TOL),

@@ -31,8 +31,8 @@ verification stack:
   filters with the margin bound and falls back to the exact bound only
   where the filter is inconclusive, collecting adversarial examples
   along the way.  delta does not depend on epsilon, so one pass serves a
-  whole table of radii: each entry gets at most one bound, and every
-  radius thresholds it.
+  whole table of radii: each entry gets at most one bound, taken at the
+  largest radius, and every radius thresholds it.
 
 Misclassified dataset entries are a correctness failure, not a
 robustness failure: they are excluded from robustness verdicts and
@@ -56,9 +56,9 @@ from .classifiers import (
     classify,
     classify_batch,
 )
-from .config import GAP_ROUNDING, TIE_TOL, check_epsilon
+from .config import GAP_ROUNDING, TIE_TOL, check_epsilon, check_label
 from .errors import MisclassifiedInput, ValidationError
-from .states import DensityMatrix, PureState, sqrt_fidelity
+from .states import DensityMatrix, PureState, fidelity
 
 __all__ = [
     "VerifyOptions",
@@ -283,10 +283,11 @@ def bound_at(classifier: Classifier, weights, label: int, shifts) -> OptimalBoun
 
 
 def compute_optimal_bound(
-    classifier: Classifier, state, label: int | None = None
+    classifier: Classifier, state, label: int | None = None, *, eps: float = np.inf
 ) -> OptimalBound:
     """Optimal robust bound delta = min over rival classes of the class-flip
-    distance, each from the two-multiplier fidelity dual.
+    distance, each from the two-multiplier fidelity dual, with a witness only
+    if the state is not ``eps``-robust (by default, whenever delta is bounded).
 
     A rival class whose flip constraint is infeasible (its gap operator is
     positive definite past ``TIE_TOL``) has an unbounded radius; when every rival is
@@ -295,23 +296,14 @@ def compute_optimal_bound(
     pure state ``phi*`` for a pure input and ``sigma*`` for a mixed one, and
     its distance ``1 - F`` is measured on the state returned, as
     ``qrv recheck`` measures it from the saved file.  With no ``label`` the
-    state is classified; a rival ahead of a stated one (``tr(A rho) =
-    p_label - p_k < 0``) by more than ``TIE_TOL`` raises
-    :class:`MisclassifiedInput`, and one ahead by less is tied, as batch
-    classification flags it.
+    state is classified; a stated one must pass ``config.check_label`` and
+    name a class.  A rival ahead of it (``tr(A rho) = p_label - p_k < 0``) by more
+    than ``TIE_TOL`` raises :class:`MisclassifiedInput`, and one ahead by
+    less is tied, as batch classification flags it.
     """
-    return _optimal_bound(classifier, state, label)
-
-
-def _optimal_bound(classifier: Classifier, state, label: int | None,
-                   eps: float = np.inf) -> OptimalBound:
-    """:func:`compute_optimal_bound`: the bound (the rival roots, then
-    :func:`bound_at`), then its witness only if the state is not eps-robust."""
     n = classifier.n_classes
-    if label is None:
-        label = classify(classifier, state).label_index
-    elif not 0 <= label < n:
-        raise ValidationError(f"label {label} is not a class of a {n}-class classifier")
+    label = (classify(classifier, state).label_index if label is None
+             else check_label(label, n_classes=n))
 
     shifts = [None] * n  # None: the label, an unreachable or a tied rival
     rotated = {}  # rival -> rho's factor in its gap eigenbasis, and r
@@ -337,7 +329,7 @@ def _optimal_bound(classifier: Classifier, state, label: int | None,
     witness = (PureState(factor.sum(axis=1)) if isinstance(state, PureState)  # unit norm
                else DensityMatrix(factor @ factor.conj().T))
     return bound._replace(witness=witness,
-                          witness_distance=1.0 - sqrt_fidelity(state, witness) ** 2)
+                          witness_distance=1.0 - fidelity(state, witness))
 
 
 def check_epsilon_robust(
@@ -350,11 +342,9 @@ def check_epsilon_robust(
     a pure state for a pure input, a density matrix for a mixed one.
     """
     eps = check_epsilon(eps)
-    bound = _optimal_bound(classifier, state, label, eps)
-    witness = None
-    if not bound.robust_at(eps):
-        witness = AdversarialWitness(bound.witness, bound.argmin_class,
-                                     bound.witness_distance)
+    bound = compute_optimal_bound(classifier, state, label, eps=eps)
+    witness = None if bound.robust_at(eps) else AdversarialWitness(
+        bound.witness, bound.argmin_class, bound.witness_distance)
     return RobustnessCheck(robust=witness is None, witness=witness)
 
 
@@ -376,9 +366,11 @@ def pure_state_optimal_bound(
     (Toeplitz-Hausdorff), so the pure-state bound equals the mixed bound
     of :func:`compute_optimal_bound`, and its pure witness ``phi_star``
     sits at the same distance and on the same side of the decision
-    boundary.  ``options`` is accepted for call compatibility and unused:
-    the bound has no settings.
+    boundary.  That argument needs a pure psi, so other inputs are refused.
+    ``options`` is accepted for call compatibility and unused: no settings.
     """
+    if not isinstance(psi, PureState):
+        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}")
     bound = compute_optimal_bound(classifier, psi, label)
     return PureBound(status="ok", delta=bound.delta, unbounded=bound.unbounded,
                      phi_star=bound.witness)
@@ -478,7 +470,7 @@ def verify_epsilons(
     @functools.cache
     def exact(i: int) -> tuple[OptimalBound, float]:
         t0 = time.perf_counter()
-        bound = _optimal_bound(classifier, states[i], labels[i], max(epsilons))
+        bound = compute_optimal_bound(classifier, states[i], labels[i], eps=max(epsilons))
         return bound, time.perf_counter() - t0
 
     return assemble_reports(batch, labels, epsilons, exact, t_margin, opts.seed)

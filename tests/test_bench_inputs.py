@@ -4,8 +4,9 @@
 ``BENCHMARK.json``, so an API change that breaks a generator fails here
 rather than only in a benchmark run; ``bench/check.py``, the benchmark's own
 output check, then checks what verify wrote, so a change that would lower
-``verdict_ok_ratio`` fails here too.  Each module is imported from its file,
-without writing bytecode next to it.
+``verdict_ok_ratio`` fails here too; ``bench/tracer.py`` must still see the
+bound layer of a verify run.  Each module is imported from its file, without
+writing bytecode next to it.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import qrv.cli
 import qrv.verifier
 from qrv.cli import main
 
@@ -84,3 +86,29 @@ def test_witness_only_where_a_radius_reports_one(name, generators, tmp_path, mon
         assert main(workload.verify_args(report, sidecar) + ["--omit-timings"]) == 0
     entries = {entry["source_index"] for entry in json.loads(sidecar.read_text())["states"]}
     assert len(built) == len(entries) == WITNESSES_BUILT[name]
+
+
+# Correct entries that the margin leaves undecided at the largest radius of
+# seed 0 of each workload: each gets one bound.
+EXACT_ENTRIES = {"noisy_mixed": 16, "image_exact": 14}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_tracer_sees_the_bound_layer(name, generators, tmp_path):
+    tracer = _bench_module("tracer")
+    workload = generators[name](0, tmp_path)
+    report, sidecar = tmp_path / "report.json", tmp_path / "adversarial.json"
+    spans = tracer.Tracer(name)
+    spans.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert qrv.cli.main(workload.verify_args(report, sidecar) + ["--omit-timings"]) == 0
+    finally:
+        spans.uninstall()
+    metrics = tracer.layer_metrics(spans.records(), [])
+    doc = json.loads(report.read_text())
+    widest = max(doc.get("runs", [doc]), key=lambda run: run["epsilon"])  # one run or a set
+    exact = sum(v["correct"] and not v["margin_certified"] for v in widest["verdicts"])
+    assert metrics["verifier.compute_optimal_bound.calls"] == exact == EXACT_ENTRIES[name]
+    assert metrics["states.fidelity.calls"] == WITNESSES_BUILT[name]
+    assert metrics["verifier.delta_reuse_ratio"] == 1.0

@@ -15,7 +15,7 @@ from qrv.classifiers import (
 )
 from qrv.errors import MisclassifiedInput, ValidationError
 from grid_oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
-from qrv.sampling import random_density_matrix, random_pure_state
+from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
 from qrv.verifier import (
     AdversarialWitness,
@@ -77,6 +77,13 @@ class TestMarginBound:
         for eps in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValidationError):
                 margin_robust_bound(z_classifier, diag_state(1.0), eps)
+
+
+def labelled_one():
+    """A fresh 3-class classifier, no gap spectrum cached yet, and a mixed
+    state it labels 1."""
+    classifier = random_classifier(4, np.random.default_rng(1), n_classes=3, kraus_rank=2)
+    return classifier, random_density_matrix(4, np.random.default_rng(2))
 
 
 class TestOptimalBound:
@@ -148,6 +155,36 @@ class TestOptimalBound:
     def test_rejects_a_label_outside_the_classes(self, z_classifier, label):
         with pytest.raises(ValidationError, match=f"label {label} "):
             compute_optimal_bound(z_classifier, diag_state(0.9), label=label)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("label, message", [
+        (1.0, "label must be a nonnegative integer, got 1.0"),
+        (True, "label must be a nonnegative integer, got True"),
+        ("1", "label must be a nonnegative integer, got '1'"),
+        (-1, "label -1 is not a class of a 3-class classifier"),
+        (3, "label 3 is not a class of a 3-class classifier"),
+    ], ids=["float", "bool", "string", "negative", "n_classes"])
+    def test_label_rule_does_not_depend_on_the_gap_cache(self, label, message, warm):
+        # The gap spectra are cached per (label, rival), and 1.0 or True hash
+        # as 1: once label 1 has filled the cache, only the rule refuses them.
+        classifier, rho = labelled_one()
+        if warm:
+            compute_optimal_bound(classifier, rho, 1)
+        calls = [lambda: compute_optimal_bound(classifier, rho, label),
+                 lambda: check_epsilon_robust(classifier, rho, label, 0.01),
+                 lambda: pure_state_optimal_bound(classifier, PureState([1, 0, 0, 0]), label)]
+        for call in calls:
+            with pytest.raises(ValidationError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+    def test_numpy_integer_label_gives_the_int_labels_bound(self):
+        classifier, rho = labelled_one()
+        want = compute_optimal_bound(classifier, rho, 1)
+        got = compute_optimal_bound(labelled_one()[0], rho, np.int64(1))
+        assert (got.delta, got.witness_distance) == (want.delta, want.witness_distance)
+        assert got.shifts == want.shifts and got.per_class == want.per_class
+        assert got.argmin_class == want.argmin_class
 
     def test_rival_ahead_within_tie_tolerance_is_tied(self, z_classifier):
         # Class 1 leads by 2e-9 < TIE_TOL: stated label 0 is a tie, delta 0.
@@ -231,6 +268,16 @@ class TestPureBound:
         assert abs(result.phi_star.overlap(psi)) ** 2 == pytest.approx(0.5, abs=1e-6)
         sweep, _ = pure_sphere_min_distance(z_classifier, psi, 0, angle_step=1e-3)
         assert result.delta == pytest.approx(sweep, abs=2e-3)
+
+    @pytest.mark.parametrize("state, kind", [
+        (DensityMatrix(np.diag([0.9, 0.1]).astype(complex)), "DensityMatrix"),
+        (np.array([1.0, 0.0]), "ndarray"),
+    ], ids=["mixed", "array"])
+    def test_refuses_a_state_that_is_not_pure(self, z_classifier, state, kind):
+        # Toeplitz-Hausdorff holds for a pure psi only: a pure adversary of a
+        # mixed rho lies at 1 - <phi|rho|phi>, not at Uhlmann's 1 - F.
+        with pytest.raises(ValidationError, match=f"^psi must be a PureState, got {kind}$"):
+            pure_state_optimal_bound(z_classifier, state, 0)
 
     def test_never_below_mixed_bound(self, rng):
         for _ in range(10):
@@ -462,13 +509,13 @@ class TestVerifyEpsilons:
     def test_one_bound_per_exact_entry(self, rng, monkeypatch):
         classifier, dataset = mixed_dataset(rng)
         calls = []
-        bound = qrv.verifier._optimal_bound  # compute_optimal_bound, with a radius
+        bound = qrv.verifier.compute_optimal_bound
 
-        def counted(classifier, state, label, eps):
+        def counted(classifier, state, label, *, eps):
             calls.append(id(state))
-            return bound(classifier, state, label, eps)
+            return bound(classifier, state, label, eps=eps)
 
-        monkeypatch.setattr(qrv.verifier, "_optimal_bound", counted)
+        monkeypatch.setattr(qrv.verifier, "compute_optimal_bound", counted)
         reports = verify_epsilons(classifier, dataset, EPSILONS)
         widest = reports[EPSILONS.index(max(EPSILONS))]
         exact = [v for v in widest.verdicts if v.correct and not v.margin_certified]
