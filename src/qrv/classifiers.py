@@ -6,8 +6,11 @@ index only on an exact tie), flagged when the runner-up is within ``TIE_TOL``.
 A channel E then a measurement {M_k} is the POVM of its Heisenberg-picture
 effects ``N_k = E^dag(M_k^dag M_k)`` (:meth:`Classifier.from_kraus`), which is
 all the robust bound and the adversarial search depend on.
-Classification works on a stack of states at once (one contraction
-against the stacked effects); a single state is a stack of one.
+Classification works on a stack of states at once (one contraction against
+the stacked effects); a single state is a stack of one.  :func:`check_state`
+owns the state rule (a ``PureState`` or ``DensityMatrix`` of the classifier's
+dim) for classification, the bound and the sidecar reader alike;
+``config.check_label`` owns a class index, ``states.require_psd`` a PSD effect.
 """
 
 from __future__ import annotations
@@ -16,14 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import GAP_ROUNDING, ISOMETRY_TOL, PSD_TOL, TIE_TOL, check_dimension, check_label
+from .config import GAP_ROUNDING, ISOMETRY_TOL, TIE_TOL, check_dimension, check_label
 from .errors import DimensionMismatch, ValidationError
-from .states import (
-    DensityMatrix,
-    PureState,
-    as_complex_matrix,
-    require_hermitian,
-)
+from .states import DensityMatrix, PureState, as_complex_matrix, require_hermitian, require_psd
 
 __all__ = [
     "Classifier",
@@ -32,6 +30,7 @@ __all__ = [
     "LabeledDataset",
     "classify",
     "classify_batch",
+    "check_state",
     "accuracy",
     "WELL_TRAINED_THRESHOLD",
 ]
@@ -66,9 +65,7 @@ class Classifier:
                 f"effects have mixed dims {sorted({n.shape[0] for n in mats})}")
         check_dimension(dim)
         for k, n in enumerate(mats):
-            lo = float(np.linalg.eigvalsh(n)[0])
-            if lo < -PSD_TOL:
-                raise ValidationError(f"effect {k} has negative eigenvalue {lo:.3e}")
+            require_psd(n, f"effect {k}")
         stack = np.stack(mats)
         defect = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
         if defect > ISOMETRY_TOL:
@@ -151,6 +148,17 @@ class BatchClassification(NamedTuple):
         return 1.0 - (n - int(np.count_nonzero(self.certified(eps)))) / n
 
 
+def check_state(state, dim: int | None = None, what: str = "state"):
+    """``state``, refused unless it is a PureState or DensityMatrix and, given
+    ``dim``, of that dimension; ``what`` names it in the message."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise ValidationError(
+            f"{what} must be PureState or DensityMatrix, got {type(state).__name__}")
+    if dim is not None and state.dim != dim:
+        raise DimensionMismatch(f"{what} has dim {state.dim}, classifier expects {dim}")
+    return state
+
+
 def _probability_rows(classifier: Classifier, states) -> np.ndarray:
     """p[n, k] = tr(N_k rho_n) for a sequence of states, clamped to [0, 1].
 
@@ -160,10 +168,7 @@ def _probability_rows(classifier: Classifier, states) -> np.ndarray:
     effects = classifier.dual_effects
     vector_rows, vectors, matrix_rows, matrices = [], [], [], []
     for i, state in enumerate(states):
-        if state.dim != classifier.dim:
-            raise DimensionMismatch(
-                f"state dim {state.dim} does not match classifier dim {classifier.dim}"
-            )
+        check_state(state, classifier.dim)
         if isinstance(state, PureState):
             vector_rows.append(i)
             vectors.append(state.amplitudes)
@@ -214,7 +219,7 @@ def classify(classifier: Classifier, state) -> Classification:
 
 
 class LabeledDataset:
-    """States paired with class indices, each checked by ``config.check_label``."""
+    """States paired with class indices, checked by check_state and check_label."""
 
     __slots__ = ("entries",)
 
@@ -222,12 +227,7 @@ class LabeledDataset:
         items = []
         for i, (state, label) in enumerate(entries):
             label = check_label(label, f"entry {i}: ")
-            if not isinstance(state, (PureState, DensityMatrix)):
-                raise ValidationError(
-                    "dataset states must be PureState or DensityMatrix, got "
-                    f"{type(state).__name__}"
-                )
-            items.append((state, label))
+            items.append((check_state(state, what="dataset states"), label))
         self.entries = tuple(items)
 
     def __len__(self) -> int:
@@ -241,16 +241,8 @@ class LabeledDataset:
         if not self.entries:
             raise ValidationError("dataset is empty")
         for i, (state, label) in enumerate(self.entries):
-            dim = state.dim
-            if dim != classifier.dim:
-                raise DimensionMismatch(
-                    f"entry {i} has dim {dim}, classifier expects {classifier.dim}"
-                )
-            if label >= classifier.n_classes:
-                raise ValidationError(
-                    f"entry {i} has label {label} but the classifier only has "
-                    f"{classifier.n_classes} classes"
-                )
+            check_state(state, classifier.dim, f"entry {i}")
+            check_label(label, f"entry {i}: ", classifier.n_classes)
 
 
 def accuracy(classifier: Classifier, dataset: LabeledDataset) -> float:

@@ -124,7 +124,7 @@ def _load(loader, path):
     try:
         return loader(path)
     except SchemaError as exc:
-        raise SchemaError(str(exc).split(": ", 1)[-1], f"{path}:{exc.path}") from exc
+        raise SchemaError(exc.message, f"{path}:{exc.path}") from exc
 
 
 # ---------------------------------------------------------------------------

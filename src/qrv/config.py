@@ -1,4 +1,4 @@
-"""Numeric tolerances and global limits, the radius and label rules among them.
+"""Numeric tolerances and global limits, and the one owner of the radius and label rules.
 
 Every tolerance of validation, classification and gap spectra is one constant
 here, so all agree on what counts as a state, a classifier, a channel and a tie;
@@ -88,11 +88,12 @@ def check_epsilon(eps: object) -> float:
 
 
 def check_label(label: object, where: str = "", n_classes: int | None = None) -> int:
-    """``label`` as an int; raise unless it is a nonnegative int or numpy integer and,
-    given ``n_classes``, a class index.  A bool, float or string is refused, not converted."""
+    """``label`` as an int; raise (message led by ``where``) unless it is a nonnegative int or
+    numpy integer and, given ``n_classes``, a class index.  A bool, float or string is refused."""
     integer = isinstance(label, numbers.Integral) and not isinstance(label, bool)
     if integer and n_classes is not None and not 0 <= label < n_classes:
-        raise ValidationError(f"label {label} is not a class of a {n_classes}-class classifier")
+        raise ValidationError(
+            f"{where}label {label} is not a class of a {n_classes}-class classifier")
     if not integer or label < 0:
         raise ValidationError(f"{where}label must be a nonnegative integer, got {label!r}")
     return int(label)

@@ -16,12 +16,12 @@ class DimensionMismatch(ValidationError):
 class SchemaError(ValidationError):
     """A JSON document does not match the expected schema.
 
-    Carries the path of the offending element, e.g. ``states[3].data``.
+    Carries its ``message`` and the ``path`` of the offending element, e.g. ``states[3].data``.
     """
 
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
-        self.path = path
+        self.message, self.path = message, path
 
 
 class MisclassifiedInput(QrvError, ValueError):

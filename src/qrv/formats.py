@@ -42,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from .classifiers import Classifier, LabeledDataset
+from .classifiers import Classifier, LabeledDataset, check_state
 from .config import check_dimension, check_epsilon
 from .errors import SchemaError, ValidationError
 from .states import DensityMatrix, PureState
@@ -379,9 +379,7 @@ def load_sidecar(path, dim: int) -> list:
     doc = read_json(path)
     pairs = list(zip((s for s, _ in parse_dataset(doc)), doc["states"]))
     for j, (state, _) in enumerate(pairs):
-        if state.dim != dim:
-            raise SchemaError(f"state dim {state.dim} does not match classifier dim {dim}",
-                              f"states[{j}]")
+        _built(check_state, state, dim, path=f"states[{j}]")
     return pairs
 
 

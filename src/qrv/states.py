@@ -8,7 +8,8 @@ computed on first use and cached.  The distance used for robustness
 verdicts is ``D(rho, sigma) = 1 - F(rho, sigma)`` where ``F`` is the
 fidelity ``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2``, read from the two
 factors alone (Uhlmann: ``sqrt(F) = ||R^dag S||_tr``); the trace distance
-is provided alongside for comparison.
+is provided alongside for comparison.  :func:`require_psd` owns the PSD rule
+of a density matrix and of a classifier's effect.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "DensityMatrix",
     "as_complex_matrix",
     "require_hermitian",
+    "require_psd",
     "matrix_sqrt_psd",
     "pure_to_density",
     "fidelity",
@@ -70,6 +72,14 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
             f"> {HERM_TOL:.1e}"
         )
     return 0.5 * (m + m.conj().T)
+
+
+def require_psd(m: np.ndarray, what: str = "matrix") -> None:
+    """Refuse a Hermitian ``m`` with an eigenvalue below ``-PSD_TOL``, the one
+    PSD rule of a density matrix and of an effect."""
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < -PSD_TOL:
+        raise ValidationError(f"{what} has negative eigenvalue {lo:.3e}")
 
 
 class PureState:
@@ -130,11 +140,7 @@ class DensityMatrix:
         trace = float(np.real(np.trace(m)))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix has trace {trace:.12f}, not 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_TOL:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {lo:.3e}"
-            )
+        require_psd(m, "density matrix")
         self.matrix = m
         self.dim = m.shape[0]
         self._factor = None

@@ -53,6 +53,7 @@ from .classifiers import (
     Classifier,
     LabeledDataset,
     WELL_TRAINED_THRESHOLD,
+    check_state,
     classify,
     classify_batch,
 )
@@ -302,6 +303,7 @@ def compute_optimal_bound(
     less is tied, as batch classification flags it.
     """
     n = classifier.n_classes
+    check_state(state, classifier.dim)
     label = (classify(classifier, state).label_index if label is None
              else check_label(label, n_classes=n))
 

@@ -348,6 +348,17 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == "input error: entry 0 has dim 4, classifier expects 2\n", err
 
+    def test_sidecar_of_another_dim_exits_2_at_its_entry(self, case_files, tmp_path, capsys):
+        # The sidecar reader refuses a witness by the classifier's state rule,
+        # at the entry's path, before the report is read.
+        sidecar = tmp_path / "dim4.json"
+        save_dataset(sidecar, LabeledDataset([(PureState([1, 0, 0, 0]), 0)]))
+        argv = ["recheck", *case_files, str(tmp_path / "report.json"), str(sidecar)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"input error: {sidecar}:states[0]: "
+                       "state has dim 4, classifier expects 2\n"), err
+
     def test_nan_amplitude_exits_2_at_its_pair(self, case_files, tmp_path, capsys):
         # The pairs reader refuses a NaN pair itself, not the state it would build.
         classifier_path, dataset_path = case_files

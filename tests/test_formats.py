@@ -223,6 +223,8 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             parse_classifier(doc)
         assert str(err.value) == "effects[0][1]: row has 1 entries, expected 2"
+        assert (err.value.path, err.value.message) == (
+            "effects[0][1]", "row has 1 entries, expected 2")
 
     @pytest.mark.parametrize("case", list(_BAD_DOCUMENTS))
     def test_rejection_keeps_message_and_path(self, case):

@@ -190,7 +190,7 @@ class TestDensityMatrixValidation:
             DensityMatrix(np.eye(2))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^density matrix has negative eigenvalue -5.000e-01$"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_project_repairs_solver_drift(self):

@@ -12,8 +12,9 @@ from qrv.classifiers import (
     Classifier,
     LabeledDataset,
     classify,
+    classify_batch,
 )
-from qrv.errors import MisclassifiedInput, ValidationError
+from qrv.errors import DimensionMismatch, MisclassifiedInput, ValidationError
 from grid_oracle import SearchGrid, bloch_grid_min_distance, pure_sphere_min_distance
 from qrv.sampling import random_classifier, random_density_matrix, random_pure_state
 from qrv.states import DensityMatrix, PureState, fidelity, pure_to_density
@@ -555,12 +556,42 @@ class TestUnderRobustAccuracy:
     @pytest.mark.parametrize("entries, message", [
         ([], "dataset is empty"),
         ([(PureState([1, 0]), 2)],
-         "entry 0 has label 2 but the classifier only has 2 classes"),
+         "entry 0: label 2 is not a class of a 2-class classifier"),
     ], ids=["empty", "label_outside_classes"])
     def test_incompatible_dataset_rejected(self, z_classifier, entries, message):
         with pytest.raises(ValidationError) as err:
             under_robust_accuracy(z_classifier, LabeledDataset(entries), 0.1)
         assert str(err.value) == message
+
+
+# Every public entry that takes a classifier and a state refuses a state of
+# another dim, or a non-state, by classifiers.check_state's rule and message.
+# pure_state_optimal_bound states a stricter rule first: psi is a PureState.
+STATE_ENTRIES = {
+    "classify": classify,
+    "classify_batch": lambda c, s: classify_batch(c, [s]),
+    "margin_robust_bound": lambda c, s: margin_robust_bound(c, s, 0.01),
+    "compute_optimal_bound": compute_optimal_bound,
+    "compute_optimal_bound_labelled": lambda c, s: compute_optimal_bound(c, s, 0),
+    "check_epsilon_robust": lambda c, s: check_epsilon_robust(c, s, 0, 0.01),
+    "pure_state_optimal_bound": lambda c, s: pure_state_optimal_bound(c, s, 0),
+}
+
+
+@pytest.mark.parametrize("entry", STATE_ENTRIES.values(), ids=STATE_ENTRIES.keys())
+@pytest.mark.parametrize("state, error, message", [
+    (PureState([1, 0, 0, 0]), DimensionMismatch, "state has dim 4, classifier expects 2"),
+    (DensityMatrix(np.eye(4) / 4), DimensionMismatch, "state has dim 4, classifier expects 2"),
+    (np.array([1.0, 0.0]), ValidationError,
+     "state must be PureState or DensityMatrix, got ndarray"),
+], ids=["pure_dim4", "mixed_dim4", "array"])
+def test_state_entries_refuse_a_state_the_classifier_cannot_take(
+        z_classifier, entry, state, error, message):
+    if entry is STATE_ENTRIES["pure_state_optimal_bound"] and not isinstance(state, PureState):
+        error, message = ValidationError, f"psi must be a PureState, got {type(state).__name__}"
+    with pytest.raises(error) as err:
+        entry(z_classifier, state)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("record", [
