@@ -127,10 +127,13 @@ def generate_qubit_case_study(
 def amplitude_encode(values) -> PureState:
     """Pure state with amplitudes proportional to the given real values.
 
-    The all-zero input is rejected (its normalization is undefined);
-    normalization preserves the relative pattern of the values.
+    Values of a dtype not integer or float (complex, bool, string, object) are
+    refused, as is the all-zero input, whose normalization is undefined.
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"values must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float)
     if arr.size == 0:
         raise ValidationError("cannot encode an empty value array")
     if not np.all(np.isfinite(arr)):

@@ -20,6 +20,7 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     as_complex_matrix,
+    check_state,
     require_hermitian,
 )
 
@@ -75,12 +76,8 @@ class KrausChannel:
         self.dim_out = dim_out
 
     def apply(self, rho) -> DensityMatrix:
-        """Channel action sum_k E_k rho E_k^dag on a state."""
-        if rho.dim != self.dim_in:
-            raise DimensionMismatch(
-                f"state dim {rho.dim} does not match channel input {self.dim_in}"
-            )
-        m = rho.matrix
+        """Channel action sum_k E_k rho E_k^dag on a state of its input dim."""
+        m = check_state(rho, self.dim_in).matrix
         out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
         for e in self.kraus:
             out += e @ m @ e.conj().T

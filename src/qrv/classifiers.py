@@ -7,10 +7,10 @@ A channel E then a measurement {M_k} is the POVM of its Heisenberg-picture
 effects ``N_k = E^dag(M_k^dag M_k)`` (:meth:`Classifier.from_kraus`), which is
 all the robust bound and the adversarial search depend on.
 Classification works on a stack of states at once (one contraction against
-the stacked effects); a single state is a stack of one.  :func:`check_state`
-owns the state rule (a ``PureState`` or ``DensityMatrix`` of the classifier's
-dim) for classification, the bound and the sidecar reader alike;
-``config.check_label`` owns a class index, ``states.require_psd`` a PSD effect.
+the stacked effects); a single state is a stack of one.  Each input rule has
+one owner that this module calls: ``states.check_state`` a state of the
+classifier's dim, ``config.check_label`` a class index and
+``states.require_psd`` a PSD effect.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import GAP_ROUNDING, ISOMETRY_TOL, TIE_TOL, check_dimension, check_label
 from .errors import DimensionMismatch, ValidationError
-from .states import DensityMatrix, PureState, as_complex_matrix, require_hermitian, require_psd
+from .states import PureState, as_complex_matrix, check_state, require_hermitian, require_psd
 
 __all__ = [
     "Classifier",
@@ -30,7 +30,6 @@ __all__ = [
     "LabeledDataset",
     "classify",
     "classify_batch",
-    "check_state",
     "accuracy",
     "WELL_TRAINED_THRESHOLD",
 ]
@@ -146,17 +145,6 @@ class BatchClassification(NamedTuple):
         if not n:
             raise ValidationError("batch is empty")
         return 1.0 - (n - int(np.count_nonzero(self.certified(eps)))) / n
-
-
-def check_state(state, dim: int | None = None, what: str = "state"):
-    """``state``, refused unless it is a PureState or DensityMatrix and, given
-    ``dim``, of that dimension; ``what`` names it in the message."""
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise ValidationError(
-            f"{what} must be PureState or DensityMatrix, got {type(state).__name__}")
-    if dim is not None and state.dim != dim:
-        raise DimensionMismatch(f"{what} has dim {state.dim}, classifier expects {dim}")
-    return state
 
 
 def _probability_rows(classifier: Classifier, states) -> np.ndarray:

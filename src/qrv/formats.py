@@ -42,10 +42,10 @@ from typing import Any
 
 import numpy as np
 
-from .classifiers import Classifier, LabeledDataset, check_state
+from .classifiers import Classifier, LabeledDataset
 from .config import check_dimension, check_epsilon
 from .errors import SchemaError, ValidationError
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, check_state
 
 __all__ = [
     "FORMAT_TAG",

@@ -11,6 +11,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .classifiers import Classifier
+from .errors import ValidationError
 from .states import DensityMatrix, PureState, matrix_sqrt_psd
 
 __all__ = [
@@ -47,8 +48,11 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
 def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityMatrix:
-    """Hilbert-Schmidt-style random state G G^dag / tr, optionally low rank."""
-    g = _ginibre(rng, dim, rank or dim)
+    """Hilbert-Schmidt-style random state G G^dag / tr of rank min(rank, dim), full if None."""
+    if rank is not None and (isinstance(rank, bool) or not isinstance(rank, (int, np.integer))
+                             or rank < 1):
+        raise ValidationError(f"rank must be an integer of at least 1, got {rank!r}")
+    g = _ginibre(rng, dim, dim if rank is None else rank)
     m = g @ g.conj().T
     return DensityMatrix(m / float(np.real(np.trace(m))))
 

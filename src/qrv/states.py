@@ -8,8 +8,8 @@ computed on first use and cached.  The distance used for robustness
 verdicts is ``D(rho, sigma) = 1 - F(rho, sigma)`` where ``F`` is the
 fidelity ``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2``, read from the two
 factors alone (Uhlmann: ``sqrt(F) = ||R^dag S||_tr``); the trace distance
-is provided alongside for comparison.  :func:`require_psd` owns the PSD rule
-of a density matrix and of a classifier's effect.
+is provided alongside for comparison.  :func:`check_state` owns the state
+rule of every qrv function, :func:`require_psd` the PSD rule of a state or effect.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import DimensionMismatch, ValidationError
 __all__ = [
     "PureState",
     "DensityMatrix",
+    "check_state",
     "as_complex_matrix",
     "require_hermitian",
     "require_psd",
@@ -116,8 +117,9 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        _check_same_dims(self, other)
+        """Inner product <self|other> with a PureState of the same dim."""
+        if isinstance(check_state(other, self.dim), DensityMatrix):
+            raise ValidationError("overlap takes a PureState, got DensityMatrix")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self) -> str:
@@ -163,9 +165,20 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def check_state(state, dim: int | None = None, what: str = "state"):
+    """``state``, refused unless it is a PureState or DensityMatrix and, given
+    ``dim``, of that dimension; ``what`` names it in the message."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise ValidationError(
+            f"{what} must be PureState or DensityMatrix, got {type(state).__name__}")
+    if dim is not None and state.dim != dim:
+        raise DimensionMismatch(f"{what} has dim {state.dim}, expected {dim}")
+    return state
+
+
 def pure_to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a pure state."""
-    return DensityMatrix(psi.matrix)
+    return DensityMatrix(check_state(psi).matrix)
 
 
 def _suppress_spectral_junk(w: np.ndarray) -> np.ndarray:
@@ -199,17 +212,12 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def _check_same_dims(rho, sigma) -> None:
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
-
-
 def sqrt_fidelity(rho, sigma) -> float:
     """sqrt(F) = tr sqrt(sqrt(rho) sigma sqrt(rho)) in [0, 1] of two
     states, each a PureState or a DensityMatrix: the trace norm of
     ``R^dag S`` for their factors (its Euclidean norm if it has one row or
     column), clamped to [0, 1]."""
-    _check_same_dims(rho, sigma)
+    check_state(sigma, check_state(rho).dim)
     m = rho.factor.conj().T @ sigma.factor
     value = float(np.linalg.norm(m) if 1 in m.shape
                   else np.sum(np.linalg.svd(m, compute_uv=False)))
@@ -231,7 +239,7 @@ def fidelity(rho, sigma) -> float:
 def trace_distance(rho, sigma) -> float:
     """Trace distance 0.5 * ||rho - sigma||_tr in [0, 1] of two states, each
     a PureState or a DensityMatrix."""
-    _check_same_dims(rho, sigma)
+    check_state(sigma, check_state(rho).dim)
     diff = rho.matrix - sigma.matrix
     w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return min(max(0.5 * float(np.sum(np.abs(w))), 0.0), 1.0)

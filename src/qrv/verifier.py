@@ -53,13 +53,12 @@ from .classifiers import (
     Classifier,
     LabeledDataset,
     WELL_TRAINED_THRESHOLD,
-    check_state,
     classify,
     classify_batch,
 )
 from .config import GAP_ROUNDING, TIE_TOL, check_epsilon, check_label
 from .errors import MisclassifiedInput, ValidationError
-from .states import DensityMatrix, PureState, fidelity
+from .states import DensityMatrix, PureState, check_state, fidelity
 
 __all__ = [
     "VerifyOptions",

@@ -70,7 +70,8 @@ class TestGenQubit:
 
     @pytest.mark.parametrize("case", ["one_training_sample", "fractional_n_train",
                                       "float_n_val", "bool_n_train", "no_values",
-                                      "nan_value", "negative_noise", "nan_noise", "inf_noise"])
+                                      "nan_value", "negative_noise", "nan_noise", "inf_noise",
+                                      "complex_array", "complex_in_list", "string_in_list"])
     def test_case_study_rejection_names_its_message(self, case):
         make, message = {
             "one_training_sample": (lambda: generate_qubit_case_study(n_train=1),
@@ -89,6 +90,13 @@ class TestGenQubit:
                           "noise_std must be finite and nonnegative, got inf"),
             "no_values": (lambda: amplitude_encode([]), "cannot encode an empty value array"),
             "nan_value": (lambda: amplitude_encode([np.nan]), "values contain NaN or Inf"),
+            # Refused before conversion: a cast to float would drop 1j or fail in numpy.
+            "complex_array": (lambda: amplitude_encode(np.array([1 + 1j, 1 - 1j])),
+                              "values must be real numbers, got dtype complex128"),
+            "complex_in_list": (lambda: amplitude_encode([1.0, 1j]),
+                                "values must be real numbers, got dtype complex128"),
+            "string_in_list": (lambda: amplitude_encode([1.0, "a"]),
+                               "values must be real numbers, got dtype <U"),
         }[case]
         with pytest.raises(ValidationError) as err:
             make()
@@ -346,7 +354,7 @@ class TestVerifyCommand:
         save_dataset(dataset_path, LabeledDataset([(PureState([1, 0, 0, 0]), 0)]))
         assert main(["verify", classifier_path, str(dataset_path), "--epsilon", "0.002"]) == 2
         err = capsys.readouterr().err
-        assert err == "input error: entry 0 has dim 4, classifier expects 2\n", err
+        assert err == "input error: entry 0 has dim 4, expected 2\n", err
 
     def test_sidecar_of_another_dim_exits_2_at_its_entry(self, case_files, tmp_path, capsys):
         # The sidecar reader refuses a witness by the classifier's state rule,
@@ -357,7 +365,7 @@ class TestVerifyCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == (f"input error: {sidecar}:states[0]: "
-                       "state has dim 4, classifier expects 2\n"), err
+                       "state has dim 4, expected 2\n"), err
 
     def test_nan_amplitude_exits_2_at_its_pair(self, case_files, tmp_path, capsys):
         # The pairs reader refuses a NaN pair itself, not the state it would build.
@@ -686,7 +694,7 @@ def test_cli_import_does_not_load_scipy(case_files, tmp_path):
     # read a classifier and a dataset load neither the samplers nor the case
     # study, which only gen-qubit, encode-image and the tests use, nor the
     # channels, as a classifier is read as its POVM effects, nor
-    # dataclasses: results are NamedTuples.
+    # dataclasses: results are NamedTuples.  Only recheck loads qrv.recheck.
     classifier_path, dataset_path = case_files
     report, sidecar = str(tmp_path / "r.json"), str(tmp_path / "a.json")
     code = ("import sys, qrv.cli; forbidden = set(sys.argv[1].split()); "
@@ -695,11 +703,11 @@ def test_cli_import_does_not_load_scipy(case_files, tmp_path):
     readers = "scipy qrv.sampling qrv.casestudy qrv.channels dataclasses"
     inputs = [classifier_path, dataset_path]
     for forbidden, argv in [
-            (readers, ["verify", *inputs, "--epsilon", "0.002",
-                       "--report", report, "--adversarial", sidecar]),
+            (readers + " qrv.recheck", ["verify", *inputs, "--epsilon", "0.002",
+                                        "--report", report, "--adversarial", sidecar]),
             (readers, ["recheck", *inputs, report, sidecar]),
-            (readers, ["classify", *inputs]),
-            (readers, ["bound", *inputs, "--epsilon", "0.002"]),
+            (readers + " qrv.recheck", ["classify", *inputs]),
+            (readers + " qrv.recheck", ["bound", *inputs, "--epsilon", "0.002"]),
             ("scipy", ["gen-qubit", "--n-train", "8", "--n-val", "2",
                        "--out-prefix", str(tmp_path / "q")])]:
         result = _run(["-c", code, forbidden, *argv])

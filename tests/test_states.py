@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grid_oracle import bloch_vector, density_from_bloch, project_to_density
+from qrv.channels import depolarizing
+from qrv.classifiers import Classifier, LabeledDataset, classify, classify_batch
 from qrv.errors import DimensionMismatch, ValidationError
 from qrv.sampling import random_density_matrix, random_pure_state
 from qrv.states import (
@@ -16,6 +18,7 @@ from qrv.states import (
     sqrt_fidelity,
     trace_distance,
 )
+from qrv.verifier import compute_optimal_bound
 
 
 class TestPureToDensity:
@@ -226,6 +229,59 @@ def test_state_rejection_names_its_message(make, value, message):
     with pytest.raises(ValidationError) as err:
         make(value)
     assert message in str(err.value)
+
+
+# Every public function that takes a state refuses a non-state, and a state
+# of another dim than its dim-2 reference, by states.check_state's rule.  Each
+# entry calls its function on the state under test.
+QUBIT = PureState([1, 0])
+Z_CLASSIFIER = Classifier([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+STATE_FUNCTIONS = {
+    "fidelity": lambda s: fidelity(QUBIT, s),
+    "fidelity_left": lambda s: fidelity(s, QUBIT),
+    "sqrt_fidelity": lambda s: sqrt_fidelity(QUBIT, s),
+    "sqrt_fidelity_left": lambda s: sqrt_fidelity(s, QUBIT),
+    "trace_distance": lambda s: trace_distance(QUBIT, s),
+    "trace_distance_left": lambda s: trace_distance(s, QUBIT),
+    "pure_to_density": pure_to_density,
+    "overlap": QUBIT.overlap,
+    "channel_apply": depolarizing(0.1).apply,
+    "classify": lambda s: classify(Z_CLASSIFIER, s),
+    "classify_batch": lambda s: classify_batch(Z_CLASSIFIER, [s]),
+    "compute_optimal_bound": lambda s: compute_optimal_bound(Z_CLASSIFIER, s),
+    "dataset": lambda s: LabeledDataset([(s, 0)]).check_compatible(Z_CLASSIFIER),
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in STATE_FUNCTIONS for case in ("array", "other_dim")
+    if (name, case) != ("pure_to_density", "other_dim")  # it has no reference dim
+])
+def test_state_functions_refuse_what_the_state_rule_refuses(name, case):
+    if case == "array":
+        with pytest.raises(ValidationError) as err:
+            STATE_FUNCTIONS[name](np.eye(2) / 2)
+        subject = "dataset states" if name == "dataset" else "state"
+        assert str(err.value) == f"{subject} must be PureState or DensityMatrix, got ndarray"
+    else:
+        with pytest.raises(DimensionMismatch, match=r"has dim [24], expected [24]$"):
+            STATE_FUNCTIONS[name](PureState([1, 0, 0, 0]))
+
+
+def test_overlap_refuses_a_density_matrix():
+    with pytest.raises(ValidationError, match="overlap takes a PureState, got DensityMatrix"):
+        QUBIT.overlap(DensityMatrix(np.eye(2) / 2))
+
+
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0, "2"])
+def test_random_density_matrix_refuses_a_rank_below_one_or_not_an_integer(rng, rank):
+    with pytest.raises(ValidationError, match="rank must be an integer of at least 1, got "):
+        random_density_matrix(3, rng, rank=rank)
+
+
+@pytest.mark.parametrize("rank, expected", [(None, 3), (1, 1), (np.int64(2), 2), (5, 3)])
+def test_random_density_matrix_has_the_rank_asked_for(rng, rank, expected):
+    assert np.linalg.matrix_rank(random_density_matrix(3, rng, rank=rank).matrix) == expected
 
 
 class TestBloch:

@@ -565,7 +565,7 @@ class TestUnderRobustAccuracy:
 
 
 # Every public entry that takes a classifier and a state refuses a state of
-# another dim, or a non-state, by classifiers.check_state's rule and message.
+# another dim, or a non-state, by states.check_state's rule and message.
 # pure_state_optimal_bound states a stricter rule first: psi is a PureState.
 STATE_ENTRIES = {
     "classify": classify,
@@ -580,8 +580,8 @@ STATE_ENTRIES = {
 
 @pytest.mark.parametrize("entry", STATE_ENTRIES.values(), ids=STATE_ENTRIES.keys())
 @pytest.mark.parametrize("state, error, message", [
-    (PureState([1, 0, 0, 0]), DimensionMismatch, "state has dim 4, classifier expects 2"),
-    (DensityMatrix(np.eye(4) / 4), DimensionMismatch, "state has dim 4, classifier expects 2"),
+    (PureState([1, 0, 0, 0]), DimensionMismatch, "state has dim 4, expected 2"),
+    (DensityMatrix(np.eye(4) / 4), DimensionMismatch, "state has dim 4, expected 2"),
     (np.array([1.0, 0.0]), ValidationError,
      "state must be PureState or DensityMatrix, got ndarray"),
 ], ids=["pure_dim4", "mixed_dim4", "array"])
