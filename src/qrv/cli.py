@@ -110,14 +110,11 @@ def _claim_outputs(args, inputs: dict, *outputs: str) -> None:
 
 
 def _run_inputs(args, *outputs: str):
-    """The run's classifier and dataset, checked against each other, once
-    its outputs are claimed."""
+    """The run's classifier and dataset, once its outputs are claimed; the
+    command checks them against each other (``check_compatible``) once."""
     _claim_outputs(args, {"the classifier": args.classifier,
                           "the dataset": args.dataset}, *outputs)
-    classifier = _load(formats.load_classifier, args.classifier)
-    dataset = _load(formats.load_dataset, args.dataset)
-    dataset.check_compatible(classifier)
-    return classifier, dataset
+    return _load(formats.load_classifier, args.classifier), _load(formats.load_dataset, args.dataset)
 
 
 def _load(loader, path):
@@ -133,6 +130,7 @@ def _load(loader, path):
 
 def _cmd_classify(args) -> int:
     classifier, dataset = _run_inputs(args, "report")
+    dataset.check_compatible(classifier)
     states, labels = zip(*dataset)
     doc = formats.emit_classification(classify_batch(classifier, states), labels)
     if args.report:
@@ -198,6 +196,7 @@ def _cmd_recheck(args) -> int:
 def _cmd_bound(args) -> int:
     epsilons = _parse_epsilons(args.epsilon)
     classifier, dataset = _run_inputs(args, "report")
+    dataset.check_compatible(classifier)
     t0 = time.perf_counter()
     batch = classify_batch(classifier, [state for state, _ in dataset])
     seconds = time.perf_counter() - t0

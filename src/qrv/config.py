@@ -46,11 +46,10 @@ def dimension_cap() -> int:
     """Largest admissible Hilbert-space dimension.
 
     Defaults to 256 (8 qubits); override with the QRV_MAX_DIM environment
-    variable.  The optimal bound costs eigendecompositions cubic in the
-    dimension: of a mixed state, and of its witness where a radius finds it
-    not robust (at dim 256 on a 2-vCPU Xeon, rank 2: 0.02 s, or 0.05 s with
-    a witness; pure: under 0.001 s), and every dense matrix takes 16 dim^2
-    bytes, so the cap bounds run time and memory.
+    variable.  The bound costs one eigendecomposition, cubic in the dimension,
+    per mixed state and none per witness (dim 256, rank 2, 2-vCPU Xeon: 0.02 s;
+    pure: under 0.001 s), and a dense matrix 16 dim^2 bytes, so the cap bounds
+    run time and memory.
     """
     raw = os.environ.get(MAX_DIM_ENV_VAR)
     if raw is None:

@@ -22,6 +22,8 @@ that constructor's ValueError is a SchemaError at the path it was built
 from.  :func:`write_json` writes compact JSON (CPython's C encoder); any
 layout is read, indented included.
 
+A state entry holds a pure state's ``data`` vector, a density matrix's ``data``
+or, if built from its factor W (a witness), ``factor``: W, never both.
 A classifier is read and written as its POVM ``effects`` only, so reading
 a file never loads ``channels``.  Every document ``qrv`` reads or writes is
 read and built here: :func:`emit_reports` writes a verification run, for
@@ -179,22 +181,25 @@ def _check_format(doc: dict, kind: str, path: str) -> None:
 # States
 
 
-def _state_kind(state) -> str:
-    return "pure" if isinstance(state, PureState) else "density"
-
-
 def _state_entry(state) -> dict:
-    data = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return {"kind": _state_kind(state), "data": array_to_json(data)}
+    if isinstance(state, PureState):
+        return {"kind": "pure", "data": array_to_json(state.amplitudes)}
+    if state.factored:
+        return {"kind": "density", "factor": array_to_json(state.factor)}
+    return {"kind": "density", "data": array_to_json(state.matrix)}
 
 
 def _parse_state_entry(obj: Any, path: str):
     kind = _require_key(obj, "kind", path)
-    data = _require_key(obj, "data", path)
     if kind not in ("pure", "density"):
         raise SchemaError(f"state kind must be 'pure' or 'density', got {kind!r}", path)
-    ndim, make = (1, PureState) if kind == "pure" else (2, DensityMatrix)
-    return _built(make, parse_array(data, ndim, f"{path}.data"), path=f"{path}.data")
+    if "data" in obj and "factor" in obj:
+        raise SchemaError("a state entry holds 'data' or 'factor', not both", path)
+    key = "factor" if kind == "density" and "factor" in obj else "data"
+    ndim, make = ((1, PureState) if kind == "pure" else
+                  (2, DensityMatrix.from_factor if key == "factor" else DensityMatrix))
+    data = _require_key(obj, key, path)
+    return _built(make, parse_array(data, ndim, f"{path}.{key}"), path=f"{path}.{key}")
 
 
 def emit_state(state) -> dict:

@@ -13,7 +13,7 @@ entries too.  Each non-robust verdict takes the next sidecar witness, whose
 ``source_index`` must be its entry's index, an int; the witness must take
 its entry's form, target the rival that sets delta, carry its label and
 distance, lie within ``eps + WITNESS_BUDGET`` and change the class.  Figures are numbers as :mod:`qrv.formats` reads them; the
-bound and witness distance read rho's cached factor, rotated once per rival.
+bound and witness distance read rho's cached factor, rotated once per rival, and each witness's factor as saved.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from .classifiers import Classifier, LabeledDataset, classify_batch
-from .formats import _number, _state_kind, emit_report, report_runs
-from .states import fidelity
+from .formats import _number, emit_report, report_runs
+from .states import PureState, fidelity
 from .verifier import WITNESS_BUDGET, OptimalBound, _rotate, assemble_reports, bound_at
 
 __all__ = ["recheck_report", "DELTA_TOL", "DISTANCE_TOL"]
@@ -57,6 +57,7 @@ def recheck_report(
     """One line per mismatch between ``report``'s runs and their rebuild, and
     a summary; each non-robust verdict takes the next of the sidecar's
     ``witnesses``, ``(state, entry)`` pairs in file order."""
+    dataset.check_compatible(classifier)
     runs = report_runs(report, len(dataset))
     states, labels = zip(*dataset)
     batch = classify_batch(classifier, states)
@@ -100,7 +101,8 @@ def recheck_report(
                 return bound._replace(witness_distance=distance), 0.0
             measured = 1.0 - fidelity(states[i], sigma)
             problems.extend(_mismatches(f"eps={eps} index={i} sidecar[{j}].", {
-                "kind": _state_kind(states[i]), "label": label, "target_class": bound.argmin_class,
+                "kind": "pure" if isinstance(states[i], PureState) else "density",
+                "label": label, "target_class": bound.argmin_class,
                 "distance": _kept(entry.get("distance"), measured, DISTANCE_TOL),
             }, entry))
             if measured > eps + WITNESS_BUDGET:

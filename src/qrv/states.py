@@ -3,12 +3,12 @@
 Pure states are unit complex vectors; mixed states are density matrices
 (Hermitian, positive semidefinite, unit trace).  Each state has a
 ``matrix`` and a square-root ``factor`` R with ``rho = R R^dag``: a pure
-state's amplitude column, or a density matrix's scaled eigenvectors,
-computed on first use and cached.  The distance used for robustness
-verdicts is ``D(rho, sigma) = 1 - F(rho, sigma)`` where ``F`` is the
-fidelity ``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2``, read from the two
-factors alone (Uhlmann: ``sqrt(F) = ||R^dag S||_tr``); the trace distance
-is provided alongside for comparison.  :func:`check_state` owns the state
+state's amplitude column, a density matrix's eigenvectors scaled and cached
+on first use, or the W a witness was built from (no spectrum is taken, and
+the matrix W W^dag is formed on first use).  The verdicts' distance is
+``D = 1 - F``, ``F`` the fidelity ``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2``,
+read from the two factors alone (Uhlmann: ``sqrt(F) = ||R^dag S||_tr``); the
+trace distance is provided alongside.  :func:`check_state` owns the state
 rule of every qrv function, :func:`require_psd` the PSD rule of a state or effect.
 """
 
@@ -134,23 +134,33 @@ class DensityMatrix:
     ``-PSD_TOL``.  Its ``factor`` is computed on first use and cached.
     """
 
-    __slots__ = ("matrix", "dim", "_factor")
+    __slots__ = ("_matrix", "dim", "_factor", "factored")  # factored: built by from_factor
 
     def __init__(self, matrix):
         m = require_hermitian(matrix, "density matrix")
-        check_dimension(m.shape[0])
-        trace = float(np.real(np.trace(m)))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix has trace {trace:.12f}, not 1")
+        _check_size(m.shape[0], float(np.real(np.trace(m))))
         require_psd(m, "density matrix")
-        self.matrix = m
-        self.dim = m.shape[0]
-        self._factor = None
+        self._matrix, self.dim, self._factor, self.factored = m, m.shape[0], None, False
+
+    @classmethod
+    def from_factor(cls, factor) -> "DensityMatrix":
+        """The state ``W W^dag`` (PSD by construction) of a finite W, kept as given."""
+        w = as_complex_matrix(factor)
+        _check_size(w.shape[0], float(np.vdot(w, w).real))
+        state = cls.__new__(cls)
+        state._matrix, state.dim, state._factor, state.factored = None, w.shape[0], w, True
+        return state
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:  # W W^dag, symmetrized as the constructor would
+            self._matrix = require_hermitian(self._factor @ self._factor.conj().T)
+        return self._matrix
 
     @property
     def factor(self) -> np.ndarray:
-        """R with ``rho = R R^dag``: the eigenvectors of nonzero eigenvalue
-        (after :func:`_suppress_spectral_junk`) scaled by their square roots."""
+        """R with ``rho = R R^dag``: the factor given, or the eigenvectors of nonzero
+        eigenvalue (after :func:`_suppress_spectral_junk`) scaled by their roots."""
         if self._factor is None:
             w, v = np.linalg.eigh(self.matrix)
             w = _suppress_spectral_junk(w)
@@ -174,6 +184,12 @@ def check_state(state, dim: int | None = None, what: str = "state"):
     if dim is not None and state.dim != dim:
         raise DimensionMismatch(f"{what} has dim {state.dim}, expected {dim}")
     return state
+
+
+def _check_size(dim: int, trace: float) -> None:  # of a density matrix, however built
+    check_dimension(dim)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValidationError(f"density matrix has trace {trace:.12f}, not 1")
 
 
 def pure_to_density(psi: PureState) -> DensityMatrix:
@@ -225,14 +241,9 @@ def sqrt_fidelity(rho, sigma) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """Fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1].
-
-    Either argument is a PureState or a DensityMatrix.  Computed as
-    ``||R^dag S||_tr^2`` from factors ``rho = R R^dag``, ``sigma = S S^dag``
-    (one cached ``eigh`` per density matrix, none for a pure state); symmetric
-    in its arguments up to numerical noise.  For pure states it is
-    |<psi|phi>|^2.
-    """
+    """Fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1]: :func:`sqrt_fidelity`
+    squared, |<psi|phi>|^2 for pure states, symmetric up to rounding.  It takes one
+    cached ``eigh`` per density matrix not built from its factor, and no other."""
     return sqrt_fidelity(rho, sigma) ** 2
 
 

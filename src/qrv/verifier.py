@@ -58,7 +58,7 @@ from .classifiers import (
 )
 from .config import GAP_ROUNDING, TIE_TOL, check_epsilon, check_label
 from .errors import MisclassifiedInput, ValidationError
-from .states import DensityMatrix, PureState, check_state, fidelity
+from .states import DensityMatrix, PureState, _suppress_spectral_junk, check_state, fidelity
 
 __all__ = [
     "VerifyOptions",
@@ -293,8 +293,8 @@ def compute_optimal_bound(
     positive definite past ``TIE_TOL``) has an unbounded radius; when every rival is
     unreachable the state is robust at every eps < 1.  A rival already
     tied at rho contributes delta 0 with no solve.  The witness is the
-    pure state ``phi*`` for a pure input and ``sigma*`` for a mixed one, and
-    its distance ``1 - F`` is measured on the state returned, as
+    pure state ``phi*`` for a pure input and ``sigma*``, built from its factor, for a
+    mixed one; its distance ``1 - F`` is measured on the state returned, as
     ``qrv recheck`` measures it from the saved file.  With no ``label`` the
     state is classified; a stated one must pass ``config.check_label`` and
     name a class.  A rival ahead of it (``tr(A rho) = p_label - p_k < 0``) by more
@@ -327,8 +327,12 @@ def compute_optimal_bound(
     a, vectors = classifier.gap_spectrum(label, k_star)
     factor, r = rotated[k_star]
     factor = vectors @ _witness_factor(a, r, factor, shifts[k_star], delta)  # sigma* = FF^dag
-    witness = (PureState(factor.sum(axis=1)) if isinstance(state, PureState)  # unit norm
-               else DensityMatrix(factor @ factor.conj().T))
+    if isinstance(state, PureState):
+        witness = PureState(factor.sum(axis=1))  # unit norm
+    else:  # thin SVD, then the junk rule DensityMatrix.factor applies to a spectrum
+        u, s, _ = np.linalg.svd(factor, full_matrices=False)
+        w = _suppress_spectral_junk(s * s)
+        witness = DensityMatrix.from_factor(u[:, w > 0.0] * np.sqrt(w[w > 0.0]))
     return bound._replace(witness=witness,
                           witness_distance=1.0 - fidelity(state, witness))
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qrv.classifiers
+import qrv.states
 from conftest import tied_dataset
 from qrv.casestudy import (
     amplitude_encode,
@@ -417,6 +418,33 @@ class TestVerifyCommand:
         sidecar = json.loads(sidecar_path.read_text())
         assert len(sidecar["states"]) == doc["adversarial_count"] > 0
         assert all(entry["kind"] == "pure" for entry in sidecar["states"])
+
+    def test_state_rule_runs_three_times_per_entry(self, tmp_path, monkeypatch):
+        # An entry is checked when it is loaded, when the dataset is checked
+        # against the classifier, and when it is classified: three times.  An
+        # exact entry adds its bound's guard, and a non-robust one its witness
+        # distance's.
+        rng = np.random.default_rng(11)
+        classifier = random_classifier(4, rng, n_classes=3, kraus_rank=2)
+        states = [random_density_matrix(4, rng, rank=2) for _ in range(24)]
+        labels = [int(k) for k in classify_batch(classifier, states).labels]
+        paths = [str(tmp_path / name) for name in ("c.json", "d.json", "r.json")]
+        save_classifier(paths[0], classifier)
+        save_dataset(paths[1], LabeledDataset(zip(states, labels)))
+        checked = []
+
+        def counting(state, *args, _check=qrv.states.check_state, **kwargs):
+            checked.append(state)
+            return _check(state, *args, **kwargs)
+
+        for module in ("states", "classifiers", "verifier", "formats"):
+            monkeypatch.setattr(f"qrv.{module}.check_state", counting)
+        assert main(["verify", *paths[:2], "--epsilon", "0.02", "--report", paths[2]]) == 0
+        entries = checked[:len(states)]  # each entry is checked first as it is loaded
+        verdicts = json.loads(Path(paths[2]).read_text())["verdicts"]
+        assert {v["robust"] for v in verdicts if v["dual_shifts"]} == {True, False}
+        assert [sum(c is e for c in checked) for e in entries] == [
+            3 + (v["dual_shifts"] is not None) + (v["robust"] is False) for v in verdicts]
 
 
 class TestBoundCommand:
@@ -859,11 +887,11 @@ def test_closed_pipe_exits_141_with_nothing_on_stderr(tmp_path):
 
 
 def test_recheck_reads_a_binary_sidecar(tmp_path):
-    # Dim-8 density matrices have 64 entries, so their witnesses are written
-    # in the binary layout, and recheck reads them back.
+    # A mixed witness of a rank-2 dim-32 state is a factor of at least 32x2
+    # = 64 entries, so it is written in the binary layout, and recheck reads it back.
     rng = np.random.default_rng(3)
-    classifier = random_classifier(8, rng, n_classes=3, kraus_rank=2)
-    states = [random_density_matrix(8, rng, rank=2) for _ in range(12)]
+    classifier = random_classifier(32, rng, n_classes=3, kraus_rank=2)
+    states = [random_density_matrix(32, rng, rank=2) for _ in range(12)]
     labels = [int(k) for k in classify_batch(classifier, states).labels]
     paths = [str(tmp_path / name) for name in ("c.json", "d.json", "r.json", "a.json")]
     save_classifier(paths[0], classifier)
@@ -872,7 +900,7 @@ def test_recheck_reads_a_binary_sidecar(tmp_path):
                  "--report", paths[2], "--adversarial", paths[3]]) == 0
     witnesses = json.loads(Path(paths[3]).read_text())["states"]
     assert witnesses
-    assert all(set(w["data"]) == {"dtype", "shape", "base64"} for w in witnesses)
+    assert all(set(w["factor"]) == {"dtype", "shape", "base64"} for w in witnesses)
     result = _run(["-m", "qrv.cli", "recheck", *paths])
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.strip().endswith("consistent")

@@ -20,6 +20,7 @@ from qrv.formats import (
     emit_state,
     load_classifier,
     load_dataset,
+    load_sidecar,
     parse_array,
     parse_classifier,
     parse_dataset,
@@ -595,3 +596,72 @@ class TestBinaryLayout:
             parse_dataset(doc)
         assert str(err.value) == ("states[0].data.shape: dimension 1048576 exceeds the "
                                   "configured cap 256; raise QRV_MAX_DIM to override")
+
+
+def _unit_factor(rng, rows, cols):
+    """A random factor W with ||W||_F = 1: the state W W^dag."""
+    w = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return w / np.linalg.norm(w)
+
+
+class TestFactorLayout:
+    """A density matrix built from its factor W (a witness) is written as
+    ``{"kind": "density", "factor": W}`` and read back as W."""
+
+    @pytest.mark.parametrize("rows, cols", [(4, 2), (32, 3)])
+    def test_factor_built_state_round_trips_bit_for_bit(self, rng, rows, cols):
+        w = _unit_factor(rng, rows, cols)
+        sigma = DensityMatrix.from_factor(w)
+        entry = emit_state(sigma)["state"]
+        assert list(entry) == ["kind", "factor"] and entry["kind"] == "density"
+        assert isinstance(entry["factor"], dict) == (rows * cols >= BINARY_MIN_ELEMENTS)
+        back = parse_state(round_trip(emit_state(sigma)))
+        assert back.factored and _same_bits(back.factor, w)
+        assert _same_bits(back.factor, sigma.factor) and _same_bits(back.matrix, sigma.matrix)
+        assert emit_state(back) == emit_state(sigma)
+
+    def test_a_dense_density_entry_is_still_read(self, rng):
+        sigma = DensityMatrix.from_factor(_unit_factor(rng, 3, 2))
+        entry = {"kind": "density", "data": _pairs(sigma.matrix), "label": 0}
+        back = parse_dataset(_dataset_doc(entry)).entries[0][0]
+        assert not back.factored and _same_bits(back.matrix, sigma.matrix)
+
+    def test_nan_in_a_factor_is_refused_at_its_pair(self, rng):
+        factor = _pairs(_unit_factor(rng, 2, 2))
+        factor[1][0] = [float("nan"), 0.0]
+        doc = _dataset_doc(_BASIS, {"kind": "density", "factor": factor, "label": 0})
+        with pytest.raises(SchemaError) as err:
+            parse_dataset(round_trip(doc))
+        assert str(err.value) == ("states[1].factor[1][0]: complex numbers must be "
+                                  "[re, im] number pairs")
+
+    def test_nan_in_a_binary_factor_is_refused_at_the_factor(self, rng):
+        w = _unit_factor(rng, 32, 2)
+        w[3, 1] = np.nan
+        doc = _dataset_doc({"kind": "density", "factor": _binary(w), "label": 0})
+        with pytest.raises(SchemaError) as err:
+            parse_dataset(round_trip(doc))
+        assert str(err.value) == "states[0].factor: matrix contains NaN or Inf entries"
+
+    def test_factor_of_a_norm_other_than_one_is_refused(self, rng):
+        doc = _dataset_doc({"kind": "density", "label": 0,
+                            "factor": _pairs(1.2 * _unit_factor(rng, 2, 2))})
+        with pytest.raises(SchemaError) as err:
+            parse_dataset(round_trip(doc))
+        assert str(err.value) == ("states[0].factor: density matrix has trace "
+                                  "1.440000000000, not 1")
+
+    def test_entry_with_data_and_factor_is_refused(self, rng):
+        sigma = DensityMatrix.from_factor(_unit_factor(rng, 2, 2))
+        entry = {"kind": "density", "data": _pairs(sigma.matrix),
+                 "factor": _pairs(sigma.factor), "label": 0}
+        with pytest.raises(SchemaError) as err:
+            parse_dataset(_dataset_doc(_BASIS, entry))
+        assert str(err.value) == "states[1]: a state entry holds 'data' or 'factor', not both"
+
+    def test_factor_of_the_wrong_dim_is_refused_at_its_entry(self, rng, tmp_path):
+        states = [(DensityMatrix.from_factor(_unit_factor(rng, dim, 2)), 0) for dim in (2, 4)]
+        save_dataset(tmp_path / "a.json", LabeledDataset(states))
+        with pytest.raises(SchemaError) as err:
+            load_sidecar(tmp_path / "a.json", 2)
+        assert str(err.value) == "states[1]: state has dim 4, expected 2"

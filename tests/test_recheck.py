@@ -103,7 +103,8 @@ def test_untouched_report_rechecks(saved, key, tmp_path, capsys, monkeypatch):
 def test_one_state_factor_per_exact_entry(saved, tmp_path, capsys, monkeypatch):
     # Three classes give an exact entry up to two solved rivals; across a
     # report set, rho's factor is computed once for all of them and for its
-    # witnesses' distances, which add only each witness's own factor.
+    # witnesses' distances, which add none: each is measured from the factor
+    # the sidecar saved.
     calls = []
     suppress = qrv.states._suppress_spectral_junk
 
@@ -119,7 +120,42 @@ def test_one_state_factor_per_exact_entry(saved, tmp_path, capsys, monkeypatch):
     assert len(report["runs"]) == 2 and 2 in solved.values() and sidecar["states"]
     code, out = recheck(saved, "mixed", report, sidecar, tmp_path, capsys)
     assert code == 0, out
-    assert len(calls) == sum(n > 0 for n in solved.values()) + len(sidecar["states"])
+    assert len(calls) == sum(n > 0 for n in solved.values())
+
+
+@pytest.mark.parametrize("name", ["single", "set"])
+def test_dense_sidecar_still_rechecks(saved, name, tmp_path, capsys):
+    # A mixed witness written as its density matrix, the layout before
+    # witnesses were saved as factors, is read and factored again, and its
+    # distance agrees with the recorded one to DISTANCE_TOL.
+    report, sidecar = load(saved, ("mixed", name))
+    assert sidecar["states"]
+    for entry in sidecar["states"]:
+        data, _ = _witness_array(entry)
+        _set_state(entry, DensityMatrix(DensityMatrix.from_factor(data).matrix))
+        assert "data" in entry and "factor" not in entry
+    code, out = recheck(saved, "mixed", report, sidecar, tmp_path, capsys)
+    assert code == 0, out
+
+
+def test_mixed_witness_takes_no_spectrum(saved, tmp_path, capsys, monkeypatch):
+    # Verify builds a mixed witness from its factor and recheck reads that
+    # factor back: neither takes an eigh or eigvalsh of the witness.
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(m, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            seen.append(np.array(m))
+            return _decompose(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    paths = [saved["classifier"], saved["mixed"], str(tmp_path / "r.json"),
+             str(tmp_path / "a.json")]
+    assert main(["verify", *paths[:2], "--epsilon", "0.01", "--report", paths[2],
+                 "--adversarial", paths[3]]) == 0
+    assert main(["recheck", *paths]) == 0, capsys.readouterr().out
+    witnesses = [s for s, _ in load_dataset(paths[3])]
+    assert witnesses and all(w.factored for w in witnesses)
+    assert not [m for m in seen for w in witnesses
+                if m.shape == w.matrix.shape and np.allclose(m, w.matrix)]
 
 
 def test_one_rotation_per_rival_across_runs(saved, tmp_path, capsys, monkeypatch):
@@ -191,17 +227,27 @@ def _distance(report, sidecar, run):
     return i, "adversarial_distance"
 
 
+def _witness_array(entry):
+    """A sidecar entry's pairs array and its key: a pure witness's amplitudes,
+    a mixed one's factor W (the state W W^dag)."""
+    key = "data" if entry["kind"] == "pure" else "factor"
+    return np.array(entry[key]).view(complex)[..., 0], key
+
+
+def _set_state(entry, state):
+    """Replace a sidecar entry's state, in whichever layout it was written."""
+    for key in ("data", "factor"):
+        entry.pop(key, None)
+    entry.update(emit_state(state)["state"])
+
+
 def _amplitude(report, sidecar, run):
-    # A phase on one basis amplitude keeps the witness a valid state.
+    # A phase on one basis amplitude keeps the witness a valid state: on a
+    # mixed witness's factor row, it is D W W^dag D^dag with D = diag(phase, 1, ...).
     entry = sidecar["states"][0]
-    phase = np.exp(0.01j)
-    data = np.array(entry["data"]).view(complex)[..., 0]
-    if entry["kind"] == "pure":
-        data[0] *= phase
-    else:
-        data[0, :] *= phase
-        data[:, 0] *= np.conj(phase)
-    entry["data"] = np.stack([data.real, data.imag], axis=-1).tolist()
+    data, key = _witness_array(entry)
+    data[0] *= np.exp(0.01j)
+    entry[key] = np.stack([data.real, data.imag], axis=-1).tolist()
     return entry["source_index"], "adversarial_distance"
 
 
@@ -302,10 +348,10 @@ def _witness_form(report, sidecar, run):
     # A pure witness written as its density matrix, a mixed one as its
     # leading eigenvector: each a valid state of the other form.
     entry = sidecar["states"][0]
-    data = np.array(entry["data"]).view(complex)[..., 0]
+    data, _ = _witness_array(entry)
     state = (DensityMatrix(np.outer(data, data.conj())) if entry["kind"] == "pure"
-             else PureState(np.linalg.eigh(data)[1][:, -1]))
-    entry.update(emit_state(state)["state"])
+             else PureState(np.linalg.svd(data)[0][:, 0]))
+    _set_state(entry, state)
     return entry["source_index"], "sidecar[0].kind"
 
 
@@ -393,7 +439,7 @@ def test_witness_beyond_the_budget_is_caught(saved, key, tmp_path, capsys):
     batch = classify_batch(load_classifier(saved["classifier"]), states)
     far = next(states[j] for j, (k, tie) in enumerate(zip(batch.labels, batch.ties))
                if k == witness["target_class"] and not tie)
-    witness.update(emit_state(far)["state"])
+    _set_state(witness, far)
     distance = 1.0 - sqrt_fidelity(load_dataset(saved[key[0]]).entries[i][0], far) ** 2
     witness["distance"] = run["verdicts"][i]["adversarial_distance"] = distance
     assert distance > run["epsilon"] + qrv.verifier.WITNESS_BUDGET
